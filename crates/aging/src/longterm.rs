@@ -308,12 +308,12 @@ mod tests {
         let profile = TechnologyProfile::atmega32u4();
         let series = paper_series(1);
         let pop = &profile.population;
-        assert!((series[0].wchd - pop.expected_wchd()).abs() < 1e-5);
-        assert!((series[0].fhw - pop.expected_fhw()).abs() < 1e-5);
-        // The entropy and stability integrands have a kink at m = 0, so the
-        // two quadrature grids (800 vs 1600 nodes) agree less tightly there.
-        assert!((series[0].noise_entropy - pop.expected_noise_entropy()).abs() < 2e-4);
-        assert!((series[0].stable_ratio - pop.expected_stable_ratio(1000)).abs() < 2e-4);
+        // Both sides integrate over the same 4 001-node Simpson grid on ±8σ
+        // (FHW against its closed form), so they agree to rounding.
+        assert!((series[0].wchd - pop.expected_wchd()).abs() < 1e-12);
+        assert!((series[0].fhw - pop.expected_fhw()).abs() < 1e-12);
+        assert!((series[0].noise_entropy - pop.expected_noise_entropy()).abs() < 1e-12);
+        assert!((series[0].stable_ratio - pop.expected_stable_ratio(1000)).abs() < 1e-12);
     }
 
     #[test]

@@ -2,13 +2,15 @@
 //!
 //! Each kernel suite times a word-parallel kernel from [`pufbits::kernel`]
 //! against its per-bit scalar oracle (`pufbits::kernel::scalar`) on the same
-//! fixed-seed data; the end-to-end suite times the production decode + fold
-//! pipeline (canonical-layout JSON scanner, block-transpose counters,
-//! popcount Hamming kernels) against the reference pipeline (tree-parsing
-//! decoder, per-set-bit counter, per-bit distance scans) over the same
-//! record stream. Results render as a `bench-perf/1` JSON document; the
-//! repository commits one as `BENCH_kernels.json` and CI fails when any
-//! suite's speedup ratio collapses by more than 2× against it.
+//! fixed-seed data, except `normal_cdf`, which times the rational `erfc`
+//! kernel under `Phi` against its incomplete-gamma oracle. The end-to-end
+//! suite times the production decode + fold pipeline (canonical-layout JSON
+//! scanner, block-transpose counters, popcount Hamming kernels) against the
+//! reference pipeline (tree-parsing decoder, per-set-bit counter, per-bit
+//! distance scans) over the same record stream. Results render as a
+//! `bench-perf/1` JSON document; the repository commits one as
+//! `BENCH_kernels.json` and CI fails when any suite's speedup ratio
+//! collapses by more than 2× against it.
 //!
 //! Timings are best-of-N wall-clock (`Instant`), which is stable enough for
 //! a ratio check with a deliberately loose threshold; the committed
@@ -17,8 +19,10 @@
 use pufassess::streaming::WindowAccumulator;
 use pufassess::Assessment;
 use pufbits::{kernel, BitVec, BlockCounter, OnesCounter};
+use pufstats::special;
 use puftestbed::store::JsonLinesSink;
 use puftestbed::{Campaign, Record};
+use sramcell::TechnologyProfile;
 use std::time::Instant;
 
 /// One suite's timings: the kernel and its scalar reference on identical
@@ -247,6 +251,8 @@ pub fn run_quick(seed: u64) -> PerfReport {
         });
     }
 
+    kernels.push(normal_cdf(ITERS));
+
     // End-to-end: decode + streaming assessment over a smoke-scale
     // campaign rendered to canonical JSON lines.
     let end_to_end = vec![end_to_end_assess(seed, ITERS)];
@@ -256,6 +262,35 @@ pub fn run_quick(seed: u64) -> PerfReport {
         profile: "quick",
         kernels,
         end_to_end,
+    }
+}
+
+/// The `normal_cdf` suite: [`special::erfc`] at `Phi`'s argument `−m/√2`
+/// against the [`special::erfc_via_gamma`] oracle, over the 4 001-node grid
+/// of `m ∈ μ ± 8σ` that `sramaging::analytic_series` walks for the paper's
+/// ATmega32u4 population.
+fn normal_cdf(iters: u32) -> SuiteTiming {
+    const STEPS: usize = 4000;
+    let population = TechnologyProfile::atmega32u4().population;
+    let args: Vec<f64> = (0..=STEPS)
+        .map(|i| {
+            let z = -8.0 + i as f64 * 16.0 / STEPS as f64;
+            -(population.mu + population.sigma * z) / std::f64::consts::SQRT_2
+        })
+        .collect();
+    let kernel_ns = time_best_of(iters, || {
+        args.iter().map(|&x| special::erfc(x)).sum::<f64>()
+    });
+    let scalar_ns = time_best_of(iters, || {
+        args.iter()
+            .map(|&x| special::erfc_via_gamma(x))
+            .sum::<f64>()
+    });
+    SuiteTiming {
+        name: "normal_cdf",
+        items: args.len() as u64,
+        scalar_ns,
+        kernel_ns,
     }
 }
 
@@ -375,6 +410,7 @@ mod tests {
             "transitions",
             "pair_counts",
             "window_counts_m3",
+            "normal_cdf",
         ] {
             assert!(names.contains(&expected), "missing suite {expected}");
         }

@@ -42,15 +42,15 @@ impl Heartbeat {
         let handle = std::thread::spawn(move || {
             let (lock, condvar) = &*thread_stop;
             let mut stopped = lock.lock().expect("heartbeat lock");
-            loop {
+            // Check the flag before every wait: a stop that lands before this
+            // thread first takes the lock has already notified, and waiting
+            // would sleep out a whole period.
+            while !*stopped {
                 let (guard, timeout) = condvar
                     .wait_timeout(stopped, period)
                     .expect("heartbeat lock");
                 stopped = guard;
-                if *stopped {
-                    return;
-                }
-                if timeout.timed_out() {
+                if !*stopped && timeout.timed_out() {
                     eprintln!("{}", render(&instruments.snapshot()));
                 }
             }

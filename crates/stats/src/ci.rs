@@ -86,6 +86,15 @@ fn check_confidence(confidence: f64) -> Result<(), CiError> {
     }
 }
 
+/// The standard-normal quantile `z` with `P(|Z| < z) = confidence`.
+///
+/// `(1 − confidence) / 2` is exact and strictly inside `(0, 1/2)` for every
+/// `confidence` in `(0, 1)`, whereas `0.5 + confidence / 2` rounds to 1 once
+/// `confidence` is within an ulp of 1.
+fn two_sided_quantile(confidence: f64) -> f64 {
+    -phi_inv((1.0 - confidence) / 2.0)
+}
+
 /// Wilson score interval for `successes` out of `n` Bernoulli trials at the
 /// given two-sided `confidence` (e.g. `0.99`).
 ///
@@ -110,7 +119,7 @@ pub fn wilson(successes: u64, n: u64, confidence: f64) -> Result<Interval, CiErr
         return Err(CiError::ImpossibleSuccesses { successes, n });
     }
     check_confidence(confidence)?;
-    let z = phi_inv(0.5 + confidence / 2.0);
+    let z = two_sided_quantile(confidence);
     let nf = n as f64;
     let p_hat = successes as f64 / nf;
     let z2 = z * z;
@@ -156,7 +165,7 @@ pub fn mean_interval(mean: f64, sd: f64, n: u64, confidence: f64) -> Result<Inte
         return Err(CiError::NegativeStdDev { sd });
     }
     check_confidence(confidence)?;
-    let z = phi_inv(0.5 + confidence / 2.0);
+    let z = two_sided_quantile(confidence);
     let half = z * sd / (n as f64).sqrt();
     Ok(Interval {
         lo: mean - half,
@@ -224,6 +233,18 @@ mod tests {
                 Err(CiError::BadConfidence { .. })
             ));
         }
+    }
+
+    #[test]
+    fn every_confidence_below_one_gives_its_quantile() {
+        for (confidence, z) in [(0.95, 1.959_963_984_540_054), (0.99, 2.575_829_303_548_901)] {
+            assert!((two_sided_quantile(confidence) - z).abs() < 1e-12);
+        }
+        // 1 − 2^-53, the largest double below 1, is valid: an interval, not
+        // a panic.
+        let widest = 1.0 - f64::EPSILON / 2.0;
+        assert!(wilson(500, 1000, widest).unwrap().contains(0.5));
+        assert!(mean_interval(0.0, 1.0, 100, widest).unwrap().width() > 1.6);
     }
 
     #[test]

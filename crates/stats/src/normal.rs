@@ -236,6 +236,29 @@ mod tests {
     }
 
     #[test]
+    fn phi_is_symmetric_to_rounding() {
+        for i in 0..=80_000 {
+            let x = -40.0 + f64::from(i) * 1e-3;
+            let sum = phi(x) + phi(-x);
+            assert!(
+                (sum - 1.0).abs() <= 2.3e-16,
+                "phi({x}) + phi({}) = {sum}",
+                -x
+            );
+        }
+    }
+
+    #[test]
+    fn phi_edge_values() {
+        assert_eq!(phi(f64::INFINITY), 1.0);
+        assert_eq!(phi(f64::NEG_INFINITY), 0.0);
+        assert!(phi(f64::NAN).is_nan());
+        assert_eq!(phi_complement(f64::INFINITY), 0.0);
+        assert_eq!(phi_complement(f64::NEG_INFINITY), 1.0);
+        assert!(phi_complement(f64::NAN).is_nan());
+    }
+
+    #[test]
     fn phi_matches_erf_form() {
         for x in [-3.0, -0.2, 0.0, 0.7, 2.5] {
             assert!((phi(x) - phi_via_erf(x)).abs() < 1e-13);

@@ -170,15 +170,15 @@ pub fn newton_bracketed(
 }
 
 /// Expectation `E[g(m)]` for `m ~ N(mu, sigma^2)` via change of variables
-/// and composite Simpson quadrature over ±`range` standard deviations.
+/// and composite Simpson quadrature with 4 000 steps over ±8 standard
+/// deviations.
 ///
-/// With `steps = 400` and smooth `g`, relative error is far below the Monte
-/// Carlo noise of any simulated campaign. For `sigma == 0` the expectation
-/// collapses to `g(mu)`.
+/// With smooth `g`, relative error is far below the Monte Carlo noise of any
+/// simulated campaign. For `sigma == 0` the expectation collapses to `g(mu)`.
 ///
 /// # Panics
 ///
-/// Panics if `sigma < 0` or `steps == 0`.
+/// Panics if `sigma < 0`.
 ///
 /// # Examples
 ///

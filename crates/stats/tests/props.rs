@@ -4,6 +4,7 @@ use proptest::prelude::*;
 use pufstats::entropy::{min_entropy_bit, shannon_entropy_bit};
 use pufstats::normal::{phi, phi_complement, phi_inv};
 use pufstats::solve::{bisect, gaussian_expectation};
+use pufstats::special::{erf, erfc};
 use pufstats::{ci, Accumulator, Histogram, Summary};
 
 proptest! {
@@ -13,6 +14,15 @@ proptest! {
         prop_assert!(phi(lo) <= phi(hi));
         prop_assert!((0.0..=1.0).contains(&phi(a)));
         prop_assert!((phi(a) + phi_complement(a) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn erfc_is_non_increasing_and_complements_erf(a in -30.0f64..30.0, b in -30.0f64..30.0) {
+        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
+        prop_assert!(erfc(lo) >= erfc(hi));
+        prop_assert!((0.0..=2.0).contains(&erfc(a)));
+        prop_assert!((erf(a) + erfc(a) - 1.0).abs() < 1e-15);
+        prop_assert_eq!(erf(-a), -erf(a));
     }
 
     #[test]
