@@ -33,7 +33,7 @@ use pufassess::fit;
 use pufassess::monthly::EvaluationProtocol;
 use pufassess::report::{self, Series};
 use pufassess::streaming::WindowAccumulator;
-use pufbench::metrics;
+use pufbench::{cli, metrics};
 use pufobs::Instruments;
 use puftestbed::store::{
     AnyRecordReader, BinaryRecordReader, ParallelRecordReader, RecordFormat, DEFAULT_BATCH_LINES,
@@ -53,38 +53,19 @@ fn main() {
     let mut verbose = false;
     let mut resync: Option<u64> = None;
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = || {
-            iter.next().unwrap_or_else(|| {
-                eprintln!("{arg} needs a value");
-                exit(2);
-            })
-        };
+    let mut args = cli::Args::from_env();
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--in" => input = Some(value().clone()),
-            "--format" => format = Some(parse(value(), "--format")),
-            "--reads" => protocol.reads_per_window = parse(value(), "--reads"),
-            "--eval-day" => protocol.eval_day = parse(value(), "--eval-day"),
-            "--csv" => csv_prefix = Some(value().clone()),
-            "--threads" => {
-                threads = parse(value(), "--threads");
-                if threads == 0 {
-                    eprintln!("--threads must be positive");
-                    exit(2);
-                }
-            }
-            "--batch-lines" => {
-                batch_lines = parse(value(), "--batch-lines");
-                if batch_lines == 0 {
-                    eprintln!("--batch-lines must be positive");
-                    exit(2);
-                }
-            }
-            "--metrics-out" => metrics_out = Some(value().clone()),
+            "--in" => input = Some(args.value(&arg)),
+            "--format" => format = Some(args.parse(&arg)),
+            "--reads" => protocol.reads_per_window = args.parse(&arg),
+            "--eval-day" => protocol.eval_day = args.parse(&arg),
+            "--csv" => csv_prefix = Some(args.value(&arg)),
+            "--threads" => threads = args.positive(&arg),
+            "--batch-lines" => batch_lines = args.positive(&arg),
+            "--metrics-out" => metrics_out = Some(args.value(&arg)),
             "--verbose" => verbose = true,
-            "--resync" => resync = Some(parse(value(), "--resync")),
+            "--resync" => resync = Some(args.parse(&arg)),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: assess --in FILE [--format json|binary] [--reads N] \
@@ -256,11 +237,4 @@ fn main() {
         });
         eprintln!("wrote {devices} and {aggregates}");
     }
-}
-
-fn parse<T: std::str::FromStr>(value: &str, flag: &str) -> T {
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("invalid value `{value}` for {flag}");
-        exit(2);
-    })
 }

@@ -45,7 +45,7 @@
 //! older intact generation to fall back to. Without `--io-faults` every
 //! byte written is identical to a build without the fault layer.
 
-use pufbench::{campaign_total_cycles, metrics, reopen_for_resume_with, FormatSink};
+use pufbench::{campaign_total_cycles, cli, metrics, reopen_for_resume_with, FormatSink};
 use pufobs::Instruments;
 use puftestbed::store::{checkpoint, IoFaultPlan, IoPolicy, RecordFormat};
 use puftestbed::{Campaign, CampaignConfig, FaultPlan};
@@ -69,51 +69,32 @@ fn main() {
     let mut io_incarnation = 0u64;
     let mut checkpoint_keep = 1u32;
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = || {
-            iter.next().unwrap_or_else(|| {
-                eprintln!("{arg} needs a value");
-                exit(2);
-            })
-        };
+    let mut args = cli::Args::from_env();
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--out" => out = Some(value().clone()),
-            "--format" => format = parse(value(), "--format"),
-            "--boards" => config.boards = parse(value(), "--boards"),
-            "--months" => config.months = parse(value(), "--months"),
-            "--reads" => config.reads_per_window = parse(value(), "--reads"),
+            "--out" => out = Some(args.value(&arg)),
+            "--format" => format = args.parse(&arg),
+            "--boards" => config.boards = args.parse(&arg),
+            "--months" => config.months = args.parse(&arg),
+            "--reads" => config.reads_per_window = args.parse(&arg),
             "--read-bits" => {
-                config.read_bits = parse(value(), "--read-bits");
+                config.read_bits = args.parse(&arg);
                 config.sram_bits = config.sram_bits.max(config.read_bits);
             }
-            "--seed" => seed = parse(value(), "--seed"),
-            "--nack-rate" => config.i2c_nack_rate = parse(value(), "--nack-rate"),
-            "--threads" => {
-                threads = parse(value(), "--threads");
-                if threads == 0 {
-                    eprintln!("--threads must be positive");
-                    exit(2);
-                }
-            }
-            "--metrics-out" => metrics_out = Some(value().clone()),
+            "--seed" => seed = args.parse(&arg),
+            "--nack-rate" => config.i2c_nack_rate = args.parse(&arg),
+            "--threads" => threads = args.positive(&arg),
+            "--metrics-out" => metrics_out = Some(args.value(&arg)),
             "--verbose" => verbose = true,
-            "--checkpoint-out" => checkpoint_out = Some(value().clone()),
-            "--checkpoint-every" => checkpoint_every = parse(value(), "--checkpoint-every"),
-            "--resume-from" => resume_from = Some(value().clone()),
-            "--halt-after-windows" => halt_after = Some(parse(value(), "--halt-after-windows")),
-            "--faults" => faults_from = Some(value().clone()),
-            "--max-retries" => config.i2c_retries = parse(value(), "--max-retries"),
-            "--io-faults" => io_faults_from = Some(value().clone()),
-            "--io-incarnation" => io_incarnation = parse(value(), "--io-incarnation"),
-            "--checkpoint-keep" => {
-                checkpoint_keep = parse(value(), "--checkpoint-keep");
-                if checkpoint_keep == 0 {
-                    eprintln!("--checkpoint-keep must be positive");
-                    exit(2);
-                }
-            }
+            "--checkpoint-out" => checkpoint_out = Some(args.value(&arg)),
+            "--checkpoint-every" => checkpoint_every = args.parse(&arg),
+            "--resume-from" => resume_from = Some(args.value(&arg)),
+            "--halt-after-windows" => halt_after = Some(args.parse(&arg)),
+            "--faults" => faults_from = Some(args.value(&arg)),
+            "--max-retries" => config.i2c_retries = args.parse(&arg),
+            "--io-faults" => io_faults_from = Some(args.value(&arg)),
+            "--io-incarnation" => io_incarnation = args.parse(&arg),
+            "--checkpoint-keep" => checkpoint_keep = args.positive(&arg),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: campaign --out FILE [--format json|binary] [--boards N] \
@@ -305,11 +286,4 @@ fn write_metrics_snapshot(metrics_out: &Option<String>, obs: &Option<Instruments
             Err(e) => eprintln!("cannot write {path}: {e}"),
         }
     }
-}
-
-fn parse<T: std::str::FromStr>(value: &str, flag: &str) -> T {
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("invalid value `{value}` for {flag}");
-        exit(2);
-    })
 }

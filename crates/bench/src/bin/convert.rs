@@ -34,7 +34,7 @@
 //! detected. Exit codes: 0 the file is clean, 1 damaged but repaired,
 //! 2 usage error, 4 damaged and not repaired.
 
-use pufbench::{metrics, FormatSink};
+use pufbench::{cli, metrics, FormatSink};
 use pufobs::Instruments;
 use puftestbed::store::json::JsonValue;
 use puftestbed::store::{
@@ -56,37 +56,18 @@ fn main() {
     let mut journal: Option<String> = None;
     let mut metrics_out: Option<String> = None;
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = || {
-            iter.next().unwrap_or_else(|| {
-                eprintln!("{arg} needs a value");
-                exit(2);
-            })
-        };
+    let mut args = cli::Args::from_env();
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--in" => input = Some(value().clone()),
-            "--out" => output = Some(value().clone()),
-            "--format" => format = Some(parse(value(), "--format")),
-            "--threads" => {
-                threads = parse(value(), "--threads");
-                if threads == 0 {
-                    eprintln!("--threads must be positive");
-                    exit(2);
-                }
-            }
-            "--batch" => {
-                batch = parse(value(), "--batch");
-                if batch == 0 {
-                    eprintln!("--batch must be positive");
-                    exit(2);
-                }
-            }
+            "--in" => input = Some(args.value(&arg)),
+            "--out" => output = Some(args.value(&arg)),
+            "--format" => format = Some(args.parse(&arg)),
+            "--threads" => threads = args.positive(&arg),
+            "--batch" => batch = args.positive(&arg),
             "--fsck" => fsck_mode = true,
             "--repair" => repair = true,
-            "--journal" => journal = Some(value().clone()),
-            "--metrics-out" => metrics_out = Some(value().clone()),
+            "--journal" => journal = Some(args.value(&arg)),
+            "--metrics-out" => metrics_out = Some(args.value(&arg)),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: convert --in FILE --out FILE --format json|binary \
@@ -350,11 +331,4 @@ fn write_journal(
     let mut file = AtomicFile::create(path)?;
     writeln!(file, "{journal}")?;
     file.persist()
-}
-
-fn parse<T: std::str::FromStr>(value: &str, flag: &str) -> T {
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("invalid value `{value}` for {flag}");
-        exit(2);
-    })
 }

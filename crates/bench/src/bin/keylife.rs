@@ -27,7 +27,7 @@
 
 use pufassess::monthly::EvaluationProtocol;
 use pufassess::{KeyLifeAccumulator, KeyLifeConfig, KeyProfile};
-use pufbench::{keylife_bench_json, metrics};
+use pufbench::{cli, keylife_bench_json, metrics};
 use pufobs::Instruments;
 use puftestbed::store::{
     AnyRecordReader, BinaryRecordReader, ParallelRecordReader, RecordFormat, DEFAULT_BATCH_LINES,
@@ -53,46 +53,21 @@ fn main() {
     let mut metrics_out: Option<String> = None;
     let mut verbose = false;
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = || {
-            iter.next().unwrap_or_else(|| {
-                eprintln!("{arg} needs a value");
-                exit(2);
-            })
-        };
+    let mut args = cli::Args::from_env();
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--in" => input = Some(value().clone()),
-            "--format" => format = Some(parse(value(), "--format")),
-            "--reads" => protocol.reads_per_window = parse(value(), "--reads"),
-            "--eval-day" => protocol.eval_day = parse(value(), "--eval-day"),
-            "--profiles" => profile_list = Some(value().clone()),
-            "--secret-bits" => {
-                secret_bits = parse(value(), "--secret-bits");
-                if secret_bits == 0 {
-                    eprintln!("--secret-bits must be positive");
-                    exit(2);
-                }
-            }
-            "--seed" => enroll_seed = parse(value(), "--seed"),
-            "--threads" => {
-                threads = parse(value(), "--threads");
-                if threads == 0 {
-                    eprintln!("--threads must be positive");
-                    exit(2);
-                }
-            }
-            "--batch-lines" => {
-                batch_lines = parse(value(), "--batch-lines");
-                if batch_lines == 0 {
-                    eprintln!("--batch-lines must be positive");
-                    exit(2);
-                }
-            }
-            "--csv" => csv_out = Some(value().clone()),
-            "--bench-out" => bench_out = Some(value().clone()),
-            "--metrics-out" => metrics_out = Some(value().clone()),
+            "--in" => input = Some(args.value(&arg)),
+            "--format" => format = Some(args.parse(&arg)),
+            "--reads" => protocol.reads_per_window = args.parse(&arg),
+            "--eval-day" => protocol.eval_day = args.parse(&arg),
+            "--profiles" => profile_list = Some(args.value(&arg)),
+            "--secret-bits" => secret_bits = args.positive(&arg),
+            "--seed" => enroll_seed = args.parse(&arg),
+            "--threads" => threads = args.positive(&arg),
+            "--batch-lines" => batch_lines = args.positive(&arg),
+            "--csv" => csv_out = Some(args.value(&arg)),
+            "--bench-out" => bench_out = Some(args.value(&arg)),
+            "--metrics-out" => metrics_out = Some(args.value(&arg)),
             "--verbose" => verbose = true,
             "--help" | "-h" => {
                 eprintln!(
@@ -264,11 +239,4 @@ fn parse_profiles(list: &str, default_bits: usize) -> Result<Vec<KeyProfile>, St
         return Err("--profiles needs at least one profile".to_string());
     }
     Ok(profiles)
-}
-
-fn parse<T: std::str::FromStr>(value: &str, flag: &str) -> T {
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("invalid value `{value}` for {flag}");
-        exit(2);
-    })
 }

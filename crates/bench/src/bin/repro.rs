@@ -37,7 +37,7 @@ use pufassess::report::{self, Series};
 use pufassess::streaming::WindowAccumulator;
 use pufassess::visualize;
 use pufbench::{
-    campaign_total_cycles, default_threads, metrics, reopen_for_resume_with,
+    campaign_total_cycles, cli, default_threads, metrics, reopen_for_resume_with,
     run_assessment_streaming_with, run_keylife_streaming_with, FormatSink, Scale,
 };
 use pufobs::Instruments;
@@ -50,8 +50,10 @@ use sramcell::{Environment, SramArray, TechnologyProfile};
 use std::collections::BTreeSet;
 use std::path::Path;
 
+/// The artifacts `--all` (or no artifact flag) selects, each also a flag.
+const ARTIFACTS: [&str; 7] = ["fig3", "fig4", "fig5", "fig6", "table1", "accel", "keylife"];
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Small;
     let mut seed = 2017;
     let mut threads = default_threads();
@@ -66,150 +68,45 @@ fn main() {
     let mut halt_after: Option<u32> = None;
     let mut io_faults_from: Option<String> = None;
     let mut artifacts: BTreeSet<&'static str> = BTreeSet::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
+    let mut args = cli::Args::from_env();
+    while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scale" => {
-                let value = iter.next().expect("--scale needs a value");
-                scale = Scale::parse(value).unwrap_or_else(|| {
+                let value = args.value(&arg);
+                scale = Scale::parse(&value).unwrap_or_else(|| {
                     eprintln!("unknown scale `{value}` (smoke|small|paper)");
                     std::process::exit(2);
                 });
             }
-            "--seed" => {
-                seed = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs an integer");
-            }
-            "--threads" => {
-                threads = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--threads needs a positive integer");
-                        std::process::exit(2);
-                    });
-            }
-            "--records-out" => {
-                records_out = Some(
-                    iter.next()
-                        .unwrap_or_else(|| {
-                            eprintln!("--records-out needs a file path");
-                            std::process::exit(2);
-                        })
-                        .clone(),
-                );
-            }
-            "--format" => {
-                let value = iter.next().unwrap_or_else(|| {
-                    eprintln!("--format needs a value (json|binary)");
-                    std::process::exit(2);
-                });
-                format = value.parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                });
-            }
-            "--metrics-out" => {
-                metrics_out = Some(
-                    iter.next()
-                        .unwrap_or_else(|| {
-                            eprintln!("--metrics-out needs a file path");
-                            std::process::exit(2);
-                        })
-                        .clone(),
-                );
-            }
-            "--out-dir" => {
-                out_dir = iter
-                    .next()
-                    .unwrap_or_else(|| {
-                        eprintln!("--out-dir needs a directory path");
-                        std::process::exit(2);
-                    })
-                    .clone();
-            }
-            "--checkpoint-out" => {
-                checkpoint_out = Some(
-                    iter.next()
-                        .unwrap_or_else(|| {
-                            eprintln!("--checkpoint-out needs a file path");
-                            std::process::exit(2);
-                        })
-                        .clone(),
-                );
-            }
-            "--checkpoint-every" => {
-                checkpoint_every = iter.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--checkpoint-every needs an integer");
-                    std::process::exit(2);
-                });
-            }
-            "--resume-from" => {
-                resume_from = Some(
-                    iter.next()
-                        .unwrap_or_else(|| {
-                            eprintln!("--resume-from needs a file path");
-                            std::process::exit(2);
-                        })
-                        .clone(),
-                );
-            }
-            "--halt-after-windows" => {
-                halt_after = Some(iter.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--halt-after-windows needs an integer");
-                    std::process::exit(2);
-                }));
-            }
-            "--io-faults" => {
-                io_faults_from = Some(
-                    iter.next()
-                        .unwrap_or_else(|| {
-                            eprintln!("--io-faults needs a file path");
-                            std::process::exit(2);
-                        })
-                        .clone(),
-                );
-            }
+            "--seed" => seed = args.parse(&arg),
+            "--threads" => threads = args.positive(&arg),
+            "--records-out" => records_out = Some(args.value(&arg)),
+            "--format" => format = args.parse(&arg),
+            "--metrics-out" => metrics_out = Some(args.value(&arg)),
+            "--out-dir" => out_dir = args.value(&arg),
+            "--checkpoint-out" => checkpoint_out = Some(args.value(&arg)),
+            "--checkpoint-every" => checkpoint_every = args.parse(&arg),
+            "--resume-from" => resume_from = Some(args.value(&arg)),
+            "--halt-after-windows" => halt_after = Some(args.parse(&arg)),
+            "--io-faults" => io_faults_from = Some(args.value(&arg)),
             "--verbose" => verbose = true,
-            "--fig3" => {
-                artifacts.insert("fig3");
-            }
-            "--fig4" => {
-                artifacts.insert("fig4");
-            }
-            "--fig5" => {
-                artifacts.insert("fig5");
-            }
-            "--fig6" => {
-                artifacts.insert("fig6");
-            }
-            "--table1" => {
-                artifacts.insert("table1");
-            }
-            "--accel" => {
-                artifacts.insert("accel");
-            }
-            "--keylife" => {
-                artifacts.insert("keylife");
-            }
-            "--all" => {
-                for a in ["fig3", "fig4", "fig5", "fig6", "table1", "accel", "keylife"] {
-                    artifacts.insert(a);
+            "--all" => artifacts.extend(ARTIFACTS),
+            other => match ARTIFACTS
+                .into_iter()
+                .find(|&a| other.strip_prefix("--") == Some(a))
+            {
+                Some(artifact) => {
+                    artifacts.insert(artifact);
                 }
-            }
-            other => {
-                eprintln!("unknown argument `{other}`");
-                std::process::exit(2);
-            }
+                None => {
+                    eprintln!("unknown argument `{other}`");
+                    std::process::exit(2);
+                }
+            },
         }
     }
     if artifacts.is_empty() {
-        for a in ["fig3", "fig4", "fig5", "fig6", "table1", "accel", "keylife"] {
-            artifacts.insert(a);
-        }
+        artifacts.extend(ARTIFACTS);
     }
     if checkpoint_every > 0 && checkpoint_out.is_none() {
         eprintln!("--checkpoint-every needs --checkpoint-out FILE");

@@ -29,8 +29,8 @@
 //! supervisor.clean_exits` holds for every supervised run that completes.
 //! Exits 0 when the child completed, 1 when the restart budget ran out.
 
-use pufbench::metrics;
 use pufbench::supervisor::{self, ChildSpec, Outcome, SupervisorConfig};
+use pufbench::{cli, metrics};
 use pufobs::Instruments;
 use std::process::exit;
 use std::time::Duration;
@@ -46,27 +46,15 @@ fn main() {
         None => (&args[..], &args[..0]),
     };
 
-    let mut iter = own.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = || {
-            iter.next().unwrap_or_else(|| {
-                eprintln!("{arg} needs a value");
-                exit(2);
-            })
-        };
+    let mut flags = cli::Args::new(own.to_vec());
+    while let Some(arg) = flags.next() {
         match arg.as_str() {
-            "--max-restarts" => config.max_restarts = parse(value(), "--max-restarts"),
-            "--backoff-ms" => {
-                config.backoff = Duration::from_millis(parse(value(), "--backoff-ms"))
-            }
-            "--max-backoff-ms" => {
-                config.max_backoff = Duration::from_millis(parse(value(), "--max-backoff-ms"))
-            }
-            "--stall-timeout-s" => {
-                config.stall_timeout = Duration::from_secs(parse(value(), "--stall-timeout-s"))
-            }
-            "--poll-ms" => config.poll = Duration::from_millis(parse(value(), "--poll-ms")),
-            "--metrics-out" => metrics_out = Some(value().clone()),
+            "--max-restarts" => config.max_restarts = flags.parse(&arg),
+            "--backoff-ms" => config.backoff = Duration::from_millis(flags.parse(&arg)),
+            "--max-backoff-ms" => config.max_backoff = Duration::from_millis(flags.parse(&arg)),
+            "--stall-timeout-s" => config.stall_timeout = Duration::from_secs(flags.parse(&arg)),
+            "--poll-ms" => config.poll = Duration::from_millis(flags.parse(&arg)),
+            "--metrics-out" => metrics_out = Some(flags.value(&arg)),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: supervise [--max-restarts N] [--backoff-ms N] \
@@ -109,11 +97,4 @@ fn main() {
             exit(1);
         }
     }
-}
-
-fn parse<T: std::str::FromStr>(value: &str, flag: &str) -> T {
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("invalid value `{value}` for {flag}");
-        exit(2);
-    })
 }

@@ -1,7 +1,12 @@
-//! Shared scenarios for the reproduction harness and benchmarks.
+//! Shared scenarios and plumbing for the CLI binaries.
 //!
-//! Every table and figure of the paper maps to one function here; the
-//! `repro` binary prints them and the Criterion benches time them. Scales:
+//! The `repro` binary regenerates the paper's tables and figures from the
+//! scenarios here; `campaign`, `assess`, `keylife`, `convert` and
+//! `supervise` share its record-file sink, resume salvage, metrics and flag
+//! parsing ([`cli`]). Performance is measured in two places: [`perf`] (the
+//! `benchperf` binary) times each hot kernel against its reference, and the
+//! `pipebench` package (`BENCHMARK.json`) times the whole pipeline end to
+//! end, layer by layer. Scales:
 //!
 //! * [`Scale::Smoke`] — seconds; CI-sized sanity run.
 //! * [`Scale::Small`] — tens of seconds; trends clearly visible.
@@ -16,9 +21,8 @@ use puftestbed::store::atomic::tmp_path;
 use puftestbed::store::iofault::FaultyReader;
 use puftestbed::store::{
     AnyRecordReader, AtomicFile, BinarySink, IoPolicy, JsonLinesSink, RecordFormat, RecordSink,
-    TeeSink,
 };
-use puftestbed::{Campaign, CampaignConfig, Dataset, Record};
+use puftestbed::{Campaign, CampaignConfig, Record};
 use std::fs;
 use std::io::{self, BufReader, BufWriter};
 use std::path::{Path, PathBuf};
@@ -116,38 +120,15 @@ pub fn default_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs the campaign at `scale` sequentially and returns its dataset.
-pub fn run_campaign(scale: Scale, seed: u64) -> Dataset {
-    run_campaign_with(scale, seed, 1)
-}
-
-/// Runs the campaign at `scale` sharded across `threads` workers. The
-/// dataset is identical for every thread count (see
-/// `puftestbed::board_stream_seed`); only wall-clock time changes.
-pub fn run_campaign_with(scale: Scale, seed: u64, threads: usize) -> Dataset {
-    Campaign::new(scale.campaign_config(), seed)
-        .threads(threads)
-        .run_in_memory()
-}
-
-/// Runs the campaign and the full assessment pipeline at `scale`
-/// sequentially.
+/// Runs the campaign and the full in-memory assessment pipeline at `scale`
+/// sequentially: the materialised-dataset reference the streaming
+/// [`run_assessment_streaming`] is checked against.
 ///
 /// # Panics
 ///
 /// Panics if the assessment fails (cannot happen for the built-in scales).
 pub fn run_assessment(scale: Scale, seed: u64) -> Assessment {
-    run_assessment_with(scale, seed, 1)
-}
-
-/// Runs the campaign across `threads` workers, then the full assessment
-/// pipeline, at `scale`.
-///
-/// # Panics
-///
-/// Panics if the assessment fails (cannot happen for the built-in scales).
-pub fn run_assessment_with(scale: Scale, seed: u64, threads: usize) -> Assessment {
-    let dataset = run_campaign_with(scale, seed, threads);
+    let dataset = Campaign::new(scale.campaign_config(), seed).run_in_memory();
     Assessment::from_dataset(&dataset, &scale.protocol())
         .expect("built-in scales produce assessable datasets")
 }
@@ -156,7 +137,7 @@ pub fn run_assessment_with(scale: Scale, seed: u64, threads: usize) -> Assessmen
 /// the streaming [`WindowAccumulator`] — no dataset is materialised, so
 /// peak memory is bounded by the per-window state regardless of how many
 /// records the campaign emits. The result is identical to
-/// [`run_assessment_with`] at the same scale and seed.
+/// [`run_assessment`] at the same scale and seed.
 ///
 /// # Panics
 ///
@@ -290,38 +271,6 @@ pub fn keylife_bench_json(life: &KeyLife, elapsed_seconds: f64) -> String {
     )
 }
 
-/// [`run_assessment_streaming_with`], additionally teeing every campaign
-/// record into `sink` as it streams past the accumulator — one pass
-/// produces both the assessment and a record file, in either storage
-/// format. The assessment is identical to the non-recording variants.
-///
-/// # Errors
-///
-/// Returns the first error from `sink` (the campaign stops at it).
-///
-/// # Panics
-///
-/// Panics if the assessment fails (cannot happen for the built-in scales).
-pub fn run_assessment_streaming_recording<S: RecordSink>(
-    scale: Scale,
-    seed: u64,
-    threads: usize,
-    instruments: Option<&Instruments>,
-    sink: &mut S,
-) -> io::Result<Assessment> {
-    let mut accumulator = WindowAccumulator::new(scale.protocol());
-    let mut campaign = Campaign::new(scale.campaign_config(), seed).threads(threads);
-    if let Some(ins) = instruments {
-        accumulator.attach_instruments(ins);
-        campaign = campaign.instruments(ins);
-    }
-    let mut tee = TeeSink::new(&mut accumulator, sink);
-    campaign.run(&mut tee)?;
-    Ok(accumulator
-        .finish()
-        .expect("built-in scales produce assessable datasets"))
-}
-
 /// A buffered, atomically written file sink in either storage format — the
 /// shared `--format` plumbing for the CLI binaries.
 ///
@@ -430,32 +379,20 @@ impl RecordSink for FormatSink {
 /// deletes the salvage file. The returned sink is positioned exactly where
 /// the checkpoint was taken.
 ///
+/// The salvage read and the fresh sink route through the optional
+/// [`IoPolicy`] (deterministic fault injection). An injected fault
+/// mid-salvage is safe: the salvage file stays on disk and the next attempt
+/// re-reads it from the start.
+///
 /// With `expect == 0` there is nothing to salvage and this is just
-/// [`FormatSink::create`].
+/// [`FormatSink::create_with`].
 ///
 /// # Errors
 ///
 /// Fails if no partial output exists, if it holds fewer than `expect`
 /// readable records (the checkpoint then claims data that was never made
-/// durable — resuming would corrupt the stream), or on any I/O error.
-pub fn reopen_for_resume(
-    path: &str,
-    format: RecordFormat,
-    declared_bits: u32,
-    expect: u64,
-    also: Option<&mut dyn RecordSink>,
-) -> io::Result<FormatSink> {
-    reopen_for_resume_with(path, format, declared_bits, expect, also, None)
-}
-
-/// [`reopen_for_resume`] with the salvage read and the fresh sink routed
-/// through an optional [`IoPolicy`] (deterministic fault injection). An
-/// injected fault mid-salvage is safe: the salvage file stays on disk and
-/// the next attempt re-reads it from the start.
-///
-/// # Errors
-///
-/// As [`reopen_for_resume`], plus any injected fault.
+/// durable — resuming would corrupt the stream), on any I/O error, or on
+/// any injected fault.
 pub fn reopen_for_resume_with(
     path: &str,
     format: RecordFormat,
@@ -537,7 +474,7 @@ pub fn reopen_for_resume_with(
     Ok(sink)
 }
 
-/// Where [`reopen_for_resume`] parks the interrupted run's partial output
+/// Where [`reopen_for_resume_with`] parks the interrupted run's partial output
 /// while re-encoding it (`<target>.salvage`).
 pub fn salvage_path(target: &Path) -> PathBuf {
     let mut name = target.as_os_str().to_os_string();
@@ -557,6 +494,65 @@ pub fn campaign_total_cycles(config: &CampaignConfig) -> u64 {
 
 pub mod perf;
 pub mod supervisor;
+
+/// Shared flag parsing for the CLI binaries: a missing or malformed flag
+/// value prints one line to stderr and exits with status 2, never a panic.
+pub mod cli {
+    use std::process::exit;
+    use std::str::FromStr;
+
+    /// The command line after the program name, walked one flag at a time.
+    #[derive(Debug)]
+    pub struct Args(std::vec::IntoIter<String>);
+
+    impl Args {
+        /// The process's own arguments.
+        pub fn from_env() -> Self {
+            Self::new(std::env::args().skip(1).collect())
+        }
+
+        /// Walks `args` (without the program name).
+        pub fn new(args: Vec<String>) -> Self {
+            Self(args.into_iter())
+        }
+
+        /// The value after `flag`; exits 2 if the command line ends first.
+        pub fn value(&mut self, flag: &str) -> String {
+            self.0.next().unwrap_or_else(|| {
+                eprintln!("{flag} needs a value");
+                exit(2);
+            })
+        }
+
+        /// The value after `flag`, parsed; exits 2 if it is missing or does
+        /// not parse.
+        pub fn parse<T: FromStr>(&mut self, flag: &str) -> T {
+            let value = self.value(flag);
+            value.parse().unwrap_or_else(|_| {
+                eprintln!("invalid value `{value}` for {flag}");
+                exit(2);
+            })
+        }
+
+        /// [`parse`](Self::parse) for a count that must not be zero.
+        pub fn positive<T: FromStr + PartialEq + From<u8>>(&mut self, flag: &str) -> T {
+            let n = self.parse(flag);
+            if n == T::from(0) {
+                eprintln!("{flag} must be positive");
+                exit(2);
+            }
+            n
+        }
+    }
+
+    impl Iterator for Args {
+        type Item = String;
+
+        fn next(&mut self) -> Option<String> {
+            self.0.next()
+        }
+    }
+}
 
 /// Shared `--metrics-out` / `--verbose` plumbing for the CLI binaries.
 pub mod metrics {

@@ -2,8 +2,10 @@
 //!
 //! Each kernel suite times a word-parallel kernel from [`pufbits::kernel`]
 //! against its per-bit scalar oracle (`pufbits::kernel::scalar`) on the same
-//! fixed-seed data, except `normal_cdf`, which times the rational `erfc`
-//! kernel under `Phi` against its incomplete-gamma oracle. The end-to-end
+//! fixed-seed data, except `power_up`, which times the campaign engine's
+//! batched power-up kernel against the per-cell `SramArray::power_up`
+//! reference, and `normal_cdf`, which times the rational `erfc` kernel under
+//! `Phi` against its incomplete-gamma oracle. The end-to-end
 //! suite times the production decode + fold pipeline (canonical-layout JSON
 //! scanner, block-transpose counters, popcount Hamming kernels) against the
 //! reference pipeline (tree-parsing decoder, per-set-bit counter, per-bit
@@ -18,11 +20,12 @@
 
 use pufassess::streaming::WindowAccumulator;
 use pufassess::Assessment;
-use pufbits::{kernel, BitVec, BlockCounter, OnesCounter};
+use pufbits::{kernel, BitVec, BlockCounter, OnesCounter, PufRng};
 use pufstats::special;
 use puftestbed::store::JsonLinesSink;
 use puftestbed::{Campaign, Record};
-use sramcell::TechnologyProfile;
+use rand::SeedableRng;
+use sramcell::{Environment, PowerUpKernel, SramArray, TechnologyProfile};
 use std::time::Instant;
 
 /// One suite's timings: the kernel and its scalar reference on identical
@@ -251,6 +254,7 @@ pub fn run_quick(seed: u64) -> PerfReport {
         });
     }
 
+    kernels.push(power_up(seed, ITERS));
     kernels.push(normal_cdf(ITERS));
 
     // End-to-end: decode + streaming assessment over a smoke-scale
@@ -262,6 +266,37 @@ pub fn run_quick(seed: u64) -> PerfReport {
         profile: "quick",
         kernels,
         end_to_end,
+    }
+}
+
+/// The `power_up` suite: 64 read-outs of the paper's 8 192-bit ATmega32u4
+/// array through the campaign engine's [`PowerUpKernel`] (cached
+/// thresholds, block noise, word packing) against the per-cell
+/// [`SramArray::power_up`] reference. The kernel's threshold cache is warm,
+/// as it is for every read of a measurement window after the first.
+fn power_up(seed: u64, iters: u32) -> SuiteTiming {
+    const READS: u64 = 64;
+    let profile = TechnologyProfile::atmega32u4();
+    let env = Environment::nominal(&profile);
+    let mut rng = PufRng::seed_from_u64(seed);
+    let sram = SramArray::generate(&profile, 8192, &mut rng);
+    let mut kernel = PowerUpKernel::new();
+    kernel.power_up(&sram, &env, &mut rng);
+    let kernel_ns = time_best_of(iters, || {
+        for _ in 0..READS {
+            std::hint::black_box(kernel.power_up(&sram, &env, &mut rng));
+        }
+    });
+    let scalar_ns = time_best_of(iters, || {
+        for _ in 0..READS {
+            std::hint::black_box(sram.power_up(&env, &mut rng));
+        }
+    });
+    SuiteTiming {
+        name: "power_up",
+        items: READS,
+        scalar_ns,
+        kernel_ns,
     }
 }
 
@@ -410,6 +445,7 @@ mod tests {
             "transitions",
             "pair_counts",
             "window_counts_m3",
+            "power_up",
             "normal_cdf",
         ] {
             assert!(names.contains(&expected), "missing suite {expected}");

@@ -1,4 +1,5 @@
-//! Integration tests for the `campaign` / `assess` / `repro` binaries.
+//! Integration tests for the `campaign` / `assess` / `repro` binaries, plus
+//! the bad-flag contract every binary shares.
 
 use std::process::Command;
 
@@ -217,4 +218,48 @@ fn binaries_reject_bad_arguments() {
         .output()
         .expect("campaign runs");
     assert!(!out.status.success());
+}
+
+#[test]
+fn every_binary_exits_2_without_a_panic_on_bad_flags() {
+    // Each binary, the flags that take a value, and the numeric ones.
+    let binaries: [(&str, &[&str], &[&str]); 7] = [
+        (
+            env!("CARGO_BIN_EXE_campaign"),
+            &["--out"],
+            &["--seed", "--threads"],
+        ),
+        (env!("CARGO_BIN_EXE_assess"), &["--in"], &["--threads"]),
+        (env!("CARGO_BIN_EXE_convert"), &["--in"], &["--threads"]),
+        (
+            env!("CARGO_BIN_EXE_keylife"),
+            &["--in"],
+            &["--seed", "--threads"],
+        ),
+        (
+            env!("CARGO_BIN_EXE_repro"),
+            &["--scale"],
+            &["--seed", "--threads"],
+        ),
+        (env!("CARGO_BIN_EXE_supervise"), &["--max-restarts"], &[]),
+        (env!("CARGO_BIN_EXE_benchperf"), &["--out"], &["--seed"]),
+    ];
+    for (binary, value_flags, numeric_flags) in binaries {
+        let mut runs = vec![vec!["--bogus"]];
+        for &flag in value_flags.iter().chain(numeric_flags) {
+            runs.push(vec![flag]);
+        }
+        for &flag in numeric_flags {
+            runs.push(vec![flag, "abc"]);
+        }
+        for args in runs {
+            let out = Command::new(binary)
+                .args(&args)
+                .output()
+                .expect("binary runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{binary} {args:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{binary} {args:?}: {stderr}");
+        }
+    }
 }

@@ -38,7 +38,7 @@ mod rng;
 pub use bitvec::{BitVec, Bytes, Iter};
 pub use counter::{BlockCounter, OnesCounter};
 pub use matrix::BitMatrix;
-pub use rng::PufRng;
+pub use rng::{splitmix64, PufRng};
 
 use std::error::Error;
 use std::fmt;

@@ -22,6 +22,18 @@ use rand::{RngCore, SeedableRng};
 /// Weyl-sequence increment: the golden ratio, as in SplitMix64.
 const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
+/// SplitMix64's output finaliser: a bijective avalanche mix of one word.
+///
+/// [`PufRng`] whitens its Weyl counter with it, and the workspace's
+/// stateless seed derivations (board streams, fault rolls, enrollment keys)
+/// chain it over their inputs.
+#[inline]
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
 /// A keyed SplitMix64 counter stream: the workspace's checkpointable PRNG.
 ///
 /// # Examples
@@ -66,10 +78,7 @@ impl RngCore for PufRng {
 
     fn next_u64(&mut self) -> u64 {
         self.counter = self.counter.wrapping_add(GOLDEN_GAMMA);
-        let mut z = self.counter ^ self.key;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        splitmix64(self.counter ^ self.key)
     }
 }
 
@@ -110,6 +119,13 @@ mod tests {
         for _ in 0..100 {
             assert_eq!(rng.next_u64(), resumed.next_u64());
         }
+    }
+
+    #[test]
+    fn splitmix64_matches_the_reference_first_output() {
+        // SplitMix64's first output from state 0: one golden-ratio step, mixed.
+        assert_eq!(splitmix64(GOLDEN_GAMMA), 0xE220_A839_7B1D_CDAF);
+        assert_eq!(PufRng::from_state((0, 0)).next_u64(), 0xE220_A839_7B1D_CDAF);
     }
 
     #[test]

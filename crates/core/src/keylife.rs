@@ -38,7 +38,7 @@
 //! [`month_uniqueness`](crate::assessment)'s placeholder.
 
 use crate::monthly::{effective_eval_day, EvaluationProtocol};
-use pufbits::{BitVec, PufRng};
+use pufbits::{splitmix64, BitVec, PufRng};
 use pufkeygen::analysis::spec_failure_bound;
 use pufkeygen::{CodeSpec, Enrollment, KeyGenerator};
 use pufobs::{Counter, Instruments};
@@ -480,14 +480,9 @@ impl RecordSink for KeyLifeAccumulator {
 /// a chained-SplitMix mix in the same spirit as the fault layer's
 /// `fault_roll`, feeding a counter-mode [`PufRng`].
 fn enroll_rng(seed: u64, device: BoardId, profile: usize) -> PufRng {
-    fn splitmix(mut z: u64) -> u64 {
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
     let mut z = seed ^ 0x6B79_6C69_6665_2F31; // "keylife/1"-flavoured salt
-    z = splitmix(z.wrapping_add(u64::from(device.0)).wrapping_add(1));
-    z = splitmix(z.wrapping_add(profile as u64).wrapping_add(1));
+    z = splitmix64(z.wrapping_add(u64::from(device.0)).wrapping_add(1));
+    z = splitmix64(z.wrapping_add(profile as u64).wrapping_add(1));
     PufRng::from_state((z, 0))
 }
 

@@ -282,10 +282,9 @@ impl CampaignInstruments {
 /// seeds) are decorrelated, and the mapping involves nothing but `(seed,
 /// id)` — the anchor of the engine's thread-count independence.
 pub fn board_stream_seed(campaign_seed: u64, board: BoardId) -> u64 {
-    let mut z = campaign_seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(board.0) + 1);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    pufbits::splitmix64(
+        campaign_seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(board.0) + 1),
+    )
 }
 
 /// One board's independent execution unit: the device, its layer position,

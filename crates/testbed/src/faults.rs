@@ -44,7 +44,7 @@
 use crate::board::BoardId;
 use crate::store::checkpoint::Fnv;
 use crate::store::json::{self, JsonValue, ParseJsonError};
-use pufbits::BitVec;
+use pufbits::{splitmix64, BitVec};
 use std::error::Error;
 use std::fmt;
 use std::fs;
@@ -340,12 +340,6 @@ pub enum FaultChannel {
     Corruption,
 }
 
-pub(crate) fn splitmix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 /// The stateless fault draw: a uniform value in `[0, 1)` that is a pure
 /// function of its inputs. The burst machinery compares these draws against
 /// the plan's rates, so fault decisions depend on nothing but `(seed,
@@ -361,14 +355,14 @@ pub fn fault_roll(
     attempt: u32,
 ) -> f64 {
     let mut z = seed ^ 0xA076_1D64_78BD_642F;
-    z = splitmix(z.wrapping_add(u64::from(board.0)).wrapping_add(1));
-    z = splitmix(z.wrapping_add(u64::from(window)).wrapping_add(1));
-    z = splitmix(z.wrapping_add(u64::from(read)).wrapping_add(1));
-    z = splitmix(z.wrapping_add(match channel {
+    z = splitmix64(z.wrapping_add(u64::from(board.0)).wrapping_add(1));
+    z = splitmix64(z.wrapping_add(u64::from(window)).wrapping_add(1));
+    z = splitmix64(z.wrapping_add(u64::from(read)).wrapping_add(1));
+    z = splitmix64(z.wrapping_add(match channel {
         FaultChannel::Nack => 1,
         FaultChannel::Corruption => 2,
     }));
-    z = splitmix(z.wrapping_add(u64::from(attempt)).wrapping_add(1));
+    z = splitmix64(z.wrapping_add(u64::from(attempt)).wrapping_add(1));
     (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 

@@ -48,9 +48,9 @@
 //! # Ok::<(), puftestbed::store::iofault::IoFaultPlanError>(())
 //! ```
 
-use crate::faults::splitmix;
 use crate::store::checkpoint::Fnv;
 use crate::store::json::{self, JsonValue, ParseJsonError};
+use pufbits::splitmix64;
 use pufobs::{Counter, Instruments};
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -276,10 +276,10 @@ pub fn path_hash(path: &Path) -> u64 {
 
 fn roll_bits(seed: u64, incarnation: u64, path: u64, channel: IoChannel, index: u64) -> u64 {
     let mut z = seed ^ 0xD6E8_FEB8_6659_FD93;
-    z = splitmix(z.wrapping_add(incarnation).wrapping_add(1));
-    z = splitmix(z.wrapping_add(path).wrapping_add(1));
-    z = splitmix(z.wrapping_add(channel as u64));
-    z = splitmix(z.wrapping_add(index).wrapping_add(1));
+    z = splitmix64(z.wrapping_add(incarnation).wrapping_add(1));
+    z = splitmix64(z.wrapping_add(path).wrapping_add(1));
+    z = splitmix64(z.wrapping_add(channel as u64));
+    z = splitmix64(z.wrapping_add(index).wrapping_add(1));
     z
 }
 
