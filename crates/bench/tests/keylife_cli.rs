@@ -6,6 +6,8 @@
 //! than silently truncated, and the observed failure rates stay consistent
 //! with the analytic WCHD bound.
 
+use pufbits::BitVec;
+use puftestbed::{BoardId, CalendarDate, Record, Timestamp};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -233,4 +235,48 @@ fn bad_arguments_are_rejected() {
         .output()
         .expect("keylife binary runs");
     assert!(!out.status.success(), "--in is required");
+}
+
+#[test]
+fn oversized_code_profiles_exit_2_instead_of_allocating() {
+    // A 2^30-bit polar block is refused by the codeword cap while the
+    // profile list is parsed, with the ordinary invalid-profile message.
+    let out = keylife(
+        &record_file("json"),
+        &["--profiles", "polar-1073741824-1@1"],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("invalid key profile"), "{stderr}");
+}
+
+#[test]
+fn a_device_whose_read_width_changes_is_skipped_not_a_panic() {
+    // Device 0 enrolls from a 1 024-bit read on 2017-02-08; its 2 048-bit
+    // read on 2017-03-08 cannot be compared with that reference.
+    let lines: String = [(2u8, 1024usize), (3, 2048)]
+        .into_iter()
+        .enumerate()
+        .map(|(seq, (month, bits))| {
+            let record = Record::new(
+                BoardId(0),
+                seq as u64,
+                Timestamp::from_date(CalendarDate::new(2017, month, 8)),
+                BitVec::from_bits((0..bits).map(|i| i % 3 == 0)),
+            );
+            record.to_json_line() + "\n"
+        })
+        .collect();
+    let input = temp_path("width_change.jsonl");
+    std::fs::write(&input, lines).expect("records written");
+    let out = Command::new(env!("CARGO_BIN_EXE_keylife"))
+        .args(["--in", input.to_str().unwrap()])
+        .args(["--reads", "5", "--profiles", "golay-r5@12"])
+        .output()
+        .expect("keylife binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("records: 2 seen, 1 folded"), "{stdout}");
 }

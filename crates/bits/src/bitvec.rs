@@ -417,6 +417,68 @@ impl BitVec {
         out
     }
 
+    /// Copy of the `len` bits starting at bit `start`, assembled a word at a
+    /// time: output word `i` is input word `start / 64 + i` shifted down by
+    /// `start % 64`, with the next word's low bits shifted in on top.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start + len > self.len()`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pufbits::BitVec;
+    /// let v = BitVec::from_bits([true, false, true, true, false]);
+    /// assert_eq!(v.range(1, 3), BitVec::from_bits([false, true, true]));
+    /// ```
+    pub fn range(&self, start: usize, len: usize) -> BitVec {
+        assert!(
+            start.checked_add(len).is_some_and(|end| end <= self.len),
+            "range {start}+{len} past vector {}",
+            self.len
+        );
+        let first = start / WORD_BITS;
+        let shift = start % WORD_BITS;
+        let words = (first..first + len.div_ceil(WORD_BITS))
+            .map(|w| {
+                let high = match self.words.get(w + 1) {
+                    Some(&next) if shift != 0 => next << (WORD_BITS - shift),
+                    _ => 0,
+                };
+                (self.words[w] >> shift) | high
+            })
+            .collect();
+        BitVec::from_words(words, len)
+    }
+
+    /// Appends all of `other`'s bits, a word at a time: each of its words
+    /// is split across the current last word and a new one at the shift
+    /// `self.len() % 64`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pufbits::BitVec;
+    /// let mut v = BitVec::from_bits([true]);
+    /// v.append(&BitVec::from_bits([false, true]));
+    /// assert_eq!(v, BitVec::from_bits([true, false, true]));
+    /// ```
+    pub fn append(&mut self, other: &BitVec) {
+        let shift = self.len % WORD_BITS;
+        if shift == 0 {
+            self.words.extend_from_slice(&other.words);
+        } else {
+            for &w in &other.words {
+                *self.words.last_mut().expect("a partial word exists") |= w << shift;
+                self.words.push(w >> (WORD_BITS - shift));
+            }
+        }
+        self.len += other.len;
+        // The last pushed word may hold only zero tail bits.
+        self.words.truncate(self.len.div_ceil(WORD_BITS));
+    }
+
     /// Serializes to bytes, least-significant bit first; the final byte is
     /// zero-padded. Inverse of [`from_bytes`](Self::from_bytes) when the
     /// length is a multiple of eight.

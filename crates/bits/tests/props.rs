@@ -106,6 +106,33 @@ proptest! {
     }
 
     #[test]
+    fn range_and_append_match_per_bit_get_and_push(
+        bits in prop::collection::vec(any::<bool>(), 400..500),
+        extra in prop::collection::vec(0usize..200, 2),
+    ) {
+        // Offsets and lengths at every word edge, plus two drawn ones.
+        let edges = [0usize, 1, 63, 64, 65, extra[0], extra[1]];
+        let v = BitVec::from_bits(bits.iter().copied());
+        for &start in &edges {
+            for &len in &edges {
+                let per_bit = BitVec::from_bits((start..start + len).map(|i| v.get(i).unwrap()));
+                // Equality covers the word image, so stray tail bits or a
+                // spare trailing word fail it too.
+                prop_assert_eq!(v.range(start, len), per_bit.clone());
+
+                let mut head = v.prefix(start);
+                head.append(&per_bit);
+                let mut pushed = v.prefix(start);
+                for bit in per_bit.iter() {
+                    pushed.push(bit);
+                }
+                prop_assert_eq!(head, pushed);
+            }
+        }
+        prop_assert_eq!(v.range(v.len(), 0), BitVec::new());
+    }
+
+    #[test]
     fn push_matches_from_bits(bits in prop::collection::vec(any::<bool>(), 0..200)) {
         let mut pushed = BitVec::new();
         for &b in &bits {

@@ -19,7 +19,10 @@
 //! records one at a time exactly like
 //! [`WindowAccumulator`](crate::streaming::WindowAccumulator): the same
 //! evaluation-day and window-cap rules, the same width-mismatch
-//! skip-and-count policy, and the same out-of-order detection. Peak memory
+//! skip-and-count policy, and the same out-of-order detection. The width
+//! rule also holds against the device's enrollment reference: every read is
+//! compared with it, so a read of another width is skipped and counted, not
+//! folded. Peak memory
 //! is `devices × (months + profiles × helper data)` and independent of the
 //! record count. [`KeyLife::from_records`] is the in-memory reference path;
 //! the two are locked byte-identical by `crates/core/tests/keylife_equivalence.rs`.
@@ -306,11 +309,13 @@ impl KeyLifeAccumulator {
             self.open_window(record, ym, key);
         }
         let window = self.windows.get_mut(&key).expect("window opened above");
+        let device = &self.devices[&record.device.0];
         if window.reads >= protocol.reads_per_window {
             self.count_skip();
             return;
         }
-        if record.data.len() != window.width {
+        let width = record.data.len();
+        if width != window.width || width != device.reference.len() {
             self.skipped_width_mismatch += 1;
             self.count_skip();
             return;
@@ -321,7 +326,6 @@ impl KeyLifeAccumulator {
             o.folded.inc();
         }
 
-        let device = &self.devices[&record.device.0];
         window.wchd_sum += record.data.fractional_hamming_distance(&device.reference);
         if ym <= device.enroll_month {
             // Enrollment-month reads calibrate the reference; replay starts
@@ -583,7 +587,8 @@ pub struct KeyLife {
     pub records_seen: u64,
     /// Records folded into a window.
     pub records_folded: u64,
-    /// Eligible records dropped for a window-width mismatch.
+    /// Eligible records dropped because their width differs from their
+    /// window's or from their device's enrollment reference.
     pub skipped_width_mismatch: u64,
     /// Total reconstruction attempts.
     pub reconstructions: u64,
@@ -724,9 +729,10 @@ impl KeyLife {
 
         // Group eligible reads into (device, month) windows, preserving
         // arrival order, applying the cap and width rules record by record.
+        // A device's first eligible read is its enrollment reference.
         let mut retained: BTreeMap<(u8, i32, u8), Vec<BitVec>> = BTreeMap::new();
         let mut widths: BTreeMap<(u8, i32, u8), usize> = BTreeMap::new();
-        let mut order: BTreeMap<u8, (i32, u8)> = BTreeMap::new();
+        let mut references: BTreeMap<u8, ((i32, u8), usize)> = BTreeMap::new();
         let mut records_seen = 0u64;
         let mut records_folded = 0u64;
         let mut skipped_width_mismatch = 0u64;
@@ -741,23 +747,20 @@ impl KeyLife {
             }
             let ym = (dt.date.year, dt.date.month);
             let key = (record.device.0, ym.0, ym.1);
-            match order.get(&record.device.0) {
-                None => {
-                    order.insert(record.device.0, ym);
-                }
-                Some(&first) if ym < first => {
-                    return Err(KeyLifeError::OutOfOrder {
-                        device: record.device,
-                    });
-                }
-                Some(_) => {}
+            let (first, reference_width) = *references
+                .entry(record.device.0)
+                .or_insert((ym, record.data.len()));
+            if ym < first {
+                return Err(KeyLifeError::OutOfOrder {
+                    device: record.device,
+                });
             }
             let width = *widths.entry(key).or_insert_with(|| record.data.len());
             let window = retained.entry(key).or_default();
             if window.len() as u64 >= u64::from(protocol.reads_per_window) {
                 continue;
             }
-            if record.data.len() != width {
+            if record.data.len() != width || record.data.len() != reference_width {
                 skipped_width_mismatch += 1;
                 continue;
             }
@@ -982,6 +985,19 @@ mod tests {
         }
         // Zero secret bits can never build a generator.
         assert!(KeyProfile::parse("golay-r5", 0).is_err());
+    }
+
+    #[test]
+    fn oversized_codes_are_invalid_profiles_not_allocations() {
+        // A 2^30-bit polar block would need gigabytes for its frozen set;
+        // the 65 536-bit codeword cap refuses it before building anything.
+        let err = KeyProfile::parse("polar-1073741824-1", 1).unwrap_err();
+        assert_eq!(
+            err,
+            KeyLifeError::InvalidProfile {
+                profile: "polar-1073741824-1".to_string()
+            }
+        );
     }
 
     #[test]

@@ -7,8 +7,11 @@
 
 use pufassess::monthly::EvaluationProtocol;
 use pufassess::{KeyLife, KeyLifeAccumulator, KeyLifeConfig, KeyProfile};
+use pufbits::BitVec;
 use puftestbed::faults::{Brownout, I2cBurst};
-use puftestbed::{Campaign, CampaignConfig, Dataset, FaultPlan};
+use puftestbed::{
+    BoardId, CalendarDate, Campaign, CampaignConfig, Dataset, FaultPlan, Record, Timestamp,
+};
 
 fn keylife_config() -> KeyLifeConfig {
     KeyLifeConfig {
@@ -137,6 +140,35 @@ fn streaming_matches_in_memory_on_a_faulted_campaign() {
         brownout_month.rate.unwrap() > 0.0,
         "erasures must surface in the rate"
     );
+}
+
+#[test]
+fn a_read_of_another_width_than_the_reference_is_skipped_on_both_paths() {
+    // Device 0 enrolls from a 1 024-bit read in February. Its 2 048-bit
+    // March read opens March's window at its own width, but it cannot be
+    // compared with the reference: both paths must skip and count it.
+    let read = |seq: u64, month: u8, bits: usize| {
+        Record::new(
+            BoardId(0),
+            seq,
+            Timestamp::from_date(CalendarDate::new(2017, month, 8)),
+            BitVec::from_bits((0..bits).map(|i| i % 3 == 0)),
+        )
+    };
+    let records = [read(0, 2, 1024), read(1, 3, 2048)];
+    let config = keylife_config();
+    let in_memory = KeyLife::from_records(&records, &config).unwrap();
+    let mut accumulator = KeyLifeAccumulator::new(config.clone());
+    for record in &records {
+        accumulator.push(record);
+    }
+    let streamed = accumulator.finish().unwrap();
+    assert_eq!(in_memory, streamed);
+    assert_eq!(in_memory.render_table(), streamed.render_table());
+    assert_eq!(in_memory.csv(), streamed.csv());
+    assert_eq!(streamed.skipped_width_mismatch, 1);
+    assert_eq!(streamed.records_folded, 1);
+    assert_eq!(streamed.reconstructions, 0);
 }
 
 #[test]

@@ -112,6 +112,60 @@ pub fn reconstruct_debias(response: &BitVec, mask: &BitVec) -> Result<BitVec, Ma
     Ok(response.select(mask))
 }
 
+/// [`reconstruct_debias`] stopped after the first `limit` selected bits —
+/// all of them when the mask selects fewer. A reconstruction needs only as
+/// many bits as its codeword, usually far fewer than the mask selects, and
+/// the extraction costs one step per selected bit.
+///
+/// # Errors
+///
+/// Returns [`MaskLengthError`] if the mask length does not match the
+/// response.
+///
+/// # Examples
+///
+/// ```
+/// use pufbits::BitVec;
+/// use pufkeygen::debias::{enroll_debias, reconstruct_debias_prefix};
+///
+/// let response = BitVec::from_bits([false, true, true, false, true, false]);
+/// let sel = enroll_debias(&response);
+/// assert_eq!(reconstruct_debias_prefix(&response, &sel.mask, 2)?, sel.bits.prefix(2));
+/// assert_eq!(reconstruct_debias_prefix(&response, &sel.mask, 9)?, sel.bits);
+/// # Ok::<(), pufkeygen::debias::MaskLengthError>(())
+/// ```
+pub fn reconstruct_debias_prefix(
+    response: &BitVec,
+    mask: &BitVec,
+    limit: usize,
+) -> Result<BitVec, MaskLengthError> {
+    if response.len() != mask.len() {
+        return Err(MaskLengthError {
+            mask: mask.len(),
+            response: response.len(),
+        });
+    }
+    // Cut the stream just past the `limit`-th set mask bit.
+    let mut cut = mask.len();
+    let mut remaining = limit;
+    for (w, &word) in mask.as_words().iter().enumerate() {
+        let ones = word.count_ones() as usize;
+        if remaining <= ones {
+            let mut rest = word;
+            for _ in 0..remaining {
+                rest &= rest - 1;
+            }
+            let taken = word ^ rest;
+            cut = w * 64 + (64 - taken.leading_zeros() as usize);
+            break;
+        }
+        remaining -= ones;
+    }
+    let mut words = Vec::new();
+    let count = pufbits::kernel::select(response.as_words(), mask.as_words(), cut, &mut words);
+    Ok(BitVec::from_words(words, count))
+}
+
 /// Expected debiased yield per input bit for a response with one-probability
 /// `p`: a pair differs with probability `2p(1−p)`, contributing one bit per
 /// two input bits.

@@ -81,14 +81,15 @@ impl Golay {
         })
     }
 
+    /// The bits of a message or codeword as one packed value: both fit
+    /// the vector's first storage word, bit `i` at position `i`.
     fn to_u32(word: &BitVec) -> u32 {
-        word.iter()
-            .enumerate()
-            .fold(0u32, |acc, (i, bit)| acc | (u32::from(bit) << i))
+        word.as_words().first().map_or(0, |&w| w as u32)
     }
 
+    /// The low `bits` bits of `value` as a vector (`bits` ≤ 32).
     fn from_u32(value: u32, bits: usize) -> BitVec {
-        (0..bits).map(|i| value & (1 << i) != 0).collect()
+        BitVec::from_words(vec![u64::from(value)], bits)
     }
 }
 

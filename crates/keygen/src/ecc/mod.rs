@@ -15,7 +15,7 @@ pub use golay::Golay;
 pub use polar::{InvalidPolarParametersError, PolarCode};
 pub use repetition::{EvenRepetitionError, Repetition};
 
-use pufbits::BitVec;
+use pufbits::{kernel, BitVec};
 use std::error::Error;
 use std::fmt;
 
@@ -195,12 +195,14 @@ impl BlockCode for Concatenated {
         let outer_word = self.outer.encode(message);
         let mut out = BitVec::new();
         for bit in outer_word.iter() {
-            let rep = self.inner.encode(&BitVec::from_bits([bit]));
-            out.extend(rep.iter());
+            out.append(&self.inner.encode(&BitVec::from_bits([bit])));
         }
         out
     }
 
+    /// Takes each repetition group's majority from one popcount over its
+    /// bit range ([`kernel::range_ones`]) and hands the outer code the
+    /// decisions as one packed word.
     fn decode(&self, word: &BitVec) -> Result<BitVec, DecodeError> {
         if word.len() != self.codeword_bits() {
             return Err(DecodeError::length_mismatch(
@@ -209,16 +211,14 @@ impl BlockCode for Concatenated {
             ));
         }
         let r = self.inner.codeword_bits();
-        let mut outer_word = BitVec::new();
-        for g in 0..self.outer.codeword_bits() {
-            let group = BitVec::from_bits((0..r).map(|i| word.get(g * r + i).expect("in range")));
-            let decoded = self
-                .inner
-                .decode(&group)
-                .map_err(|_| DecodeError::uncorrectable(g))?;
-            outer_word.push(decoded.get(0).expect("one message bit"));
+        let groups = self.outer.codeword_bits();
+        let mut outer_word = 0u64;
+        for g in 0..groups {
+            let ones = kernel::range_ones(word.as_words(), g * r, (g + 1) * r);
+            outer_word |= u64::from(self.inner.majority(ones as usize)) << g;
         }
-        self.outer.decode(&outer_word)
+        self.outer
+            .decode(&BitVec::from_words(vec![outer_word], groups))
     }
 }
 
@@ -232,10 +232,10 @@ pub fn encode_blocks<C: BlockCode>(code: &C, message: &BitVec) -> BitVec {
     assert!(!message.is_empty(), "cannot encode an empty message");
     let k = code.message_bits();
     let mut out = BitVec::new();
-    let blocks = message.len().div_ceil(k);
-    for b in 0..blocks {
-        let block = BitVec::from_bits((0..k).map(|i| message.get(b * k + i).unwrap_or(false)));
-        out.extend(code.encode(&block).iter());
+    for start in (0..message.len()).step_by(k) {
+        let mut block = message.range(start, k.min(message.len() - start));
+        block.append(&BitVec::zeros(k - block.len()));
+        out.append(&code.encode(&block));
     }
     out
 }
@@ -275,12 +275,13 @@ pub fn decode_blocks<C: BlockCode>(
     }
     let mut out = BitVec::new();
     for b in 0..blocks {
-        let block = BitVec::from_bits((0..n).map(|i| word.get(b * n + i).expect("in range")));
-        let decoded = code.decode(&block).map_err(|e| DecodeError {
-            block: b * 1000 + e.block,
-            kind: e.kind,
-        })?;
-        out.extend(decoded.iter());
+        let decoded = code
+            .decode(&word.range(b * n, n))
+            .map_err(|e| DecodeError {
+                block: b * 1000 + e.block,
+                kind: e.kind,
+            })?;
+        out.append(&decoded);
     }
     Ok(out.prefix(message_len))
 }

@@ -12,7 +12,13 @@
 //! * **Encoding**: the recursive `[enc(u₁) ⊕ enc(u₂), enc(u₂)]` butterfly
 //!   (`x = u·F^{⊗log₂ n}` without bit reversal).
 //! * **Decoding**: successive cancellation over log-likelihood ratios with
-//!   the min-sum `f` and exact `g` kernels.
+//!   the min-sum `f` and exact `g` kernels, run in one `n`-entry scratch
+//!   buffer with in-place partial sums. Sub-blocks whose every position is
+//!   frozen decode to zeros without evaluating their LLRs: a frozen
+//!   decision ignores its LLR, so the shortcut is exact. Rate-1 and
+//!   single-parity-check shortcuts are not: where an LLR is exactly zero
+//!   they can decide differently from SC, which resolves every zero to a 0
+//!   bit.
 
 use crate::ecc::{BlockCode, DecodeError};
 use pufbits::BitVec;
@@ -42,7 +48,10 @@ pub struct PolarCode {
     n: usize,
     k: usize,
     design_p: f64,
-    /// `true` at frozen positions (u-domain).
+    /// Frozen flags of the decoding tree in heap order: node 1 is the whole
+    /// block, node `i` has the halves `2i` and `2i + 1`, and the leaves
+    /// `n..2n` are the u-domain positions. A node is `true` when every
+    /// position under it is frozen.
     frozen: Vec<bool>,
 }
 
@@ -98,9 +107,12 @@ impl PolarCode {
         // Freeze the n−k least reliable (largest z) channels.
         let mut order: Vec<usize> = (0..n).collect();
         order.sort_by(|&a, &b| z[a].total_cmp(&z[b]));
-        let mut frozen = vec![true; n];
+        let mut frozen = vec![true; 2 * n];
         for &i in order.iter().take(k) {
-            frozen[i] = false;
+            frozen[n + i] = false;
+        }
+        for node in (1..n).rev() {
+            frozen[node] = frozen[2 * node] && frozen[2 * node + 1];
         }
         Ok(Self {
             n,
@@ -112,7 +124,7 @@ impl PolarCode {
 
     /// The frozen-position mask (u-domain), mostly useful for inspection.
     pub fn frozen_mask(&self) -> &[bool] {
-        &self.frozen
+        &self.frozen[self.n..]
     }
 
     /// The design crossover probability.
@@ -133,48 +145,60 @@ impl PolarCode {
         }
     }
 
-    /// Successive-cancellation decode: returns `(u, x)` for the sub-block
-    /// covered by `llr` and the frozen slice.
-    fn sc_decode(llr: &[f64], frozen: &[bool], u_out: &mut Vec<u8>) -> Vec<u8> {
-        let n = llr.len();
-        if n == 1 {
-            let bit = if frozen[0] {
-                0
-            } else if llr[0] < 0.0 {
-                1
-            } else {
-                0
-            };
-            u_out.push(bit);
-            return vec![bit];
+    /// Successive-cancellation decode of tree node `node`, whose input LLRs
+    /// are `llr`. `below` (as long as `llr`) is the scratch for the LLRs of
+    /// the node's descendants: a child's input goes in its upper half.
+    /// Writes the node's re-encoded bits `x` in place and pushes its
+    /// information bits onto `message`.
+    fn sc_decode(
+        &self,
+        node: usize,
+        llr: &[f64],
+        below: &mut [f64],
+        x: &mut [u8],
+        message: &mut BitVec,
+    ) {
+        if self.frozen[node] {
+            x.fill(0);
+            return;
         }
-        let half = n / 2;
-        // f: min-sum combine.
-        let llr1: Vec<f64> = (0..half)
-            .map(|i| {
-                let (a, b) = (llr[i], llr[i + half]);
-                a.signum() * b.signum() * a.abs().min(b.abs())
-            })
-            .collect();
-        let x1 = Self::sc_decode(&llr1, &frozen[..half], u_out);
-        // g: partial-sum aware combine.
-        let llr2: Vec<f64> = (0..half)
-            .map(|i| {
-                let (a, b) = (llr[i], llr[i + half]);
-                if x1[i] == 1 {
-                    b - a
-                } else {
-                    b + a
-                }
-            })
-            .collect();
-        let x2 = Self::sc_decode(&llr2, &frozen[half..], u_out);
-        let mut x = Vec::with_capacity(n);
-        for i in 0..half {
-            x.push(x1[i] ^ x2[i]);
+        if let [llr] = llr {
+            let bit = u8::from(*llr < 0.0);
+            x[0] = bit;
+            message.push(bit == 1);
+            return;
         }
-        x.extend_from_slice(&x2);
-        x
+        let half = llr.len() / 2;
+        let (a, b) = llr.split_at(half);
+        let (below, child) = below.split_at_mut(half);
+        let (x1, x2) = x.split_at_mut(half);
+        for ((c, &a), &b) in child.iter_mut().zip(a).zip(b) {
+            *c = f(a, b);
+        }
+        self.sc_decode(2 * node, child, below, x1, message);
+        for (((c, &a), &b), &x) in child.iter_mut().zip(a).zip(b).zip(x1.iter()) {
+            *c = g(a, b, x);
+        }
+        self.sc_decode(2 * node + 1, child, below, x2, message);
+        for (x1, &x2) in x1.iter_mut().zip(x2.iter()) {
+            *x1 ^= x2;
+        }
+    }
+}
+
+/// The min-sum check-node combine.
+#[inline]
+fn f(a: f64, b: f64) -> f64 {
+    a.signum() * b.signum() * a.abs().min(b.abs())
+}
+
+/// The variable-node combine given the partial sum `x` of the first half.
+#[inline]
+fn g(a: f64, b: f64, x: u8) -> f64 {
+    if x == 1 {
+        b - a
+    } else {
+        b + a
     }
 }
 
@@ -199,7 +223,7 @@ impl BlockCode for PolarCode {
         assert_eq!(message.len(), self.k, "polar messages are {} bits", self.k);
         let mut u = vec![0u8; self.n];
         let mut next = 0;
-        for (i, &is_frozen) in self.frozen.iter().enumerate() {
+        for (i, &is_frozen) in self.frozen_mask().iter().enumerate() {
             if !is_frozen {
                 u[i] = u8::from(message.get(next).expect("length checked"));
                 next += 1;
@@ -214,18 +238,29 @@ impl BlockCode for PolarCode {
             return Err(DecodeError::length_mismatch(word.len(), self.n));
         }
         let llr_mag = ((1.0 - self.design_p) / self.design_p).ln();
-        let llr: Vec<f64> = word
-            .iter()
-            .map(|bit| if bit { -llr_mag } else { llr_mag })
-            .collect();
-        let mut u = Vec::with_capacity(self.n);
-        Self::sc_decode(&llr, &self.frozen, &mut u);
-        let mut message = BitVec::new();
-        for (i, &is_frozen) in self.frozen.iter().enumerate() {
-            if !is_frozen {
-                message.push(u[i] == 1);
+        let channel = |i: usize| {
+            if word.get(i) == Some(true) {
+                -llr_mag
+            } else {
+                llr_mag
             }
+        };
+        // The root's input is the channel, read straight from `word`; the
+        // scratch holds the inputs of every node below it.
+        let half = self.n / 2;
+        let mut scratch = vec![0.0; self.n];
+        let mut x = vec![0u8; self.n];
+        let mut message = BitVec::new();
+        let (below, child) = scratch.split_at_mut(half);
+        let (x1, x2) = x.split_at_mut(half);
+        for (i, c) in child.iter_mut().enumerate() {
+            *c = f(channel(i), channel(i + half));
         }
+        self.sc_decode(2, child, below, x1, &mut message);
+        for (i, c) in child.iter_mut().enumerate() {
+            *c = g(channel(i), channel(i + half), x1[i]);
+        }
+        self.sc_decode(3, child, below, x2, &mut message);
         Ok(message)
     }
 }

@@ -76,6 +76,12 @@ impl Repetition {
         }
         total
     }
+
+    /// The majority decision for a block holding `ones` one bits; an odd
+    /// length never ties.
+    pub(crate) fn majority(&self, ones: usize) -> bool {
+        ones * 2 > self.n
+    }
 }
 
 fn binomial(n: usize, k: usize) -> f64 {
@@ -111,8 +117,7 @@ impl BlockCode for Repetition {
             return Err(DecodeError::length_mismatch(word.len(), self.n));
         }
         // Majority over an odd count never ties; decoding cannot fail.
-        let ones = word.count_ones();
-        Ok(BitVec::from_bits([ones * 2 > self.n]))
+        Ok(BitVec::from_bits([self.majority(word.count_ones())]))
     }
 }
 

@@ -5,7 +5,7 @@
 //! `pair_select` kernel and `BitVec`'s word-wise XOR), producing the same
 //! bits as a per-pair scan; key material is unchanged by the kernel path.
 
-use crate::debias::{enroll_debias, reconstruct_debias};
+use crate::debias::{enroll_debias, reconstruct_debias_prefix};
 use crate::ecc::{
     decode_blocks, encode_blocks, BlockCode, Concatenated, DecodeError, DecodeErrorKind, Golay,
     PolarCode, Repetition,
@@ -39,6 +39,11 @@ pub enum CodeSpec {
 /// Design crossover probability used for polar construction: covers the
 /// paper's end-of-life worst case with margin.
 const POLAR_DESIGN_P: f64 = 0.05;
+
+/// Largest codeword block a [`CodeSpec`] may build. No simulated response
+/// can cover more: debiasing keeps at most one bit per raw pair, and the
+/// whole ATmega32u4 SRAM is 20 480 bits.
+const MAX_CODEWORD_BITS: usize = 65_536;
 
 impl fmt::Display for CodeSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -102,7 +107,18 @@ enum AnyCode {
 }
 
 impl CodeSpec {
+    /// Builds the code, refusing invalid parameters and codeword blocks
+    /// longer than [`MAX_CODEWORD_BITS`] before allocating anything.
     fn build(&self) -> Result<AnyCode, KeyError> {
+        let block_bits = match *self {
+            CodeSpec::GolayRepetition { repetition } => {
+                repetition.checked_mul(Golay::new().codeword_bits())
+            }
+            CodeSpec::Polar { n, .. } => Some(n),
+        };
+        if block_bits.is_none_or(|bits| bits > MAX_CODEWORD_BITS) {
+            return Err(KeyError::InvalidCodeSpec);
+        }
         match *self {
             CodeSpec::GolayRepetition { repetition } => {
                 Ok(AnyCode::GolayRepetition(Concatenated::new(
@@ -237,12 +253,25 @@ impl Error for KeyError {}
 /// The key generator: a parameterized code-offset fuzzy extractor over the
 /// debiased SRAM response.
 ///
+/// The generator builds its code once, at construction; enrollment and
+/// reconstruction reuse it. Two generators are equal when their secret
+/// lengths and code specs are.
+///
 /// See the crate-level example for end-to-end usage.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct KeyGenerator {
     secret_bits: usize,
     spec: CodeSpec,
+    code: AnyCode,
 }
+
+impl PartialEq for KeyGenerator {
+    fn eq(&self, other: &Self) -> bool {
+        (self.secret_bits, self.spec) == (other.secret_bits, other.spec)
+    }
+}
+
+impl Eq for KeyGenerator {}
 
 impl Default for KeyGenerator {
     fn default() -> Self {
@@ -256,27 +285,23 @@ impl KeyGenerator {
     /// end-of-life worst-case BER (3.25 %). Requires ≈6 400 raw SRAM bits
     /// (the paper's 1 KB read-out comfortably suffices).
     pub fn paper_default() -> Self {
-        Self {
-            secret_bits: 128,
-            spec: CodeSpec::GolayRepetition { repetition: 5 },
-        }
+        Self::new(128, 5)
     }
 
     /// Custom Golay ⊗ repetition dimensioning.
     ///
     /// # Panics
     ///
-    /// Panics if `secret_bits == 0` or `repetition` is even or zero.
+    /// Panics if `secret_bits == 0`, `repetition` is even or zero, or the
+    /// 23·`repetition`-bit block exceeds the 65 536-bit codeword cap.
     pub fn new(secret_bits: usize, repetition: usize) -> Self {
         assert!(secret_bits > 0, "need at least one secret bit");
         assert!(
             repetition % 2 == 1,
             "repetition factor must be odd, got {repetition}"
         );
-        Self {
-            secret_bits,
-            spec: CodeSpec::GolayRepetition { repetition },
-        }
+        Self::from_spec(secret_bits, CodeSpec::GolayRepetition { repetition })
+            .unwrap_or_else(|_| panic!("repetition factor {repetition} exceeds the codeword cap"))
     }
 
     /// Polar-code dimensioning (the paper's ref \[13\] construction):
@@ -287,12 +312,8 @@ impl KeyGenerator {
     /// Panics if `secret_bits == 0` or the polar parameters are invalid.
     pub fn with_polar(secret_bits: usize, n: usize, k: usize) -> Self {
         assert!(secret_bits > 0, "need at least one secret bit");
-        let spec = CodeSpec::Polar { n, k };
-        assert!(
-            spec.build().is_ok(),
-            "invalid polar parameters n={n}, k={k}"
-        );
-        Self { secret_bits, spec }
+        Self::from_spec(secret_bits, CodeSpec::Polar { n, k })
+            .unwrap_or_else(|_| panic!("invalid polar parameters n={n}, k={k}"))
     }
 
     /// Fallible constructor from an arbitrary (possibly parsed) spec — the
@@ -301,14 +322,18 @@ impl KeyGenerator {
     ///
     /// # Errors
     ///
-    /// Returns [`KeyError::InvalidCodeSpec`] if `secret_bits == 0` or the
-    /// spec's parameters cannot build a code.
+    /// Returns [`KeyError::InvalidCodeSpec`] if `secret_bits == 0`, the
+    /// spec's parameters cannot build a code, or its codeword block would
+    /// exceed 65 536 bits.
     pub fn from_spec(secret_bits: usize, spec: CodeSpec) -> Result<Self, KeyError> {
         if secret_bits == 0 {
             return Err(KeyError::InvalidCodeSpec);
         }
-        spec.build()?;
-        Ok(Self { secret_bits, spec })
+        Ok(Self {
+            secret_bits,
+            spec,
+            code: spec.build()?,
+        })
     }
 
     /// The code specification in use.
@@ -329,14 +354,9 @@ impl KeyGenerator {
         (self.required_bits() as f64 / per_bit).ceil() as usize
     }
 
-    fn code(&self) -> AnyCode {
-        self.spec.build().expect("constructor-validated spec")
-    }
-
     /// Debiased bits needed to cover the codeword.
     pub(crate) fn required_bits(&self) -> usize {
-        let code = self.code();
-        self.secret_bits.div_ceil(code.message_bits()) * code.codeword_bits()
+        self.secret_bits.div_ceil(self.code.message_bits()) * self.code.codeword_bits()
     }
 
     /// Enrolls a device: derives a fresh key from `rng` and binds it to the
@@ -360,7 +380,7 @@ impl KeyGenerator {
             });
         }
         let secret = BitVec::from_bits((0..self.secret_bits).map(|_| rng.gen::<bool>()));
-        let codeword = encode_blocks(&self.code(), &secret);
+        let codeword = encode_blocks(&self.code, &secret);
         let material = selection.bits.prefix(codeword.len());
         let offset = codeword.xor(&material);
         let key = self.derive_key(&secret);
@@ -377,6 +397,10 @@ impl KeyGenerator {
     }
 
     /// Reconstructs the enrolled key from a later, noisy response.
+    ///
+    /// Decodes with the generator's own code when the helper data carries
+    /// the generator's spec, and otherwise builds the code the helper data
+    /// names: the helper data, not the generator, fixes the codec.
     ///
     /// # Errors
     ///
@@ -396,26 +420,32 @@ impl KeyGenerator {
                 expected: helper.debias_mask.len(),
             });
         }
-        let material = reconstruct_debias(response, &helper.debias_mask).map_err(|e| {
-            KeyError::LengthMismatch {
-                response: e.response,
-                expected: e.mask,
-            }
-        })?;
+        // Only the bits the codeword covers are extracted.
+        let material =
+            reconstruct_debias_prefix(response, &helper.debias_mask, helper.offset.len()).map_err(
+                |e| KeyError::LengthMismatch {
+                    response: e.response,
+                    expected: e.mask,
+                },
+            )?;
         if material.len() < helper.offset.len() {
             return Err(KeyError::InsufficientMaterial {
                 available: material.len(),
                 required: helper.offset.len(),
             });
         }
-        let noisy_codeword = helper.offset.xor(&material.prefix(helper.offset.len()));
-        let code = helper.code.build()?;
+        let noisy_codeword = helper.offset.xor(&material);
+        let built;
+        let code = if helper.code == self.spec {
+            &self.code
+        } else {
+            built = helper.code.build()?;
+            &built
+        };
         let secret =
-            decode_blocks(&code, &noisy_codeword, helper.secret_bits).map_err(|e| {
-                match e.kind {
-                    DecodeErrorKind::Uncorrectable => KeyError::CheckMismatch,
-                    _ => KeyError::MalformedHelper,
-                }
+            decode_blocks(code, &noisy_codeword, helper.secret_bits).map_err(|e| match e.kind {
+                DecodeErrorKind::Uncorrectable => KeyError::CheckMismatch,
+                _ => KeyError::MalformedHelper,
             })?;
         let key = self.derive_key(&secret);
         if Self::check_value(&key) != helper.key_check {
@@ -675,6 +705,51 @@ mod tests {
             KeyGenerator::from_spec(128, CodeSpec::Polar { n: 100, k: 50 }),
             Err(KeyError::InvalidCodeSpec)
         );
+    }
+
+    #[test]
+    fn from_spec_caps_the_codeword_block_at_65536_bits() {
+        let build = |token: &str| KeyGenerator::from_spec(128, token.parse().unwrap());
+        // 2^17-bit polar block, and 23 × 2 851 = 65 573 bits: refused
+        // before any allocation.
+        assert_eq!(build("polar-131072-1"), Err(KeyError::InvalidCodeSpec));
+        assert_eq!(build("golay-r2851"), Err(KeyError::InvalidCodeSpec));
+        // 23 × r overflowing usize is refused, not wrapped.
+        assert_eq!(
+            build("golay-r18446744073709551615"),
+            Err(KeyError::InvalidCodeSpec)
+        );
+        // 23 × 2 849 = 65 527 bits and a 2^16-bit polar block fit.
+        assert_eq!(build("golay-r2849").unwrap().required_bits(), 11 * 65_527);
+        assert!(build("polar-65536-1").is_ok());
+    }
+
+    #[test]
+    fn helper_data_decodes_with_its_own_code_not_the_generators() {
+        // The helper data names the code it was enrolled with; a generator
+        // built for another spec must still reconstruct through it.
+        let mut rng = StdRng::seed_from_u64(116);
+        let (sram, env) = device(116, 16_384);
+        let polar = KeyGenerator::with_polar(128, 256, 64);
+        let golay = KeyGenerator::new(128, 3);
+        let polar_enrollment = polar
+            .enroll(&sram.power_up(&env, &mut rng), &mut rng)
+            .unwrap();
+        let golay_enrollment = golay
+            .enroll(&sram.power_up(&env, &mut rng), &mut rng)
+            .unwrap();
+        let read = sram.power_up(&env, &mut rng);
+        assert_eq!(
+            golay.reconstruct(&read, &polar_enrollment.helper),
+            Ok(polar_enrollment.key)
+        );
+        assert_eq!(
+            polar.reconstruct(&read, &golay_enrollment.helper),
+            Ok(golay_enrollment.key)
+        );
+        // Generators compare by secret length and spec alone.
+        assert_eq!(polar, KeyGenerator::with_polar(128, 256, 64));
+        assert_ne!(polar, KeyGenerator::with_polar(64, 256, 64));
     }
 
     #[test]

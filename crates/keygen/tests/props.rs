@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use pufbits::BitVec;
-use pufkeygen::debias::{enroll_debias, reconstruct_debias};
+use pufkeygen::debias::{enroll_debias, reconstruct_debias, reconstruct_debias_prefix};
 use pufkeygen::ecc::{BlockCode, Concatenated, Golay, Repetition};
 use pufkeygen::sha256;
 
@@ -70,6 +70,22 @@ proptest! {
         for i in (1..sel.mask.len()).step_by(2) {
             prop_assert_eq!(sel.mask.get(i), Some(false));
         }
+    }
+
+    #[test]
+    fn debias_prefix_is_a_prefix_of_the_full_extraction(
+        bits in prop::collection::vec(any::<(bool, bool)>(), 0..400),
+        limit in 0usize..250,
+    ) {
+        // The mask comes from one read, the extraction runs on another.
+        let enrolled = BitVec::from_bits(bits.iter().map(|&(a, _)| a));
+        let later = BitVec::from_bits(bits.iter().map(|&(_, b)| b));
+        let mask = enroll_debias(&enrolled).mask;
+        let full = reconstruct_debias(&later, &mask).unwrap();
+        prop_assert_eq!(
+            reconstruct_debias_prefix(&later, &mask, limit).unwrap(),
+            full.prefix(limit.min(full.len()))
+        );
     }
 
     #[test]
