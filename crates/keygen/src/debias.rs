@@ -78,7 +78,11 @@ pub fn enroll_debias(response: &BitVec) -> DebiasSelection {
 }
 
 /// Re-extracts the debiased bits from a later (noisy) response using the
-/// enrollment mask: the bit at each marked position is taken as-is.
+/// enrollment mask: the bit at each marked position is taken as-is, up to
+/// the first `limit` of them (all of them when the mask marks fewer). A
+/// reconstruction takes only the bits its codeword covers, usually far
+/// fewer than the mask marks, and the extraction costs one step per bit
+/// taken.
 ///
 /// Noise on either bit of a selected pair can flip the extracted bit; the
 /// error-correcting layer above absorbs that (the effective bit error rate
@@ -96,45 +100,13 @@ pub fn enroll_debias(response: &BitVec) -> DebiasSelection {
 /// use pufbits::BitVec;
 /// use pufkeygen::debias::{enroll_debias, reconstruct_debias};
 ///
-/// let response = BitVec::from_bits([false, true, true, true]);
-/// let sel = enroll_debias(&response);
-/// let again = reconstruct_debias(&response, &sel.mask)?;
-/// assert_eq!(again, sel.bits);
-/// # Ok::<(), pufkeygen::debias::MaskLengthError>(())
-/// ```
-pub fn reconstruct_debias(response: &BitVec, mask: &BitVec) -> Result<BitVec, MaskLengthError> {
-    if response.len() != mask.len() {
-        return Err(MaskLengthError {
-            mask: mask.len(),
-            response: response.len(),
-        });
-    }
-    Ok(response.select(mask))
-}
-
-/// [`reconstruct_debias`] stopped after the first `limit` selected bits —
-/// all of them when the mask selects fewer. A reconstruction needs only as
-/// many bits as its codeword, usually far fewer than the mask selects, and
-/// the extraction costs one step per selected bit.
-///
-/// # Errors
-///
-/// Returns [`MaskLengthError`] if the mask length does not match the
-/// response.
-///
-/// # Examples
-///
-/// ```
-/// use pufbits::BitVec;
-/// use pufkeygen::debias::{enroll_debias, reconstruct_debias_prefix};
-///
 /// let response = BitVec::from_bits([false, true, true, false, true, false]);
 /// let sel = enroll_debias(&response);
-/// assert_eq!(reconstruct_debias_prefix(&response, &sel.mask, 2)?, sel.bits.prefix(2));
-/// assert_eq!(reconstruct_debias_prefix(&response, &sel.mask, 9)?, sel.bits);
+/// assert_eq!(reconstruct_debias(&response, &sel.mask, usize::MAX)?, sel.bits);
+/// assert_eq!(reconstruct_debias(&response, &sel.mask, 2)?, sel.bits.prefix(2));
 /// # Ok::<(), pufkeygen::debias::MaskLengthError>(())
 /// ```
-pub fn reconstruct_debias_prefix(
+pub fn reconstruct_debias(
     response: &BitVec,
     mask: &BitVec,
     limit: usize,
@@ -231,7 +203,10 @@ mod tests {
     fn reconstruction_is_exact_without_noise() {
         let response = biased_response(4096, 0.627, 93);
         let sel = enroll_debias(&response);
-        assert_eq!(reconstruct_debias(&response, &sel.mask).unwrap(), sel.bits);
+        assert_eq!(
+            reconstruct_debias(&response, &sel.mask, usize::MAX).unwrap(),
+            sel.bits
+        );
     }
 
     #[test]
@@ -246,7 +221,7 @@ mod tests {
                 noisy.set(i, !noisy.get(i).unwrap());
             }
         }
-        let bits = reconstruct_debias(&noisy, &sel.mask).unwrap();
+        let bits = reconstruct_debias(&noisy, &sel.mask, usize::MAX).unwrap();
         let ber = bits.fractional_hamming_distance(&sel.bits);
         // Only the first bit of each pair is re-read, so the debiased BER
         // tracks the raw BER.
@@ -260,7 +235,10 @@ mod tests {
         assert_eq!(sel.bits.len(), 1);
         assert_eq!(sel.mask.len(), 3);
         // The mask still replays over the odd-length response.
-        assert_eq!(reconstruct_debias(&response, &sel.mask).unwrap(), sel.bits);
+        assert_eq!(
+            reconstruct_debias(&response, &sel.mask, usize::MAX).unwrap(),
+            sel.bits
+        );
     }
 
     #[test]
@@ -269,7 +247,7 @@ mod tests {
         assert!(sel.bits.is_empty());
         assert!(sel.mask.is_empty());
         assert_eq!(
-            reconstruct_debias(&BitVec::new(), &sel.mask).unwrap(),
+            reconstruct_debias(&BitVec::new(), &sel.mask, usize::MAX).unwrap(),
             BitVec::new()
         );
     }
@@ -281,7 +259,9 @@ mod tests {
             let sel = enroll_debias(&response);
             assert!(sel.bits.is_empty(), "constant response has no pairs");
             assert_eq!(sel.mask.count_ones(), 0);
-            assert!(reconstruct_debias(&response, &sel.mask).unwrap().is_empty());
+            assert!(reconstruct_debias(&response, &sel.mask, usize::MAX)
+                .unwrap()
+                .is_empty());
         }
     }
 
@@ -313,7 +293,7 @@ mod tests {
     fn mismatched_mask_is_a_typed_error() {
         let response = BitVec::zeros(8);
         let mask = BitVec::zeros(6);
-        let err = reconstruct_debias(&response, &mask).unwrap_err();
+        let err = reconstruct_debias(&response, &mask, usize::MAX).unwrap_err();
         assert_eq!(
             err,
             MaskLengthError {

@@ -5,7 +5,7 @@
 //! `pair_select` kernel and `BitVec`'s word-wise XOR), producing the same
 //! bits as a per-pair scan; key material is unchanged by the kernel path.
 
-use crate::debias::{enroll_debias, reconstruct_debias_prefix};
+use crate::debias::{enroll_debias, reconstruct_debias};
 use crate::ecc::{
     decode_blocks, encode_blocks, BlockCode, Concatenated, DecodeError, DecodeErrorKind, Golay,
     PolarCode, Repetition,
@@ -421,13 +421,11 @@ impl KeyGenerator {
             });
         }
         // Only the bits the codeword covers are extracted.
-        let material =
-            reconstruct_debias_prefix(response, &helper.debias_mask, helper.offset.len()).map_err(
-                |e| KeyError::LengthMismatch {
-                    response: e.response,
-                    expected: e.mask,
-                },
-            )?;
+        let material = reconstruct_debias(response, &helper.debias_mask, helper.offset.len())
+            .map_err(|e| KeyError::LengthMismatch {
+                response: e.response,
+                expected: e.mask,
+            })?;
         if material.len() < helper.offset.len() {
             return Err(KeyError::InsufficientMaterial {
                 available: material.len(),
