@@ -22,10 +22,10 @@
 //! skip-and-count policy, and the same out-of-order detection. The width
 //! rule also holds against the device's enrollment reference: every read is
 //! compared with it, so a read of another width is skipped and counted, not
-//! folded. Peak memory
-//! is `devices × (months + profiles × helper data)` and independent of the
-//! record count. [`KeyLife::from_records`] is the in-memory reference path;
-//! the two are locked byte-identical by `crates/core/tests/keylife_equivalence.rs`.
+//! folded. Peak memory is `devices × (months + profiles × helper data)` and
+//! independent of the record count. [`KeyLife::from_records`] is the
+//! in-memory reference path; the two are locked byte-identical by
+//! `crates/core/tests/keylife_equivalence.rs`.
 //!
 //! **Erasure policy for gaps.** Fault-induced gaps
 //! ([`GapRecord`](puftestbed::GapRecord)s) never enter the record file, so

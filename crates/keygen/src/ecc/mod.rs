@@ -90,14 +90,6 @@ pub enum DecodeErrorKind {
 }
 
 impl DecodeError {
-    /// An uncorrectable error pattern in the given block.
-    pub fn uncorrectable(block: usize) -> Self {
-        Self {
-            block,
-            kind: DecodeErrorKind::Uncorrectable,
-        }
-    }
-
     /// A codeword of the wrong length (single-block decode).
     pub fn length_mismatch(got: usize, expected: usize) -> Self {
         Self {

@@ -420,7 +420,6 @@ impl KeyGenerator {
                 expected: helper.debias_mask.len(),
             });
         }
-        // Only the bits the codeword covers are extracted.
         let material = reconstruct_debias(response, &helper.debias_mask, helper.offset.len())
             .map_err(|e| KeyError::LengthMismatch {
                 response: e.response,
