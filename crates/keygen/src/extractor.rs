@@ -258,11 +258,21 @@ impl Error for KeyError {}
 /// lengths and code specs are.
 ///
 /// See the crate-level example for end-to-end usage.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct KeyGenerator {
     secret_bits: usize,
     spec: CodeSpec,
     code: AnyCode,
+}
+
+/// Shows what equality compares; the built code follows from the spec.
+impl fmt::Debug for KeyGenerator {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("KeyGenerator")
+            .field("secret_bits", &self.secret_bits)
+            .field("spec", &self.spec)
+            .finish_non_exhaustive()
+    }
 }
 
 impl PartialEq for KeyGenerator {
