@@ -205,3 +205,37 @@ fn malformed_plan_is_a_clean_cli_error() {
     );
     std::fs::remove_file(&plan).ok();
 }
+
+#[test]
+fn malformed_io_fault_plan_is_a_clean_cli_error() {
+    // `max_faults` must be a non-negative integer; both binaries that take
+    // `--io-faults` refuse the plan before creating any output.
+    let plan = write_plan("bad_io_plan.json", r#"{"seed": 1, "max_faults": -1}"#);
+    let campaign_out = temp_path("bad_io.pufrec");
+    let repro_out = temp_path("bad_io_repro.jsonl");
+    let runs = [
+        run_campaign(
+            &["--io-faults", plan.to_str().unwrap()],
+            campaign_args(&campaign_out, "60", "1"),
+        ),
+        Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["--scale", "smoke", "--table1", "--records-out"])
+            .arg(&repro_out)
+            .arg("--io-faults")
+            .arg(&plan)
+            .output()
+            .expect("repro binary runs"),
+    ];
+    for out in runs {
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stderr}");
+        assert!(stderr.contains("cannot load I/O fault plan"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+    assert!(
+        !campaign_out.exists(),
+        "campaign created output for a bad plan"
+    );
+    assert!(!repro_out.exists(), "repro created output for a bad plan");
+    std::fs::remove_file(&plan).ok();
+}

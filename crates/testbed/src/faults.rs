@@ -680,6 +680,11 @@ mod tests {
                 r#"{"clock_skew": [{"layer": 0, "skew_s": "fast"}]}"#,
                 "number",
             ),
+            (
+                r#"{"brownouts": [{"board": 256, "from_window": 0, "until_window": 0}]}"#,
+                "board id",
+            ),
+            (r#"{"brownouts": {}}"#, "must be an array"),
         ];
         for (spec, needle) in cases {
             let err = FaultPlan::parse_json(spec).unwrap_err();

@@ -825,6 +825,19 @@ mod tests {
             IoFaultPlan::parse_json("not json"),
             Err(IoFaultPlanError::Json(_))
         ));
+        let cases = [
+            (r#"{"seed": 3, "torn_rate": 0.5}"#, "unknown field"),
+            (r#"{"torn_write_rate": 0.5}"#, "`seed`"),
+            (r#"{"seed": 1, "enospc_rate": 1.5}"#, "probability"),
+            (r#"{"seed": 1, "max_faults": -1}"#, "non-negative integer"),
+            ("[1]", "object"),
+        ];
+        for (spec, needle) in cases {
+            let msg = IoFaultPlan::parse_json(spec).unwrap_err().to_string();
+            assert!(msg.contains(needle), "spec {spec} gave: {msg}");
+        }
+        let plan = IoFaultPlan::parse_json(r#"{"seed": 3, "max_faults": null}"#).unwrap();
+        assert_eq!(plan.max_faults, None);
     }
 
     #[test]
