@@ -38,7 +38,7 @@
 //! assert!(!plan.is_empty());
 //! assert!(plan.browned_out(puftestbed::BoardId(3), 2));
 //! assert!(!plan.browned_out(puftestbed::BoardId(2), 2));
-//! # Ok::<(), puftestbed::faults::FaultPlanError>(())
+//! # Ok::<(), puftestbed::PlanError>(())
 //! ```
 
 use crate::board::BoardId;
@@ -116,47 +116,49 @@ pub struct FaultPlan {
     pub clock_skew: Vec<LayerSkew>,
 }
 
-/// Error loading or validating a [`FaultPlan`].
+/// Error loading or validating a [`FaultPlan`] or an
+/// [`IoFaultPlan`](crate::store::IoFaultPlan). The message does not name
+/// the plan: the caller knows which plan it was loading.
 #[derive(Debug)]
-pub enum FaultPlanError {
+pub enum PlanError {
     /// The spec file could not be read.
     Io(io::Error),
     /// The spec is not well-formed JSON.
     Json(ParseJsonError),
-    /// The spec is JSON but not a valid plan (wrong types, rates outside
-    /// `[0, 1]`, inverted window spans, unknown sections).
+    /// The spec is JSON but not a valid plan (wrong types, unknown keys or
+    /// sections, rates outside `[0, 1]`, inverted window spans).
     Invalid(String),
 }
 
-impl fmt::Display for FaultPlanError {
+impl fmt::Display for PlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            FaultPlanError::Io(e) => write!(f, "cannot read fault plan: {e}"),
-            FaultPlanError::Json(e) => write!(f, "fault plan is not valid json: {e}"),
-            FaultPlanError::Invalid(msg) => write!(f, "invalid fault plan: {msg}"),
+            PlanError::Io(e) => write!(f, "{e}"),
+            PlanError::Json(e) => write!(f, "not valid json: {e}"),
+            PlanError::Invalid(msg) => f.write_str(msg),
         }
     }
 }
 
-impl Error for FaultPlanError {
+impl Error for PlanError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            FaultPlanError::Io(e) => Some(e),
-            FaultPlanError::Json(e) => Some(e),
-            FaultPlanError::Invalid(_) => None,
+            PlanError::Io(e) => Some(e),
+            PlanError::Json(e) => Some(e),
+            PlanError::Invalid(_) => None,
         }
     }
 }
 
-impl From<io::Error> for FaultPlanError {
+impl From<io::Error> for PlanError {
     fn from(e: io::Error) -> Self {
-        FaultPlanError::Io(e)
+        PlanError::Io(e)
     }
 }
 
-impl From<ParseJsonError> for FaultPlanError {
+impl From<ParseJsonError> for PlanError {
     fn from(e: ParseJsonError) -> Self {
-        FaultPlanError::Json(e)
+        PlanError::Json(e)
     }
 }
 
@@ -176,45 +178,23 @@ impl FaultPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`FaultPlanError::Json`] for malformed JSON and
-    /// [`FaultPlanError::Invalid`] for a well-formed spec that is not a
-    /// valid plan (wrong types, out-of-range rates, inverted spans,
-    /// unknown sections).
-    pub fn parse_json(spec: &str) -> Result<Self, FaultPlanError> {
+    /// Returns [`PlanError::Json`] for malformed JSON and
+    /// [`PlanError::Invalid`] for a well-formed spec that is not a valid
+    /// plan (wrong types, out-of-range rates, inverted spans, unknown
+    /// sections or fields).
+    pub fn parse_json(spec: &str) -> Result<Self, PlanError> {
         let value = json::parse(spec)?;
         let Some(entries) = value.as_object() else {
-            return Err(FaultPlanError::Invalid(
-                "top level must be an object".into(),
-            ));
+            return Err(PlanError::Invalid("top level must be an object".into()));
         };
         let mut plan = FaultPlan::default();
-        for (key, section) in entries {
-            match key.as_str() {
-                "brownouts" => {
-                    for (i, item) in array_of(section, "brownouts")?.iter().enumerate() {
-                        plan.brownouts.push(parse_brownout(item, i)?);
-                    }
-                }
-                "i2c_bursts" => {
-                    for (i, item) in array_of(section, "i2c_bursts")?.iter().enumerate() {
-                        plan.i2c_bursts.push(parse_burst(item, i)?);
-                    }
-                }
-                "stuck_clusters" => {
-                    for (i, item) in array_of(section, "stuck_clusters")?.iter().enumerate() {
-                        plan.stuck_clusters.push(parse_cluster(item, i)?);
-                    }
-                }
-                "clock_skew" => {
-                    for (i, item) in array_of(section, "clock_skew")?.iter().enumerate() {
-                        plan.clock_skew.push(parse_skew(item, i)?);
-                    }
-                }
-                other => {
-                    return Err(FaultPlanError::Invalid(format!(
-                        "unknown section `{other}`"
-                    )));
-                }
+        for (name, items) in entries {
+            match name.as_str() {
+                "brownouts" => read_section(name, items, brownout, &mut plan.brownouts)?,
+                "i2c_bursts" => read_section(name, items, burst, &mut plan.i2c_bursts)?,
+                "stuck_clusters" => read_section(name, items, cluster, &mut plan.stuck_clusters)?,
+                "clock_skew" => read_section(name, items, skew, &mut plan.clock_skew)?,
+                other => return Err(PlanError::Invalid(format!("unknown section `{other}`"))),
             }
         }
         Ok(plan)
@@ -224,9 +204,9 @@ impl FaultPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`FaultPlanError::Io`] if the file cannot be read, plus the
+    /// Returns [`PlanError::Io`] if the file cannot be read, plus the
     /// conditions of [`parse_json`](Self::parse_json).
-    pub fn load(path: &Path) -> Result<Self, FaultPlanError> {
+    pub fn load(path: &Path) -> Result<Self, PlanError> {
         Self::parse_json(&fs::read_to_string(path)?)
     }
 
@@ -447,112 +427,137 @@ impl fmt::Display for GapRecord {
     }
 }
 
-fn array_of<'a>(value: &'a JsonValue, section: &str) -> Result<&'a [JsonValue], FaultPlanError> {
-    value
-        .as_array()
-        .ok_or_else(|| FaultPlanError::Invalid(format!("`{section}` must be an array")))
+/// One JSON object of a plan spec, read field by field. Every error names
+/// the object (`brownouts[0]`, `io-fault plan`), so a rejected spec points
+/// at the entry to fix.
+pub(crate) struct PlanObject<'a> {
+    value: &'a JsonValue,
+    what: &'a str,
 }
 
-fn known_keys(item: &JsonValue, allowed: &[&str], what: &str) -> Result<(), FaultPlanError> {
-    let Some(entries) = item.as_object() else {
-        return Err(FaultPlanError::Invalid(format!("{what} must be an object")));
-    };
-    for (key, _) in entries {
-        if !allowed.contains(&key.as_str()) {
-            return Err(FaultPlanError::Invalid(format!(
+impl<'a> PlanObject<'a> {
+    /// Checks that `value` is an object with no keys outside `allowed`.
+    pub(crate) fn new(
+        value: &'a JsonValue,
+        what: &'a str,
+        allowed: &[&str],
+    ) -> Result<Self, PlanError> {
+        let Some(entries) = value.as_object() else {
+            return Err(PlanError::Invalid(format!("{what} must be an object")));
+        };
+        if let Some((key, _)) = entries.iter().find(|(k, _)| !allowed.contains(&k.as_str())) {
+            return Err(PlanError::Invalid(format!(
                 "{what} has unknown field `{key}`"
             )));
         }
+        Ok(Self { value, what })
+    }
+
+    fn invalid(&self, problem: impl fmt::Display) -> PlanError {
+        PlanError::Invalid(format!("{}: {problem}", self.what))
+    }
+
+    /// A required non-negative integer that fits `T`.
+    pub(crate) fn int<T: TryFrom<u64>>(&self, key: &str) -> Result<T, PlanError> {
+        self.value
+            .get(key)
+            .and_then(JsonValue::as_u64)
+            .and_then(|n| T::try_from(n).ok())
+            .ok_or_else(|| self.invalid(format_args!("`{key}` must be a non-negative integer")))
+    }
+
+    /// An optional non-negative integer: absent or `null` reads as `None`.
+    pub(crate) fn opt_int<T: TryFrom<u64>>(&self, key: &str) -> Result<Option<T>, PlanError> {
+        match self.value.get(key) {
+            None | Some(JsonValue::Null) => Ok(None),
+            Some(_) => self.int(key).map(Some),
+        }
+    }
+
+    /// A required number.
+    fn number(&self, key: &str) -> Result<f64, PlanError> {
+        self.value
+            .get(key)
+            .and_then(JsonValue::as_number)
+            .ok_or_else(|| self.invalid(format_args!("`{key}` must be a number")))
+    }
+
+    /// A probability in `[0, 1]`; an absent key reads as 0.
+    pub(crate) fn rate(&self, key: &str) -> Result<f64, PlanError> {
+        if self.value.get(key).is_none() {
+            return Ok(0.0);
+        }
+        let rate = self.number(key)?;
+        if !(0.0..=1.0).contains(&rate) {
+            return Err(self.invalid(format_args!(
+                "`{key}` must be a probability in [0, 1], got {rate}"
+            )));
+        }
+        Ok(rate)
+    }
+
+    /// The optional `board`: absent or `null` means every board.
+    fn board(&self) -> Result<Option<u8>, PlanError> {
+        self.opt_int("board")
+            .map_err(|_| self.invalid("`board` must be a board id (0-255)"))
+    }
+
+    /// The inclusive `from_window`..=`until_window` span.
+    fn window_span(&self) -> Result<(u32, u32), PlanError> {
+        let (from, until) = (self.int("from_window")?, self.int("until_window")?);
+        if until < from {
+            return Err(self.invalid(format_args!(
+                "until_window {until} precedes from_window {from}"
+            )));
+        }
+        Ok((from, until))
+    }
+}
+
+/// Reads section `section` of a fault plan: an array whose items `read`
+/// parses under the names `section[0]`, `section[1]`, ….
+fn read_section<T>(
+    section: &str,
+    items: &JsonValue,
+    read: fn(&JsonValue, &str) -> Result<T, PlanError>,
+    into: &mut Vec<T>,
+) -> Result<(), PlanError> {
+    let items = items
+        .as_array()
+        .ok_or_else(|| PlanError::Invalid(format!("`{section}` must be an array")))?;
+    for (i, item) in items.iter().enumerate() {
+        into.push(read(item, &format!("{section}[{i}]"))?);
     }
     Ok(())
 }
 
-fn opt_board(item: &JsonValue, what: &str) -> Result<Option<u8>, FaultPlanError> {
-    match item.get("board") {
-        None | Some(JsonValue::Null) => Ok(None),
-        Some(v) => {
-            let id = v
-                .as_u64()
-                .and_then(|n| u8::try_from(n).ok())
-                .ok_or_else(|| {
-                    FaultPlanError::Invalid(format!("{what}: `board` must be a board id (0-255)"))
-                })?;
-            Ok(Some(id))
-        }
-    }
-}
-
-fn req_u32(item: &JsonValue, key: &str, what: &str) -> Result<u32, FaultPlanError> {
-    item.get(key)
-        .and_then(JsonValue::as_u64)
-        .and_then(|n| u32::try_from(n).ok())
-        .ok_or_else(|| {
-            FaultPlanError::Invalid(format!("{what}: `{key}` must be a non-negative integer"))
-        })
-}
-
-fn opt_rate(item: &JsonValue, key: &str, what: &str) -> Result<f64, FaultPlanError> {
-    match item.get(key) {
-        None => Ok(0.0),
-        Some(v) => {
-            let rate = v.as_number().ok_or_else(|| {
-                FaultPlanError::Invalid(format!("{what}: `{key}` must be a number"))
-            })?;
-            if !(0.0..=1.0).contains(&rate) {
-                return Err(FaultPlanError::Invalid(format!(
-                    "{what}: `{key}` must be a probability in [0, 1], got {rate}"
-                )));
-            }
-            Ok(rate)
-        }
-    }
-}
-
-fn window_span(item: &JsonValue, what: &str) -> Result<(u32, u32), FaultPlanError> {
-    let from = req_u32(item, "from_window", what)?;
-    let until = req_u32(item, "until_window", what)?;
-    if until < from {
-        return Err(FaultPlanError::Invalid(format!(
-            "{what}: until_window {until} precedes from_window {from}"
-        )));
-    }
-    Ok((from, until))
-}
-
-fn parse_brownout(item: &JsonValue, i: usize) -> Result<Brownout, FaultPlanError> {
-    let what = format!("brownouts[{i}]");
-    known_keys(item, &["board", "from_window", "until_window"], &what)?;
-    let (from_window, until_window) = window_span(item, &what)?;
+fn brownout(value: &JsonValue, what: &str) -> Result<Brownout, PlanError> {
+    let item = PlanObject::new(value, what, &["board", "from_window", "until_window"])?;
+    let (from_window, until_window) = item.window_span()?;
     Ok(Brownout {
-        board: opt_board(item, &what)?,
+        board: item.board()?,
         from_window,
         until_window,
     })
 }
 
-fn parse_burst(item: &JsonValue, i: usize) -> Result<I2cBurst, FaultPlanError> {
-    let what = format!("i2c_bursts[{i}]");
-    known_keys(
-        item,
-        &[
-            "board",
-            "from_window",
-            "until_window",
-            "nack_rate",
-            "corruption_rate",
-        ],
-        &what,
-    )?;
-    let (from_window, until_window) = window_span(item, &what)?;
-    let nack_rate = opt_rate(item, "nack_rate", &what)?;
-    let corruption_rate = opt_rate(item, "corruption_rate", &what)?;
+fn burst(value: &JsonValue, what: &str) -> Result<I2cBurst, PlanError> {
+    let keys = [
+        "board",
+        "from_window",
+        "until_window",
+        "nack_rate",
+        "corruption_rate",
+    ];
+    let item = PlanObject::new(value, what, &keys)?;
+    let (from_window, until_window) = item.window_span()?;
+    let nack_rate = item.rate("nack_rate")?;
+    let corruption_rate = item.rate("corruption_rate")?;
     if nack_rate == 0.0 && corruption_rate == 0.0 {
-        return Err(FaultPlanError::Invalid(format!(
-            "{what}: a burst needs a nack_rate or corruption_rate above zero"
-        )));
+        return Err(item.invalid("a burst needs a nack_rate or corruption_rate above zero"));
     }
     Ok(I2cBurst {
-        board: opt_board(item, &what)?,
+        board: item.board()?,
         from_window,
         until_window,
         nack_rate,
@@ -560,53 +565,35 @@ fn parse_burst(item: &JsonValue, i: usize) -> Result<I2cBurst, FaultPlanError> {
     })
 }
 
-fn parse_cluster(item: &JsonValue, i: usize) -> Result<StuckCluster, FaultPlanError> {
-    let what = format!("stuck_clusters[{i}]");
-    known_keys(
-        item,
-        &["board", "cell", "len", "value", "from_window"],
-        &what,
-    )?;
-    let board = opt_board(item, &what)?.ok_or_else(|| {
-        FaultPlanError::Invalid(format!("{what}: `board` is required for a stuck cluster"))
-    })?;
-    let len = req_u32(item, "len", &what)?;
+fn cluster(value: &JsonValue, what: &str) -> Result<StuckCluster, PlanError> {
+    let keys = ["board", "cell", "len", "value", "from_window"];
+    let item = PlanObject::new(value, what, &keys)?;
+    let board = item
+        .board()?
+        .ok_or_else(|| item.invalid("`board` is required for a stuck cluster"))?;
+    let len = item.int("len")?;
     if len == 0 {
-        return Err(FaultPlanError::Invalid(format!(
-            "{what}: `len` must be at least 1"
-        )));
+        return Err(item.invalid("`len` must be at least 1"));
     }
-    let value = match item.get("value") {
-        Some(JsonValue::Bool(b)) => *b,
-        _ => {
-            return Err(FaultPlanError::Invalid(format!(
-                "{what}: `value` must be true or false"
-            )));
-        }
+    let Some(&JsonValue::Bool(value)) = item.value.get("value") else {
+        return Err(item.invalid("`value` must be true or false"));
     };
     Ok(StuckCluster {
         board,
-        cell: req_u32(item, "cell", &what)?,
+        cell: item.int("cell")?,
         len,
         value,
-        from_window: req_u32(item, "from_window", &what)?,
+        from_window: item.int("from_window")?,
     })
 }
 
-fn parse_skew(item: &JsonValue, i: usize) -> Result<LayerSkew, FaultPlanError> {
-    let what = format!("clock_skew[{i}]");
-    known_keys(item, &["layer", "skew_s"], &what)?;
-    let layer = req_u32(item, "layer", &what)?;
-    let layer = u8::try_from(layer)
-        .map_err(|_| FaultPlanError::Invalid(format!("{what}: `layer` must fit a u8")))?;
-    let skew_s = item
-        .get("skew_s")
-        .and_then(JsonValue::as_number)
-        .ok_or_else(|| FaultPlanError::Invalid(format!("{what}: `skew_s` must be a number")))?;
+fn skew(value: &JsonValue, what: &str) -> Result<LayerSkew, PlanError> {
+    let item = PlanObject::new(value, what, &["layer", "skew_s"])?;
+    let layer = u8::try_from(item.int::<u32>("layer")?)
+        .map_err(|_| item.invalid("`layer` must fit a u8"))?;
+    let skew_s = item.number("skew_s")?;
     if !skew_s.is_finite() {
-        return Err(FaultPlanError::Invalid(format!(
-            "{what}: `skew_s` must be finite"
-        )));
+        return Err(item.invalid("`skew_s` must be finite"));
     }
     Ok(LayerSkew { layer, skew_s })
 }
@@ -693,11 +680,11 @@ mod tests {
         }
         assert!(matches!(
             FaultPlan::parse_json("not json"),
-            Err(FaultPlanError::Json(_))
+            Err(PlanError::Json(_))
         ));
         assert!(matches!(
             FaultPlan::load(Path::new("/nonexistent/plan.json")),
-            Err(FaultPlanError::Io(_))
+            Err(PlanError::Io(_))
         ));
     }
 

@@ -62,7 +62,7 @@ pub use board::{BoardId, MasterBoard, SlaveBoard, SlaveBoardState};
 pub use campaign::{
     board_stream_seed, Campaign, CampaignConfig, CampaignSummary, Dataset, MeasurementPlan,
 };
-pub use faults::{FaultPlan, FaultPlanError, FaultTally, GapCause, GapRecord};
+pub use faults::{FaultPlan, FaultTally, GapCause, GapRecord, PlanError};
 pub use power::PowerSwitch;
 pub use store::{BoardState, CampaignState, CheckpointError, Record, RecordSink};
 pub use time::{days_in_month, CalendarDate, DateTime, Timestamp};

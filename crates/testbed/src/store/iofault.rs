@@ -45,16 +45,15 @@
 //!     "max_incarnations": 3
 //! }"#)?;
 //! assert!(!plan.is_empty());
-//! # Ok::<(), puftestbed::store::iofault::IoFaultPlanError>(())
+//! # Ok::<(), puftestbed::PlanError>(())
 //! ```
 
+use crate::faults::{PlanError, PlanObject};
 use crate::store::checkpoint::Fnv;
-use crate::store::json::{self, JsonValue, ParseJsonError};
+use crate::store::json;
 use pufbits::splitmix64;
 use pufobs::{Counter, Instruments};
 use std::collections::BTreeMap;
-use std::error::Error;
-use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -66,8 +65,8 @@ use std::sync::{Arc, Mutex};
 /// Rates are per-operation probabilities; `max_faults` caps how many faults
 /// one process injects (later draws are *absorbed*, visible only in the
 /// `io.faults_absorbed` counter), and `max_incarnations` disarms the plan
-/// entirely from that restart count on.
-#[derive(Debug, Clone, PartialEq)]
+/// entirely from that restart count on. The default plan is inert.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct IoFaultPlan {
     /// Seed of the fault schedule (independent of the campaign seed).
     pub seed: u64,
@@ -88,49 +87,6 @@ pub struct IoFaultPlan {
     pub max_incarnations: Option<u64>,
 }
 
-/// Why an I/O fault plan failed to load.
-#[derive(Debug)]
-pub enum IoFaultPlanError {
-    /// The file could not be read.
-    Io(io::Error),
-    /// The file is not valid JSON.
-    Json(ParseJsonError),
-    /// The JSON does not describe a valid plan.
-    Invalid(String),
-}
-
-impl fmt::Display for IoFaultPlanError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            IoFaultPlanError::Io(e) => write!(f, "cannot read io-fault plan: {e}"),
-            IoFaultPlanError::Json(e) => write!(f, "io-fault plan is not valid json: {e}"),
-            IoFaultPlanError::Invalid(msg) => write!(f, "invalid io-fault plan: {msg}"),
-        }
-    }
-}
-
-impl Error for IoFaultPlanError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            IoFaultPlanError::Io(e) => Some(e),
-            IoFaultPlanError::Json(e) => Some(e),
-            IoFaultPlanError::Invalid(_) => None,
-        }
-    }
-}
-
-impl From<io::Error> for IoFaultPlanError {
-    fn from(e: io::Error) -> Self {
-        IoFaultPlanError::Io(e)
-    }
-}
-
-impl From<ParseJsonError> for IoFaultPlanError {
-    fn from(e: ParseJsonError) -> Self {
-        IoFaultPlanError::Json(e)
-    }
-}
-
 const PLAN_KEYS: &[&str] = &[
     "seed",
     "torn_write_rate",
@@ -142,64 +98,25 @@ const PLAN_KEYS: &[&str] = &[
     "max_incarnations",
 ];
 
-fn plan_rate(item: &JsonValue, key: &str) -> Result<f64, IoFaultPlanError> {
-    match item.get(key) {
-        None => Ok(0.0),
-        Some(v) => {
-            let rate = v
-                .as_number()
-                .ok_or_else(|| IoFaultPlanError::Invalid(format!("`{key}` must be a number")))?;
-            if !(0.0..=1.0).contains(&rate) {
-                return Err(IoFaultPlanError::Invalid(format!(
-                    "`{key}` must be a probability in [0, 1], got {rate}"
-                )));
-            }
-            Ok(rate)
-        }
-    }
-}
-
-fn plan_opt_u64(item: &JsonValue, key: &str) -> Result<Option<u64>, IoFaultPlanError> {
-    match item.get(key) {
-        None | Some(JsonValue::Null) => Ok(None),
-        Some(v) => v.as_u64().map(Some).ok_or_else(|| {
-            IoFaultPlanError::Invalid(format!("`{key}` must be a non-negative integer"))
-        }),
-    }
-}
-
 impl IoFaultPlan {
     /// Parses a plan from its JSON spec (strict: unknown keys are errors).
     ///
     /// # Errors
     ///
-    /// Returns [`IoFaultPlanError::Json`] for malformed JSON and
-    /// [`IoFaultPlanError::Invalid`] for structurally wrong specs.
-    pub fn parse_json(text: &str) -> Result<Self, IoFaultPlanError> {
+    /// Returns [`PlanError::Json`] for malformed JSON and
+    /// [`PlanError::Invalid`] for structurally wrong specs.
+    pub fn parse_json(text: &str) -> Result<Self, PlanError> {
         let value = json::parse(text)?;
-        let entries = value
-            .as_object()
-            .ok_or_else(|| IoFaultPlanError::Invalid("plan must be a JSON object".into()))?;
-        for (key, _) in entries {
-            if !PLAN_KEYS.contains(&key.as_str()) {
-                return Err(IoFaultPlanError::Invalid(format!("unknown field `{key}`")));
-            }
-        }
-        let seed = value
-            .get("seed")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| {
-                IoFaultPlanError::Invalid("`seed` must be a non-negative integer".into())
-            })?;
+        let plan = PlanObject::new(&value, "io-fault plan", PLAN_KEYS)?;
         Ok(Self {
-            seed,
-            torn_write_rate: plan_rate(&value, "torn_write_rate")?,
-            short_read_rate: plan_rate(&value, "short_read_rate")?,
-            enospc_rate: plan_rate(&value, "enospc_rate")?,
-            fsync_failure_rate: plan_rate(&value, "fsync_failure_rate")?,
-            rename_failure_rate: plan_rate(&value, "rename_failure_rate")?,
-            max_faults: plan_opt_u64(&value, "max_faults")?,
-            max_incarnations: plan_opt_u64(&value, "max_incarnations")?,
+            seed: plan.int("seed")?,
+            torn_write_rate: plan.rate("torn_write_rate")?,
+            short_read_rate: plan.rate("short_read_rate")?,
+            enospc_rate: plan.rate("enospc_rate")?,
+            fsync_failure_rate: plan.rate("fsync_failure_rate")?,
+            rename_failure_rate: plan.rate("rename_failure_rate")?,
+            max_faults: plan.opt_int("max_faults")?,
+            max_incarnations: plan.opt_int("max_incarnations")?,
         })
     }
 
@@ -207,9 +124,9 @@ impl IoFaultPlan {
     ///
     /// # Errors
     ///
-    /// Returns [`IoFaultPlanError::Io`] if the file cannot be read, plus
-    /// the errors of [`parse_json`](Self::parse_json).
-    pub fn load(path: &Path) -> Result<Self, IoFaultPlanError> {
+    /// Returns [`PlanError::Io`] if the file cannot be read, plus the
+    /// errors of [`parse_json`](Self::parse_json).
+    pub fn load(path: &Path) -> Result<Self, PlanError> {
         Self::parse_json(&fs::read_to_string(path)?)
     }
 
@@ -384,17 +301,6 @@ pub struct IoPolicy {
     inner: Arc<PolicyInner>,
 }
 
-const INERT_PLAN: IoFaultPlan = IoFaultPlan {
-    seed: 0,
-    torn_write_rate: 0.0,
-    short_read_rate: 0.0,
-    enospc_rate: 0.0,
-    fsync_failure_rate: 0.0,
-    rename_failure_rate: 0.0,
-    max_faults: None,
-    max_incarnations: None,
-};
-
 impl IoPolicy {
     /// A policy executing `plan` as process incarnation `incarnation`
     /// (the supervisor's restart count; 0 for a first run).
@@ -424,16 +330,10 @@ impl IoPolicy {
     /// A fault-free policy that records every operation reaching the OS —
     /// the probe the durability tests use to assert syscall ordering.
     pub fn recording() -> Self {
-        Self {
-            inner: Arc::new(PolicyInner {
-                plan: INERT_PLAN,
-                incarnation: 0,
-                injected: AtomicU64::new(0),
-                indices: Mutex::new(BTreeMap::new()),
-                stats: None,
-                trace: Some(Mutex::new(Vec::new())),
-            }),
-        }
+        let mut policy = Self::new(IoFaultPlan::default(), 0);
+        let inner = Arc::get_mut(&mut policy.inner).expect("a new policy is not shared yet");
+        inner.trace = Some(Mutex::new(Vec::new()));
+        policy
     }
 
     /// The operations recorded so far (empty unless built with
@@ -811,19 +711,19 @@ mod tests {
 
         assert!(matches!(
             IoFaultPlan::parse_json(r#"{"seed": 3, "torn_rate": 0.5}"#),
-            Err(IoFaultPlanError::Invalid(_))
+            Err(PlanError::Invalid(_))
         ));
         assert!(matches!(
             IoFaultPlan::parse_json(r#"{"torn_write_rate": 0.5}"#),
-            Err(IoFaultPlanError::Invalid(_))
+            Err(PlanError::Invalid(_))
         ));
         assert!(matches!(
             IoFaultPlan::parse_json(r#"{"seed": 1, "enospc_rate": 1.5}"#),
-            Err(IoFaultPlanError::Invalid(_))
+            Err(PlanError::Invalid(_))
         ));
         assert!(matches!(
             IoFaultPlan::parse_json("not json"),
-            Err(IoFaultPlanError::Json(_))
+            Err(PlanError::Json(_))
         ));
         let cases = [
             (r#"{"seed": 3, "torn_rate": 0.5}"#, "unknown field"),
