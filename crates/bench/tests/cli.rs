@@ -1,6 +1,8 @@
 //! Integration tests for the `campaign` / `assess` / `repro` binaries, plus
 //! the bad-flag contract every binary shares.
 
+use pufbits::BitVec;
+use puftestbed::{BoardId, CalendarDate, Record, Timestamp};
 use std::process::Command;
 
 fn temp_path(name: &str) -> std::path::PathBuf {
@@ -261,5 +263,54 @@ fn every_binary_exits_2_without_a_panic_on_bad_flags() {
             assert_eq!(out.status.code(), Some(2), "{binary} {args:?}: {stderr}");
             assert!(!stderr.contains("panicked"), "{binary} {args:?}: {stderr}");
         }
+    }
+}
+
+/// Writes one JSON-lines file of `(device, month, bits)` reads, each at
+/// midnight of 2017-`month`-08.
+fn reads_file(name: &str, reads: &[(u8, u8, usize)]) -> std::path::PathBuf {
+    let lines: String = reads
+        .iter()
+        .enumerate()
+        .map(|(seq, &(device, month, bits))| {
+            let record = Record::new(
+                BoardId(device),
+                seq as u64,
+                Timestamp::from_date(CalendarDate::new(2017, month, 8)),
+                BitVec::from_bits((0..bits).map(|i| i % (3 + usize::from(device)) == 0)),
+            );
+            record.to_json_line() + "\n"
+        })
+        .collect();
+    let path = temp_path(name);
+    std::fs::write(&path, lines).expect("records written");
+    path
+}
+
+#[test]
+fn assess_survives_read_width_changes_without_a_panic() {
+    // Device 0 changes width in March: that read is skipped, exit 0.
+    // Devices of different widths: a typed assessment error, exit 1.
+    let cases = [
+        (
+            "width_change.jsonl",
+            &[(0, 2, 1024), (1, 2, 1024), (0, 3, 2048), (1, 3, 1024)][..],
+            0,
+        ),
+        ("mixed_widths.jsonl", &[(0, 2, 1024), (1, 2, 2048)][..], 1),
+    ];
+    for (name, reads, code) in cases {
+        let input = reads_file(name, reads);
+        let out = Command::new(env!("CARGO_BIN_EXE_assess"))
+            .args(["--in", input.to_str().unwrap(), "--reads", "1"])
+            .output()
+            .expect("assess runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{name}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+        if code == 1 {
+            assert!(stderr.contains("assessment failed"), "{name}: {stderr}");
+        }
+        std::fs::remove_file(&input).ok();
     }
 }

@@ -41,6 +41,17 @@ pub enum AssessError {
         /// The device whose stream was out of order.
         device: BoardId,
     },
+    /// Devices read different widths, so no cross-device metric (BCHD,
+    /// PUF entropy) is defined.
+    MixedWidths {
+        /// The first device, in window order, whose reads differ in width
+        /// from the first window's.
+        device: BoardId,
+        /// That device's read width in bits.
+        bits: usize,
+        /// The first window's read width in bits.
+        expected_bits: usize,
+    },
 }
 
 impl fmt::Display for AssessError {
@@ -62,6 +73,15 @@ impl fmt::Display for AssessError {
                     "records of device {device} arrived out of chronological order"
                 )
             }
+            AssessError::MixedWidths {
+                device,
+                bits,
+                expected_bits,
+            } => write!(
+                f,
+                "device {device} reads {bits} bits where the first device reads \
+                 {expected_bits}; cross-device metrics need one read width"
+            ),
         }
     }
 }
@@ -244,6 +264,25 @@ impl CoverageReport {
     }
 }
 
+/// Checks that every window, given as `(device, read width)` in window
+/// order, has the first window's width: the cross-device metrics compare
+/// reads bit by bit. A device's own windows share its reference width.
+pub(crate) fn check_widths(
+    mut windows: impl Iterator<Item = (BoardId, usize)>,
+) -> Result<(), AssessError> {
+    let Some((_, expected_bits)) = windows.next() else {
+        return Ok(());
+    };
+    match windows.find(|&(_, bits)| bits != expected_bits) {
+        Some((device, bits)) => Err(AssessError::MixedWidths {
+            device,
+            bits,
+            expected_bits,
+        }),
+        None => Ok(()),
+    }
+}
+
 /// Cross-device uniqueness of one month's first read-outs: the BCHD summary
 /// and the PUF min-entropy. A month where fewer than two devices reported
 /// has no device pairs, so its uniqueness is returned as the defined
@@ -277,7 +316,8 @@ impl Assessment {
     /// # Errors
     ///
     /// Returns [`AssessError`] if the dataset is empty, has fewer than two
-    /// devices, or a device lacks a month-zero reference window.
+    /// devices, a device lacks a month-zero reference window, or devices
+    /// read different widths.
     pub fn from_dataset(
         dataset: &Dataset,
         protocol: &EvaluationProtocol,
@@ -331,6 +371,7 @@ impl Assessment {
                 return Err(AssessError::MissingReference { device: *device });
             }
         }
+        check_widths(windows.iter().map(|w| (w.device, w.first_read.len())))?;
 
         // Per-device monthly metrics.
         let mut device_months = Vec::with_capacity(windows.len());

@@ -97,8 +97,9 @@ pub struct WindowSelection {
     /// Windows sorted by `(device, year, month)`.
     pub windows: Vec<MonthlyWindow>,
     /// Eligible records dropped because their width differed from their
-    /// window's first read-out (a parseable-but-truncated record must not
-    /// abort the whole assessment).
+    /// window's first read-out, or from their device's first read-out when
+    /// they would open a new window (a parseable-but-truncated record must
+    /// not abort the whole assessment).
     pub skipped_width_mismatch: u64,
 }
 
@@ -116,13 +117,15 @@ pub(crate) fn effective_eval_day(protocol: &EvaluationProtocol, year: i32, month
 }
 
 /// [`select_windows`] with skip accounting: a record whose width disagrees
-/// with its window's established width is counted and dropped instead of
-/// aborting the assessment.
+/// with its window's established width, or that would open a new window of
+/// its device at another width than the device's first read, is counted
+/// and dropped instead of aborting the assessment.
 pub fn select_windows_counted(
     records: &[Record],
     protocol: &EvaluationProtocol,
 ) -> WindowSelection {
     let mut windows: BTreeMap<(u8, i32, u8), MonthlyWindow> = BTreeMap::new();
+    let mut device_widths: BTreeMap<u8, usize> = BTreeMap::new();
     let mut skipped_width_mismatch = 0u64;
     // A zero-read protocol selects nothing: opening empty windows would feed
     // 0-row matrices (and 0/0 averages) to every metric downstream.
@@ -140,6 +143,16 @@ pub fn select_windows_counted(
             continue;
         }
         let key = (record.device.0, dt.date.year, dt.date.month);
+        if !windows.contains_key(&key) {
+            // Reference-width rule, as in `WindowAccumulator::push`.
+            let width = *device_widths
+                .entry(record.device.0)
+                .or_insert(record.data.len());
+            if record.data.len() != width {
+                skipped_width_mismatch += 1;
+                continue;
+            }
+        }
         let window = windows.entry(key).or_insert_with(|| MonthlyWindow {
             device: record.device,
             year_month: (dt.date.year, dt.date.month),

@@ -210,7 +210,8 @@ impl WindowAccumulator {
     }
 
     /// Eligible records dropped because their width differed from their
-    /// window's established width.
+    /// window's established width, or from their device's reference width
+    /// when they would open a new window.
     pub fn skipped_width_mismatch(&self) -> u64 {
         self.skipped_width_mismatch
     }
@@ -247,6 +248,14 @@ impl WindowAccumulator {
         let key = (record.device.0, ym.0, ym.1);
 
         if !self.windows.contains_key(&key) {
+            // Reference-width rule: a device's later windows take the width
+            // of its first read, the reference every WCHD compares with.
+            let reference = self.devices.get(&record.device.0).map(|d| &d.reference);
+            if reference.is_some_and(|r| r.len() != record.data.len()) {
+                self.skipped_width_mismatch += 1;
+                self.count_skip();
+                return;
+            }
             self.open_window(record, ym, key);
         }
         let device_reference = &self.devices[&record.device.0].reference;
@@ -417,6 +426,7 @@ impl WindowAccumulator {
                 return Err(AssessError::MissingReference { device: *device });
             }
         }
+        crate::assessment::check_widths(windows.values().map(|w| (w.device, w.first_read.len())))?;
 
         let mut device_months = Vec::with_capacity(windows.len());
         for w in windows.values() {

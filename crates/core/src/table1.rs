@@ -152,42 +152,42 @@ impl Table1 {
             "{:<24}{:>5}  {:>9}  {:>9}  {:>10}  {:>9}\n",
             "Evaluation", "", "Start", "End", "Rel.Change", "Monthly"
         ));
+        // A metric at 0 on either end (WCHD and noise entropy of one-read
+        // windows) has no relative or compound monthly change.
+        let change = |start: f64, end: f64| {
+            let rel = end / start - 1.0;
+            if rel.abs() < 0.01 {
+                ("negligible".to_string(), "negligible".to_string())
+            } else if start > 0.0 && end > 0.0 {
+                (
+                    format!("{:+.1}%", rel * 100.0),
+                    format!(
+                        "{:+.2}%",
+                        compound_monthly_rate(start, end, self.months) * 100.0
+                    ),
+                )
+            } else {
+                ("n/a".to_string(), "n/a".to_string())
+            }
+        };
+        let fmt_pct = |x: f64| format!("{:.2}%", x * 100.0);
         for row in self.rows() {
-            let fmt_pct = |x: f64| format!("{:.2}%", x * 100.0);
-            let (rel, monthly) = if row.is_negligible() {
-                ("negligible".to_string(), "negligible".to_string())
-            } else {
-                (
-                    format!("{:+.1}%", row.relative_change() * 100.0),
-                    format!("{:+.2}%", row.monthly_change(self.months) * 100.0),
-                )
-            };
-            out.push_str(&format!(
-                "{:<24}{:>5}  {:>9}  {:>9}  {:>10}  {:>9}\n",
-                row.name,
-                "AVG.",
-                fmt_pct(row.start_avg),
-                fmt_pct(row.end_avg),
-                rel,
-                monthly,
-            ));
-            let (wc_rel, wc_monthly) = if (row.end_wc / row.start_wc - 1.0).abs() < 0.01 {
-                ("negligible".to_string(), "negligible".to_string())
-            } else {
-                (
-                    format!("{:+.1}%", row.wc_relative_change() * 100.0),
-                    format!("{:+.2}%", row.wc_monthly_change(self.months) * 100.0),
-                )
-            };
-            out.push_str(&format!(
-                "{:<24}{:>5}  {:>9}  {:>9}  {:>10}  {:>9}\n",
-                "",
-                "WC.",
-                fmt_pct(row.start_wc),
-                fmt_pct(row.end_wc),
-                wc_rel,
-                wc_monthly,
-            ));
+            let lines = [
+                (row.name.as_str(), "AVG.", row.start_avg, row.end_avg),
+                ("", "WC.", row.start_wc, row.end_wc),
+            ];
+            for (name, label, start, end) in lines {
+                let (rel, monthly) = change(start, end);
+                out.push_str(&format!(
+                    "{:<24}{:>5}  {:>9}  {:>9}  {:>10}  {:>9}\n",
+                    name,
+                    label,
+                    fmt_pct(start),
+                    fmt_pct(end),
+                    rel,
+                    monthly,
+                ));
+            }
         }
         let puf_rel = self.puf_entropy_end / self.puf_entropy_start - 1.0;
         out.push_str(&format!(
@@ -291,5 +291,31 @@ mod tests {
         }
         assert!(rendered.contains("AVG."));
         assert!(rendered.contains("WC."));
+    }
+
+    #[test]
+    fn a_zero_endpoint_renders_n_a_instead_of_panicking() {
+        // One read per window: month-zero WCHD and every noise entropy are
+        // 0, which the compound monthly rate cannot take.
+        let config = CampaignConfig {
+            boards: 2,
+            sram_bits: 256,
+            read_bits: 256,
+            months: 1,
+            reads_per_window: 1,
+            ..CampaignConfig::default()
+        };
+        let dataset = Campaign::new(config, 61).run_in_memory();
+        let protocol = EvaluationProtocol {
+            reads_per_window: 1,
+            ..EvaluationProtocol::default()
+        };
+        let table = Assessment::from_dataset(&dataset, &protocol)
+            .unwrap()
+            .table1();
+        assert_eq!(table.wchd.start_avg, 0.0);
+        let rendered = table.render();
+        let wchd = rendered.lines().find(|l| l.starts_with("WCHD")).unwrap();
+        assert!(wchd.ends_with("n/a        n/a"), "{rendered}");
     }
 }

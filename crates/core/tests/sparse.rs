@@ -3,10 +3,11 @@
 //! hole — coverage counters, finite (never NaN) aggregates, and typed
 //! errors — instead of silently averaging over what remains.
 
-use pufassess::monthly::EvaluationProtocol;
-use pufassess::{AssessError, Assessment};
+use pufassess::monthly::{select_windows_counted, EvaluationProtocol};
+use pufassess::{AssessError, Assessment, WindowAccumulator};
+use pufbits::BitVec;
 use puftestbed::faults::{Brownout, I2cBurst};
-use puftestbed::{BoardId, Campaign, CampaignConfig, FaultPlan};
+use puftestbed::{BoardId, CalendarDate, Campaign, CampaignConfig, FaultPlan, Record, Timestamp};
 
 fn config(boards: usize) -> CampaignConfig {
     CampaignConfig {
@@ -203,5 +204,72 @@ fn device_browned_out_of_month_zero_is_a_missing_reference() {
     let err = Assessment::from_dataset(&dataset, &protocol()).unwrap_err();
     assert_eq!(err, AssessError::MissingReference { device: BoardId(3) });
     let streamed = Assessment::from_record_stream(dataset.records(), &protocol()).unwrap_err();
+    assert_eq!(streamed, err);
+}
+
+/// One read of `bits` bits by `device` at midnight of 2017-`month`-08.
+fn read_at(device: u8, month: u8, bits: usize) -> Record {
+    Record::new(
+        BoardId(device),
+        u64::from(month),
+        Timestamp::from_date(CalendarDate::new(2017, month, 8)),
+        BitVec::from_bits((0..bits).map(|i| i % (3 + usize::from(device)) == 0)),
+    )
+}
+
+fn one_read_protocol() -> EvaluationProtocol {
+    EvaluationProtocol {
+        reads_per_window: 1,
+        ..EvaluationProtocol::default()
+    }
+}
+
+/// Device 0 reads 1 024 bits in February and 2 048 bits in March; its
+/// reference is the February read, so the March read is skipped and
+/// counted on both paths, and March's coverage shows device 0 missing.
+#[test]
+fn a_device_whose_read_width_changes_is_skipped_on_both_paths() {
+    let records = [
+        read_at(0, 2, 1024),
+        read_at(1, 2, 1024),
+        read_at(0, 3, 2048),
+        read_at(1, 3, 1024),
+    ];
+    let in_memory = Assessment::from_records(&records, &one_read_protocol()).unwrap();
+    let streamed = Assessment::from_record_stream(&records, &one_read_protocol()).unwrap();
+    assert_eq!(streamed, in_memory);
+
+    let selection = select_windows_counted(&records, &one_read_protocol());
+    assert_eq!(selection.skipped_width_mismatch, 1);
+    let mut accumulator = WindowAccumulator::new(one_read_protocol());
+    for record in &records {
+        accumulator.push(record);
+    }
+    assert_eq!(accumulator.skipped_width_mismatch(), 1);
+
+    let march = &in_memory.coverage().months()[1];
+    assert_eq!(march.year_month, (2017, 3));
+    assert_eq!(march.missing_devices, vec![BoardId(0)]);
+}
+
+/// Two devices that read different widths have no cross-device metric:
+/// both paths name the first device whose width differs, with both widths.
+#[test]
+fn devices_of_different_widths_are_a_typed_error_on_both_paths() {
+    let records = [
+        read_at(0, 2, 1024),
+        read_at(1, 2, 2048),
+        read_at(2, 2, 1024),
+    ];
+    let err = Assessment::from_records(&records, &one_read_protocol()).unwrap_err();
+    assert_eq!(
+        err,
+        AssessError::MixedWidths {
+            device: BoardId(1),
+            bits: 2048,
+            expected_bits: 1024,
+        }
+    );
+    let streamed = Assessment::from_record_stream(&records, &one_read_protocol()).unwrap_err();
     assert_eq!(streamed, err);
 }
