@@ -248,6 +248,14 @@ fn oversized_code_profiles_exit_2_instead_of_allocating() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{stderr}");
     assert!(stderr.contains("invalid key profile"), "{stderr}");
+    // So is a secret whose codeword length overflows usize.
+    let out = keylife(
+        &record_file("json"),
+        &["--profiles", "golay-r5@18446744073709551615"],
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("invalid key profile"), "{stderr}");
 }
 
 #[test]

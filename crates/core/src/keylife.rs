@@ -998,6 +998,14 @@ mod tests {
                 profile: "polar-1073741824-1".to_string()
             }
         );
+        // A secret whose codeword length overflows usize is refused too.
+        let err = KeyProfile::parse("golay-r5", usize::MAX).unwrap_err();
+        assert_eq!(
+            err,
+            KeyLifeError::InvalidProfile {
+                profile: "golay-r5".to_string()
+            }
+        );
     }
 
     #[test]

@@ -302,16 +302,18 @@ impl KeyGenerator {
     ///
     /// # Panics
     ///
-    /// Panics if `secret_bits == 0`, `repetition` is even or zero, or the
-    /// 23·`repetition`-bit block exceeds the 65 536-bit codeword cap.
+    /// Panics if `secret_bits == 0`, `repetition` is even or zero, the
+    /// 23·`repetition`-bit block exceeds the 65 536-bit codeword cap, or
+    /// the codeword for `secret_bits` overflows `usize`.
     pub fn new(secret_bits: usize, repetition: usize) -> Self {
         assert!(secret_bits > 0, "need at least one secret bit");
         assert!(
             repetition % 2 == 1,
             "repetition factor must be odd, got {repetition}"
         );
-        Self::from_spec(secret_bits, CodeSpec::GolayRepetition { repetition })
-            .unwrap_or_else(|_| panic!("repetition factor {repetition} exceeds the codeword cap"))
+        Self::from_spec(secret_bits, CodeSpec::GolayRepetition { repetition }).unwrap_or_else(
+            |_| panic!("golay-r{repetition} cannot carry {secret_bits} secret bits"),
+        )
     }
 
     /// Polar-code dimensioning (the paper's ref \[13\] construction):
@@ -319,11 +321,12 @@ impl KeyGenerator {
     ///
     /// # Panics
     ///
-    /// Panics if `secret_bits == 0` or the polar parameters are invalid.
+    /// Panics if `secret_bits == 0`, the polar parameters are invalid, or
+    /// the codeword for `secret_bits` overflows `usize`.
     pub fn with_polar(secret_bits: usize, n: usize, k: usize) -> Self {
         assert!(secret_bits > 0, "need at least one secret bit");
         Self::from_spec(secret_bits, CodeSpec::Polar { n, k })
-            .unwrap_or_else(|_| panic!("invalid polar parameters n={n}, k={k}"))
+            .unwrap_or_else(|_| panic!("polar-{n}-{k} cannot carry {secret_bits} secret bits"))
     }
 
     /// Fallible constructor from an arbitrary (possibly parsed) spec — the
@@ -333,16 +336,22 @@ impl KeyGenerator {
     /// # Errors
     ///
     /// Returns [`KeyError::InvalidCodeSpec`] if `secret_bits == 0`, the
-    /// spec's parameters cannot build a code, or its codeword block would
-    /// exceed 65 536 bits.
+    /// spec's parameters cannot build a code, its codeword block would
+    /// exceed 65 536 bits, or the blocks covering `secret_bits` would
+    /// overflow `usize` (see [`required_bits`](Self::required_bits)).
     pub fn from_spec(secret_bits: usize, spec: CodeSpec) -> Result<Self, KeyError> {
         if secret_bits == 0 {
             return Err(KeyError::InvalidCodeSpec);
         }
+        let code = spec.build()?;
+        secret_bits
+            .div_ceil(code.message_bits())
+            .checked_mul(code.codeword_bits())
+            .ok_or(KeyError::InvalidCodeSpec)?;
         Ok(Self {
             secret_bits,
             spec,
-            code: spec.build()?,
+            code,
         })
     }
 
@@ -364,7 +373,8 @@ impl KeyGenerator {
         (self.required_bits() as f64 / per_bit).ceil() as usize
     }
 
-    /// Debiased bits needed to cover the codeword.
+    /// Debiased bits needed to cover the codeword. Cannot overflow:
+    /// [`from_spec`](Self::from_spec) refuses a spec whose product would.
     pub(crate) fn required_bits(&self) -> usize {
         self.secret_bits.div_ceil(self.code.message_bits()) * self.code.codeword_bits()
     }
@@ -724,6 +734,11 @@ mod tests {
         // 23 × r overflowing usize is refused, not wrapped.
         assert_eq!(
             build("golay-r18446744073709551615"),
+            Err(KeyError::InvalidCodeSpec)
+        );
+        // So is a secret whose blocks' total overflows usize.
+        assert_eq!(
+            KeyGenerator::from_spec(usize::MAX, "golay-r5".parse().unwrap()),
             Err(KeyError::InvalidCodeSpec)
         );
         // 23 × 2 849 = 65 527 bits and a 2^16-bit polar block fit.
