@@ -38,7 +38,7 @@ use pufassess::streaming::WindowAccumulator;
 use pufassess::visualize;
 use pufbench::{
     campaign_total_cycles, cli, default_threads, metrics, reopen_for_resume_with,
-    run_assessment_streaming_with, run_keylife_streaming_with, FormatSink, Scale,
+    run_keylife_streaming_with, FormatSink, Scale,
 };
 use pufobs::Instruments;
 use puftestbed::store::{checkpoint, IoFaultPlan, IoPolicy, RecordFormat, TeeSink};
@@ -173,12 +173,7 @@ fn main() {
                 std::process::exit(1);
             })
         });
-        let needs_campaign_plumbing = resume_state.is_some()
-            || checkpoint_out.is_some()
-            || halt_after.is_some()
-            || records_out.is_some();
-        let assessment = if needs_campaign_plumbing {
-            let path = records_out.as_deref();
+        let assessment = {
             let mut campaign = match &resume_state {
                 Some(state) => {
                     let campaign = Campaign::resume(scale.campaign_config(), seed, state)
@@ -214,7 +209,7 @@ fn main() {
             if let Some(ins) = &obs {
                 accumulator.attach_instruments(ins);
             }
-            match path {
+            match records_out.as_deref() {
                 Some(path) => {
                     let declared = u32::try_from(scale.campaign_config().read_bits).unwrap_or(0);
                     // On resume, the salvage pass replays the head of the
@@ -272,13 +267,6 @@ fn main() {
                 );
                 None
             }
-        } else {
-            Some(run_assessment_streaming_with(
-                scale,
-                seed,
-                threads,
-                obs.as_ref(),
-            ))
         };
         drop(heartbeat);
         let Some(assessment) = assessment else {
