@@ -250,8 +250,8 @@ impl WindowAccumulator {
         if !self.windows.contains_key(&key) {
             // Reference-width rule: a device's later windows take the width
             // of its first read, the reference every WCHD compares with.
-            let reference = self.devices.get(&record.device.0).map(|d| &d.reference);
-            if reference.is_some_and(|r| r.len() != record.data.len()) {
+            let device = self.devices.get(&record.device.0);
+            if device.is_some_and(|d| d.reference.len() != record.data.len()) {
                 self.skipped_width_mismatch += 1;
                 self.count_skip();
                 return;

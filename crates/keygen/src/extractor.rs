@@ -312,7 +312,12 @@ impl KeyGenerator {
             "repetition factor must be odd, got {repetition}"
         );
         Self::from_spec(secret_bits, CodeSpec::GolayRepetition { repetition }).unwrap_or_else(
-            |_| panic!("golay-r{repetition} cannot carry {secret_bits} secret bits"),
+            |_| {
+                panic!(
+                    "repetition factor {repetition} exceeds the codeword cap, or the codeword \
+                     for {secret_bits} secret bits overflows usize"
+                )
+            },
         )
     }
 
@@ -325,8 +330,12 @@ impl KeyGenerator {
     /// the codeword for `secret_bits` overflows `usize`.
     pub fn with_polar(secret_bits: usize, n: usize, k: usize) -> Self {
         assert!(secret_bits > 0, "need at least one secret bit");
-        Self::from_spec(secret_bits, CodeSpec::Polar { n, k })
-            .unwrap_or_else(|_| panic!("polar-{n}-{k} cannot carry {secret_bits} secret bits"))
+        Self::from_spec(secret_bits, CodeSpec::Polar { n, k }).unwrap_or_else(|_| {
+            panic!(
+                "invalid polar parameters n={n}, k={k}, or the codeword for \
+                 {secret_bits} secret bits overflows usize"
+            )
+        })
     }
 
     /// Fallible constructor from an arbitrary (possibly parsed) spec — the
@@ -338,7 +347,7 @@ impl KeyGenerator {
     /// Returns [`KeyError::InvalidCodeSpec`] if `secret_bits == 0`, the
     /// spec's parameters cannot build a code, its codeword block would
     /// exceed 65 536 bits, or the blocks covering `secret_bits` would
-    /// overflow `usize` (see [`required_bits`](Self::required_bits)).
+    /// together overflow `usize`.
     pub fn from_spec(secret_bits: usize, spec: CodeSpec) -> Result<Self, KeyError> {
         if secret_bits == 0 {
             return Err(KeyError::InvalidCodeSpec);
