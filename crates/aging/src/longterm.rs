@@ -308,8 +308,10 @@ mod tests {
         let profile = TechnologyProfile::atmega32u4();
         let series = paper_series(1);
         let pop = &profile.population;
-        // Both sides integrate over the same 4 001-node Simpson grid on ±8σ
-        // (FHW against its closed form), so they agree to rounding.
+        // WCHD and FHW are checked against their closed forms, which the
+        // 4 001-node Simpson grid on ±8σ matches to ~1e-15 at this σ; noise
+        // entropy and stable ratio integrate over that same grid on both
+        // sides, so they agree to rounding.
         assert!((series[0].wchd - pop.expected_wchd()).abs() < 1e-12);
         assert!((series[0].fhw - pop.expected_fhw()).abs() < 1e-12);
         assert!((series[0].noise_entropy - pop.expected_noise_entropy()).abs() < 1e-12);

@@ -2,15 +2,19 @@
 
 use pufstats::normal::phi;
 use pufstats::solve::gaussian_expectation;
+use pufstats::special::owens_t;
 
 /// Gaussian population of cell mismatches: `m ~ N(mu, sigma^2)` in
 /// noise-sigma units.
 ///
-/// Every Table I metric of the paper is an expectation under this population
-/// and is exposed here in quadrature form. These analytic values serve two
-/// roles: they are the *oracle* against which the Monte-Carlo simulation is
-/// property-tested, and they are the objective of the
-/// [`calibrate`](crate::calibrate) solver.
+/// Every Table I metric of the paper is an expectation under this population.
+/// FHW, WCHD and BCHD are exposed in closed form; noise entropy and the
+/// stable-cell ratio have none and are integrated by quadrature
+/// ([`expect_p`](Self::expect_p)), which is also the tests' oracle for the
+/// closed forms. These analytic values serve two roles: they are the
+/// *oracle* against which the Monte-Carlo simulation is property-tested, and
+/// FHW and WCHD are the objective of the [`calibrate`](crate::calibrate)
+/// solver.
 ///
 /// # Examples
 ///
@@ -61,9 +65,12 @@ impl PopulationModel {
     }
 
     /// Expected within-class fractional Hamming distance against a reference
-    /// read-out sampled from the same fresh device: `E[2 p (1 − p)]`.
+    /// read-out sampled from the same fresh device: `E[2 p (1 − p)]`,
+    /// evaluated in closed form as `4·T(mu / sqrt(1+sigma^2),
+    /// 1 / sqrt(1+2 sigma^2))` with Owen's [`T`](owens_t).
     pub fn expected_wchd(&self) -> f64 {
-        self.expect_p(|p| 2.0 * p * (1.0 - p))
+        let s2 = self.sigma * self.sigma;
+        4.0 * owens_t(self.mu / (1.0 + s2).sqrt(), 1.0 / (1.0 + 2.0 * s2).sqrt())
     }
 
     /// Expected between-class fractional Hamming distance between two
@@ -119,6 +126,28 @@ mod tests {
         let pop = PopulationModel::new(1.3, 5.0);
         let quad = pop.expect_p(|p| p);
         assert!((quad - pop.expected_fhw()).abs() < 1e-8);
+    }
+
+    #[test]
+    fn wchd_closed_form_matches_quadrature() {
+        for mu in [-8.0, -3.0, -0.5, 0.0, 0.7, 2.0, 5.56, 12.0] {
+            for sigma in [0.05, 0.5, 1.0, 3.0, 10.0, 17.13, 30.0] {
+                let pop = PopulationModel::new(mu, sigma);
+                let quad = pop.expect_p(|p| 2.0 * p * (1.0 - p));
+                let gap = (pop.expected_wchd() - quad).abs();
+                assert!(gap < 1e-14, "mu={mu}, sigma={sigma}: {gap:e}");
+            }
+        }
+    }
+
+    #[test]
+    fn wchd_of_a_point_mass_is_2p_1_minus_p() {
+        for i in 0..=200 {
+            let mu = -10.0 + 0.1 * f64::from(i);
+            let p = phi(mu);
+            let gap = (PopulationModel::new(mu, 0.0).expected_wchd() - 2.0 * p * (1.0 - p)).abs();
+            assert!(gap < 1e-15, "mu={mu}: {gap:e}");
+        }
     }
 
     #[test]
