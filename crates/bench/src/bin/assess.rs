@@ -165,7 +165,13 @@ fn main() {
         exit(1);
     });
 
-    println!("=== Table I ===\n\n{}", assessment.table1().render());
+    println!("=== Table I ===\n");
+    let months = assessment.aggregates().len();
+    if months >= 2 {
+        println!("{}", assessment.table1().render());
+    } else {
+        println!("Table I needs at least two evaluated months; this file has {months}.\n");
+    }
 
     // Coverage: say so when months are missing devices or starved of reads
     // (brownouts, retry exhaustion) — the aggregates above silently shrink
