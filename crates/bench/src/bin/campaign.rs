@@ -48,7 +48,7 @@
 use pufbench::{campaign_total_cycles, cli, metrics, reopen_for_resume_with, FormatSink};
 use pufobs::Instruments;
 use puftestbed::store::{checkpoint, IoFaultPlan, IoPolicy, RecordFormat};
-use puftestbed::{Campaign, CampaignConfig, FaultPlan};
+use puftestbed::{Campaign, CampaignConfig, FaultPlan, MAX_BOARDS};
 use std::path::Path;
 use std::process::exit;
 
@@ -74,11 +74,20 @@ fn main() {
         match arg.as_str() {
             "--out" => out = Some(args.value(&arg)),
             "--format" => format = args.parse(&arg),
-            "--boards" => config.boards = args.parse(&arg),
+            "--boards" => {
+                config.boards = args.positive(&arg);
+                if config.boards > MAX_BOARDS {
+                    eprintln!(
+                        "--boards must be at most {MAX_BOARDS}: two I2C layers of slave \
+                         addresses 0x10..=0x77"
+                    );
+                    exit(2);
+                }
+            }
             "--months" => config.months = args.parse(&arg),
             "--reads" => config.reads_per_window = args.parse(&arg),
             "--read-bits" => {
-                config.read_bits = args.parse(&arg);
+                config.read_bits = args.positive(&arg);
                 config.sram_bits = config.sram_bits.max(config.read_bits);
             }
             "--seed" => seed = args.parse(&arg),

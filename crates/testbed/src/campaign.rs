@@ -287,6 +287,21 @@ pub fn board_stream_seed(campaign_seed: u64, board: BoardId) -> u64 {
     )
 }
 
+/// The most boards a campaign can wire. Board `i` sits on layer `i % 2` at
+/// I2C address `0x10 + i / 2`, and 0x77 is the last valid 7-bit slave
+/// address, so each layer holds 104 boards.
+pub const MAX_BOARDS: usize = 2 * (0x77 - 0x10 + 1);
+
+/// The bus address of board `index`: 0x10 plus its index within its layer.
+fn board_address(index: usize) -> Address {
+    assert!(
+        index < MAX_BOARDS,
+        "a campaign wires at most {MAX_BOARDS} boards"
+    );
+    let offset = u8::try_from(index / 2).expect("index / 2 < 104");
+    Address::new(0x10 + offset).expect("0x10 + index / 2 <= 0x77")
+}
+
 /// One board's independent execution unit: the device, its layer position,
 /// its own bus endpoint, RNG stream, and batched power-up kernel.
 #[derive(Debug)]
@@ -444,8 +459,9 @@ impl Campaign {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is degenerate (no boards, empty read
-    /// window, or a read window larger than the SRAM).
+    /// Panics if the configuration is degenerate (no boards, more than
+    /// [`MAX_BOARDS`], empty read window, or a read window larger than the
+    /// SRAM).
     pub fn new(config: CampaignConfig, seed: u64) -> Self {
         assert!(config.boards > 0, "a campaign needs at least one board");
         assert!(
@@ -469,10 +485,7 @@ impl Campaign {
                 BoardShard {
                     board,
                     layer: i % 2,
-                    // Position on the layer master's bus segment, as the rig
-                    // wires it: 0x10 + index within the layer.
-                    address: Address::new(0x10 + u8::try_from(i / 2).expect("board count fits u8"))
-                        .expect("slave addresses stay in the valid range"),
+                    address: board_address(i),
                     bus: I2cBus::with_faults(config.i2c_nack_rate, config.i2c_corruption_rate),
                     rng,
                     kernel: PowerUpKernel::new(),
@@ -570,8 +583,7 @@ impl Campaign {
                         &b.board,
                     ),
                     layer: i % 2,
-                    address: Address::new(0x10 + u8::try_from(i / 2).expect("board count fits u8"))
-                        .expect("slave addresses stay in the valid range"),
+                    address: board_address(i),
                     bus,
                     rng: PufRng::from_state(b.rng),
                     kernel: PowerUpKernel::new(),
@@ -1050,6 +1062,17 @@ mod tests {
             reads_per_window: 10,
             ..CampaignConfig::default()
         }
+    }
+
+    #[test]
+    fn max_boards_fill_both_address_layers() {
+        let config = CampaignConfig {
+            boards: MAX_BOARDS,
+            ..tiny_config()
+        };
+        let campaign = Campaign::new(config, 1);
+        let last = &campaign.shards[MAX_BOARDS - 1];
+        assert_eq!((last.layer, last.address), (1, Address::new(0x77).unwrap()));
     }
 
     #[test]

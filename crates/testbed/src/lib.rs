@@ -61,6 +61,7 @@ mod campaign;
 pub use board::{BoardId, MasterBoard, SlaveBoard, SlaveBoardState};
 pub use campaign::{
     board_stream_seed, Campaign, CampaignConfig, CampaignSummary, Dataset, MeasurementPlan,
+    MAX_BOARDS,
 };
 pub use faults::{FaultPlan, FaultTally, GapCause, GapRecord, PlanError};
 pub use power::PowerSwitch;
