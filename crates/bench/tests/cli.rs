@@ -264,6 +264,21 @@ fn every_binary_exits_2_without_a_panic_on_bad_flags() {
             assert!(!stderr.contains("panicked"), "{binary} {args:?}: {stderr}");
         }
     }
+    // Values that parse but that the rig cannot wire: no boards, more boards
+    // than two layers of slave addresses hold, an empty read window.
+    let records = temp_path("bad_rig.jsonl");
+    for args in [["--boards", "0"], ["--boards", "209"], ["--read-bits", "0"]] {
+        let out = Command::new(env!("CARGO_BIN_EXE_campaign"))
+            .args(args)
+            .arg("--out")
+            .arg(&records)
+            .output()
+            .expect("campaign runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "campaign {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "campaign {args:?}: {stderr}");
+        assert!(!records.exists(), "campaign {args:?} wrote its output file");
+    }
 }
 
 /// Writes one JSON-lines file of `(device, month, bits)` reads, each at
@@ -285,6 +300,32 @@ fn reads_file(name: &str, reads: &[(u8, u8, usize)]) -> std::path::PathBuf {
     let path = temp_path(name);
     std::fs::write(&path, lines).expect("records written");
     path
+}
+
+#[test]
+fn assess_reports_a_single_month_without_table1() {
+    // One evaluated month has no aging interval for Table I; the rest of the
+    // report still prints.
+    let input = reads_file("one_month.jsonl", &[(0, 2, 1024), (1, 2, 1024)]);
+    let out = Command::new(env!("CARGO_BIN_EXE_assess"))
+        .args(["--in", input.to_str().unwrap(), "--reads", "1"])
+        .output()
+        .expect("assess runs");
+    let (stdout, stderr) = (
+        String::from_utf8_lossy(&out.stdout),
+        String::from_utf8_lossy(&out.stderr),
+    );
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(
+        stdout.contains("Table I needs at least two evaluated months"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("=== fitted hidden-variable model per device (month 0) ==="),
+        "{stdout}"
+    );
+    std::fs::remove_file(&input).ok();
 }
 
 #[test]
