@@ -11,7 +11,7 @@
 //! [`owens_t`] gives the population's expected within-class Hamming distance
 //! in closed form, `E[2p(1−p)] = 4·T(h, a)`, which the month-0 fit bisects
 //! on. It integrates `T`'s defining integral with a fixed two-panel,
-//! 32-point Gauss–Legendre rule, exact to a few ulp on `0 ≤ a ≤ 1`, the
+//! 32-point Gauss–Legendre rule, accurate to a few ulp on `0 ≤ a ≤ 1`, the
 //! only range the fit reaches.
 //!
 //! [`ln_gamma`] and the incomplete gamma functions back the p-values of the
