@@ -7,10 +7,10 @@
 //! oracles, so the committed golden outputs pin this path too.
 
 use crate::entropy::{noise_entropy, puf_entropy, stable_cell_ratio};
-use crate::metrics::{within_class_hd, InitialQuality};
-use crate::monthly::{month_keys, select_windows, EvaluationProtocol, MonthlyWindow};
+use crate::metrics::{fractional_hw, within_class_hd, InitialQuality};
+use crate::monthly::{select_windows, EvaluationProtocol};
 use crate::table1::Table1;
-use pufbits::{BitMatrix, BitVec};
+use pufbits::{BitMatrix, BitVec, OnesCounter};
 use pufstats::Summary;
 use puftestbed::{BoardId, Dataset, Record};
 use std::collections::BTreeMap;
@@ -264,25 +264,6 @@ impl CoverageReport {
     }
 }
 
-/// Checks that every window, given as `(device, read width)` in window
-/// order, has the first window's width: the cross-device metrics compare
-/// reads bit by bit. A device's own windows share its reference width.
-pub(crate) fn check_widths(
-    mut windows: impl Iterator<Item = (BoardId, usize)>,
-) -> Result<(), AssessError> {
-    let Some((_, expected_bits)) = windows.next() else {
-        return Ok(());
-    };
-    match windows.find(|&(_, bits)| bits != expected_bits) {
-        Some((device, bits)) => Err(AssessError::MixedWidths {
-            device,
-            bits,
-            expected_bits,
-        }),
-        None => Ok(()),
-    }
-}
-
 /// Cross-device uniqueness of one month's first read-outs: the BCHD summary
 /// and the PUF min-entropy. A month where fewer than two devices reported
 /// has no device pairs, so its uniqueness is returned as the defined
@@ -296,6 +277,124 @@ pub(crate) fn month_uniqueness(firsts: &BitMatrix) -> (Summary, f64) {
         Summary::of(crate::metrics::between_class_hds(firsts)),
         puf_entropy(firsts),
     )
+}
+
+/// One window's statistics as an assessment path hands them to
+/// [`assemble`]. Each path derives the WCHD and FHW means its own way.
+#[derive(Debug, Clone)]
+pub(crate) struct WindowStats {
+    pub(crate) device: BoardId,
+    pub(crate) year_month: (i32, u8),
+    pub(crate) reads: u32,
+    /// Mean FHD of the window's reads against the first read of the
+    /// device's first window.
+    pub(crate) wchd: f64,
+    /// Mean fractional Hamming weight of the window's reads.
+    pub(crate) fhw: f64,
+    pub(crate) counter: OnesCounter,
+    pub(crate) first_read: BitVec,
+}
+
+/// Builds an [`Assessment`] from per-window statistics sorted by
+/// `(device, year, month)`. Both assessment paths finish here, so their
+/// checks and every derived value cannot diverge. `initial_quality` builds
+/// the Fig. 5 bundle of the given first month once the checks have passed.
+///
+/// # Errors
+///
+/// [`AssessError::NoWindows`] for no windows, then
+/// [`AssessError::TooFewDevices`], [`AssessError::MissingReference`] (a
+/// device with no window in the first month) and
+/// [`AssessError::MixedWidths`], in that order.
+pub(crate) fn assemble(
+    protocol: EvaluationProtocol,
+    windows: &[WindowStats],
+    initial_quality: impl FnOnce((i32, u8)) -> InitialQuality,
+) -> Result<Assessment, AssessError> {
+    let mut months: Vec<(i32, u8)> = windows.iter().map(|w| w.year_month).collect();
+    months.sort_unstable();
+    months.dedup();
+    let Some(&first_month) = months.first() else {
+        return Err(AssessError::NoWindows);
+    };
+    let month_index: BTreeMap<(i32, u8), u32> = months
+        .iter()
+        .enumerate()
+        .map(|(i, &ym)| (ym, u32::try_from(i).expect("month count fits u32")))
+        .collect();
+
+    let mut devices: Vec<BoardId> = windows.iter().map(|w| w.device).collect();
+    devices.dedup();
+    if devices.len() < 2 {
+        return Err(AssessError::TooFewDevices {
+            devices: devices.len(),
+        });
+    }
+    let has_reference = |d: &BoardId| {
+        windows
+            .iter()
+            .any(|w| w.device == *d && w.year_month == first_month)
+    };
+    if let Some(&device) = devices.iter().find(|d| !has_reference(d)) {
+        return Err(AssessError::MissingReference { device });
+    }
+    // Cross-device metrics compare reads bit by bit; a device's own windows
+    // share its reference width.
+    let expected_bits = windows[0].first_read.len();
+    if let Some(w) = windows.iter().find(|w| w.first_read.len() != expected_bits) {
+        return Err(AssessError::MixedWidths {
+            device: w.device,
+            bits: w.first_read.len(),
+            expected_bits,
+        });
+    }
+
+    let device_months: Vec<DeviceMonth> = windows
+        .iter()
+        .map(|w| DeviceMonth {
+            device: w.device,
+            year_month: w.year_month,
+            month_index: month_index[&w.year_month],
+            reads: w.reads,
+            wchd: w.wchd,
+            fhw: w.fhw,
+            noise_entropy: noise_entropy(&w.counter),
+            stable_ratio: stable_cell_ratio(&w.counter),
+        })
+        .collect();
+    let aggregates = months
+        .iter()
+        .map(|&ym| {
+            let of_month: Vec<&DeviceMonth> = device_months
+                .iter()
+                .filter(|d| d.year_month == ym)
+                .collect();
+            let firsts: BitMatrix = windows
+                .iter()
+                .filter(|w| w.year_month == ym)
+                .map(|w| w.first_read.clone())
+                .collect();
+            let (bchd, month_puf_entropy) = month_uniqueness(&firsts);
+            MonthlyAggregate {
+                month_index: month_index[&ym],
+                year_month: ym,
+                wchd: Summary::of(of_month.iter().map(|d| d.wchd)),
+                fhw: Summary::of(of_month.iter().map(|d| d.fhw)),
+                noise_entropy: Summary::of(of_month.iter().map(|d| d.noise_entropy)),
+                stable_ratio: Summary::of(of_month.iter().map(|d| d.stable_ratio)),
+                bchd,
+                puf_entropy: month_puf_entropy,
+            }
+        })
+        .collect();
+    let coverage = CoverageReport::compute(&protocol, &device_months);
+    Ok(Assessment {
+        protocol,
+        device_months,
+        aggregates,
+        initial_quality: initial_quality(first_month),
+        coverage,
+    })
 }
 
 /// The complete long-term assessment of one campaign.
@@ -339,93 +438,33 @@ impl Assessment {
             return Err(AssessError::Empty);
         }
         let windows = select_windows(records, protocol);
-        if windows.is_empty() {
-            return Err(AssessError::NoWindows);
-        }
-        let months = month_keys(&windows);
-        let month_index: BTreeMap<(i32, u8), u32> = months
+        let stats: Vec<WindowStats> = windows
             .iter()
-            .enumerate()
-            .map(|(i, &ym)| (ym, u32::try_from(i).expect("month count fits u32")))
+            .map(|w| {
+                // Windows are sorted by device, then month: the first one
+                // found is the device's first window, whose first read is
+                // the device's reference.
+                let first = windows.iter().find(|f| f.device == w.device);
+                let reference = &first.expect("a window of its own device").first_read;
+                WindowStats {
+                    device: w.device,
+                    year_month: w.year_month,
+                    reads: w.reads(),
+                    wchd: within_class_hd(&w.readouts, reference),
+                    fhw: fractional_hw(&w.readouts),
+                    counter: w.counter.clone(),
+                    first_read: w.first_read.clone(),
+                }
+            })
             .collect();
-
-        // Month-zero references per device.
-        let first_month = months[0];
-        let mut references: BTreeMap<BoardId, BitVec> = BTreeMap::new();
-        let mut devices: Vec<BoardId> = Vec::new();
-        for w in &windows {
-            if !devices.contains(&w.device) {
-                devices.push(w.device);
-            }
-            if w.year_month == first_month {
-                references.insert(w.device, w.first_read.clone());
-            }
-        }
-        if devices.len() < 2 {
-            return Err(AssessError::TooFewDevices {
-                devices: devices.len(),
-            });
-        }
-        for device in &devices {
-            if !references.contains_key(device) {
-                return Err(AssessError::MissingReference { device: *device });
-            }
-        }
-        check_widths(windows.iter().map(|w| (w.device, w.first_read.len())))?;
-
-        // Per-device monthly metrics.
-        let mut device_months = Vec::with_capacity(windows.len());
-        for w in &windows {
-            let reference = &references[&w.device];
-            device_months.push(DeviceMonth {
-                device: w.device,
-                year_month: w.year_month,
-                month_index: month_index[&w.year_month],
-                reads: w.reads(),
-                wchd: within_class_hd(&w.readouts, reference),
-                fhw: crate::metrics::fractional_hw(&w.readouts),
-                noise_entropy: noise_entropy(&w.counter),
-                stable_ratio: stable_cell_ratio(&w.counter),
-            });
-        }
-
-        // Cross-device aggregates per month.
-        let mut aggregates = Vec::with_capacity(months.len());
-        for &ym in &months {
-            let of_month: Vec<&DeviceMonth> = device_months
+        assemble(*protocol, &stats, |first_month| {
+            let first_windows: Vec<BitMatrix> = windows
                 .iter()
-                .filter(|d| d.year_month == ym)
+                .filter(|w| w.year_month == first_month)
+                .map(|w| w.readouts.clone())
                 .collect();
-            let month_windows: Vec<&MonthlyWindow> =
-                windows.iter().filter(|w| w.year_month == ym).collect();
-            let firsts: BitMatrix = month_windows.iter().map(|w| w.first_read.clone()).collect();
-            let (bchd, month_puf_entropy) = month_uniqueness(&firsts);
-            aggregates.push(MonthlyAggregate {
-                month_index: month_index[&ym],
-                year_month: ym,
-                wchd: Summary::of(of_month.iter().map(|d| d.wchd)),
-                fhw: Summary::of(of_month.iter().map(|d| d.fhw)),
-                noise_entropy: Summary::of(of_month.iter().map(|d| d.noise_entropy)),
-                stable_ratio: Summary::of(of_month.iter().map(|d| d.stable_ratio)),
-                bchd,
-                puf_entropy: month_puf_entropy,
-            });
-        }
-
-        // Fig. 5 bundle from the first month's windows.
-        let first_windows: Vec<BitMatrix> = windows
-            .iter()
-            .filter(|w| w.year_month == first_month)
-            .map(|w| w.readouts.clone())
-            .collect();
-        let initial_quality = InitialQuality::evaluate(&first_windows);
-
-        Ok(Self::from_parts(
-            *protocol,
-            device_months,
-            aggregates,
-            initial_quality,
-        ))
+            InitialQuality::evaluate(&first_windows)
+        })
     }
 
     /// Runs the evaluation protocol over a record *stream* in bounded
@@ -451,25 +490,6 @@ impl Assessment {
             accumulator.push(record);
         }
         accumulator.finish()
-    }
-
-    /// Assembles an assessment from already-computed parts. Both the
-    /// in-memory and streaming paths finish here, so derived state like the
-    /// coverage report is computed once and can never diverge between them.
-    pub(crate) fn from_parts(
-        protocol: EvaluationProtocol,
-        device_months: Vec<DeviceMonth>,
-        aggregates: Vec<MonthlyAggregate>,
-        initial_quality: InitialQuality,
-    ) -> Self {
-        let coverage = CoverageReport::compute(&protocol, &device_months);
-        Self {
-            protocol,
-            device_months,
-            aggregates,
-            initial_quality,
-            coverage,
-        }
     }
 
     /// The protocol used.

@@ -15,16 +15,19 @@
 //! bounds, kernelized debias/XOR paths inside [`pufkeygen`]), so the
 //! observed-vs-bound table is bit-identical to a per-bit implementation.
 //!
-//! [`KeyLifeAccumulator`] is the streaming, bounded-memory path, folding
-//! records one at a time exactly like
-//! [`WindowAccumulator`](crate::streaming::WindowAccumulator): the same
-//! evaluation-day and window-cap rules, the same width-mismatch
-//! skip-and-count policy, and the same out-of-order detection. The width
-//! rule also holds against the device's enrollment reference: every read is
-//! compared with it, so a read of another width is skipped and counted, not
-//! folded. Peak memory is `devices × (months + profiles × helper data)` and
-//! independent of the record count. [`KeyLife::from_records`] is the
-//! in-memory reference path; the two are locked byte-identical by
+//! [`KeyLifeAccumulator`] is the streaming, bounded-memory path. It folds
+//! records one at a time through the window fold of
+//! [`monthly`](crate::monthly), the one
+//! [`WindowAccumulator`](crate::streaming::WindowAccumulator) folds through:
+//! the same evaluation-day and window-cap rules, the same reference-width
+//! rule and the same out-of-order detection. A read whose width differs
+//! from its device's enrollment reference is skipped and counted and never
+//! opens a window, so a month whose only reads have another width is not
+//! one of the workload's months. Peak memory is
+//! `devices × (months + profiles × helper data)` and independent of the
+//! record count. [`KeyLife::from_records`] is the in-memory reference path:
+//! it selects its windows through [`select_windows_counted`] and enrolls and
+//! replays on its own. The two are locked byte-identical by
 //! `crates/core/tests/keylife_equivalence.rs`.
 //!
 //! **Erasure policy for gaps.** Fault-induced gaps
@@ -40,7 +43,10 @@
 //! render as `-` instead of a rate — the <2-survivor degradation mirror of
 //! [`month_uniqueness`](crate::assessment)'s placeholder.
 
-use crate::monthly::{effective_eval_day, EvaluationProtocol};
+use crate::monthly::{
+    effective_eval_day, select_windows_counted, EvaluationProtocol, FoldDevice, FoldWindow,
+    WindowFold,
+};
 use pufbits::{splitmix64, BitVec, PufRng};
 use pufkeygen::analysis::spec_failure_bound;
 use pufkeygen::{CodeSpec, Enrollment, KeyGenerator};
@@ -146,43 +152,19 @@ impl fmt::Display for KeyLifeError {
 
 impl Error for KeyLifeError {}
 
-/// A device's enrollment state: the reference read and one enrollment per
-/// profile (`None` where the response could not cover the profile's
-/// codeword — that profile simply skips the device).
-#[derive(Debug, Clone, PartialEq)]
-struct DeviceLife {
-    enroll_month: (i32, u8),
-    reference: BitVec,
-    enrollments: Vec<Option<Enrollment>>,
-}
+/// A device's fold state: one enrollment per profile (`None` where the
+/// response could not cover the profile's codeword — that profile simply
+/// skips the device).
+type Enrollments = Vec<Option<Enrollment>>;
 
-/// Running state of one (device, month) window: counts only, no read-outs.
-#[derive(Debug, Clone, PartialEq)]
-struct MonthState {
-    device: BoardId,
-    year_month: (i32, u8),
-    width: usize,
-    /// Records folded into the window (cap accounting, all months).
-    reads: u32,
-    /// Running sum of per-read FHD vs the enrollment reference, arrival
-    /// order (bit-identical between the streaming and in-memory paths).
-    wchd_sum: f64,
-    /// Reconstruction failures per profile (post-enrollment months only).
-    failures: Vec<u64>,
-}
+/// A window's fold state: reconstruction failures per profile
+/// (post-enrollment months only).
+type Failures = Vec<u64>;
 
-/// Pre-registered handles for the workload's `keylife.*` instruments.
-/// Every pushed record is exactly one of folded / skipped, so
-/// `keylife.records_seen == keylife.records_folded + keylife.records_skipped`
-/// holds at every instant.
+/// Pre-registered handles for the workload's `keylife.*` instruments; the
+/// fold maintains the `keylife.records_*` counters.
 #[derive(Debug, Clone)]
 struct KeyLifeInstruments {
-    /// `keylife.records_seen` — records pushed (eligible or not).
-    seen: Counter,
-    /// `keylife.records_folded` — records folded into a window.
-    folded: Counter,
-    /// `keylife.records_skipped` — records not folded.
-    skipped: Counter,
     /// `keylife.reconstructions` — reconstruction attempts (records ×
     /// enrolled profiles, post-enrollment months).
     reconstructions: Counter,
@@ -200,9 +182,6 @@ struct KeyLifeInstruments {
 impl KeyLifeInstruments {
     fn new(ins: &Instruments) -> Self {
         Self {
-            seen: ins.counter("keylife.records_seen"),
-            folded: ins.counter("keylife.records_folded"),
-            skipped: ins.counter("keylife.records_skipped"),
             reconstructions: ins.counter("keylife.reconstructions"),
             reconstruct_failures: ins.counter("keylife.reconstruct_failures"),
             devices_enrolled: ins.counter("keylife.devices_enrolled"),
@@ -223,16 +202,11 @@ impl KeyLifeInstruments {
 pub struct KeyLifeAccumulator {
     config: KeyLifeConfig,
     generators: Vec<KeyGenerator>,
-    devices: BTreeMap<u8, DeviceLife>,
-    windows: BTreeMap<(u8, i32, u8), MonthState>,
-    records_seen: u64,
-    records_folded: u64,
-    skipped_width_mismatch: u64,
+    fold: WindowFold<Failures, Enrollments>,
     reconstructions: u64,
     reconstruct_failures: u64,
     wrong_keys: u64,
     enroll_failures: u64,
-    out_of_order: Option<BoardId>,
     obs: Option<KeyLifeInstruments>,
 }
 
@@ -241,18 +215,13 @@ impl KeyLifeAccumulator {
     pub fn new(config: KeyLifeConfig) -> Self {
         let generators = config.profiles.iter().map(KeyProfile::generator).collect();
         Self {
+            fold: WindowFold::new(config.protocol),
             config,
             generators,
-            devices: BTreeMap::new(),
-            windows: BTreeMap::new(),
-            records_seen: 0,
-            records_folded: 0,
-            skipped_width_mismatch: 0,
             reconstructions: 0,
             reconstruct_failures: 0,
             wrong_keys: 0,
             enroll_failures: 0,
-            out_of_order: None,
             obs: None,
         }
     }
@@ -261,6 +230,7 @@ impl KeyLifeAccumulator {
     /// counters. Folding is unchanged — the produced [`KeyLife`] is
     /// identical with or without instruments.
     pub fn attach_instruments(&mut self, ins: &Instruments) {
+        self.fold.attach_instruments(ins, "keylife");
         self.obs = Some(KeyLifeInstruments::new(ins));
     }
 
@@ -271,12 +241,12 @@ impl KeyLifeAccumulator {
 
     /// Records pushed so far (eligible or not).
     pub fn records_seen(&self) -> u64 {
-        self.records_seen
+        self.fold.records_seen()
     }
 
     /// Records folded into a window so far.
     pub fn records_folded(&self) -> u64 {
-        self.records_folded
+        self.fold.records_folded()
     }
 
     /// Reconstruction attempts so far.
@@ -284,55 +254,38 @@ impl KeyLifeAccumulator {
         self.reconstructions
     }
 
-    /// Folds one record: window bookkeeping exactly like the assessment
-    /// accumulator, plus per-profile key reconstruction for post-enrollment
-    /// months.
+    /// Folds one record: the assessment's window fold, plus per-profile key
+    /// reconstruction for post-enrollment months.
     pub fn push(&mut self, record: &Record) {
-        self.records_seen += 1;
-        if let Some(o) = &self.obs {
-            o.seen.inc();
-        }
-        let protocol = self.config.protocol;
-        let dt = record.timestamp.datetime();
-        if protocol.reads_per_window == 0 {
-            self.count_skip();
+        let profiles = self.config.profiles.len();
+        let Some((window, device, _, _)) = self.fold.push(
+            record,
+            || {
+                let enrollments = enroll(
+                    self.config.enroll_seed,
+                    &self.generators,
+                    record.device,
+                    &record.data,
+                );
+                let enrolled = enrollments.iter().flatten().count() as u64;
+                let failed = profiles as u64 - enrolled;
+                if let Some(o) = &self.obs {
+                    o.devices_enrolled.add(enrolled);
+                    o.enroll_failures.add(failed);
+                }
+                self.enroll_failures += failed;
+                enrollments
+            },
+            |_| vec![0; profiles],
+        ) else {
             return;
-        }
-        if dt.date.day < effective_eval_day(&protocol, dt.date.year, dt.date.month) {
-            self.count_skip();
-            return;
-        }
-        let ym = (dt.date.year, dt.date.month);
-        let key = (record.device.0, ym.0, ym.1);
-
-        if !self.windows.contains_key(&key) {
-            self.open_window(record, ym, key);
-        }
-        let window = self.windows.get_mut(&key).expect("window opened above");
-        let device = &self.devices[&record.device.0];
-        if window.reads >= protocol.reads_per_window {
-            self.count_skip();
-            return;
-        }
-        let width = record.data.len();
-        if width != window.width || width != device.reference.len() {
-            self.skipped_width_mismatch += 1;
-            self.count_skip();
-            return;
-        }
-        window.reads += 1;
-        self.records_folded += 1;
-        if let Some(o) = &self.obs {
-            o.folded.inc();
-        }
-
-        window.wchd_sum += record.data.fractional_hamming_distance(&device.reference);
-        if ym <= device.enroll_month {
+        };
+        if window.year_month <= device.reference_month {
             // Enrollment-month reads calibrate the reference; replay starts
             // with the next month.
             return;
         }
-        for (p, enrollment) in device.enrollments.iter().enumerate() {
+        for (p, enrollment) in device.state.iter().enumerate() {
             let Some(enrollment) = enrollment else {
                 continue;
             };
@@ -349,61 +302,13 @@ impl KeyLifeAccumulator {
                 Err(_) => true,
             };
             if failed {
-                window.failures[p] += 1;
+                window.state[p] += 1;
                 self.reconstruct_failures += 1;
                 if let Some(o) = &self.obs {
                     o.reconstruct_failures.inc();
                 }
             }
         }
-    }
-
-    fn count_skip(&self) {
-        if let Some(o) = &self.obs {
-            o.skipped.inc();
-        }
-    }
-
-    /// Opens the (device, month) window for `record`, enrolling the device
-    /// if this is its first eligible read.
-    fn open_window(&mut self, record: &Record, ym: (i32, u8), key: (u8, i32, u8)) {
-        match self.devices.get(&record.device.0) {
-            None => {
-                let mut enroll_failures = 0;
-                let device = enroll_device(
-                    &self.config,
-                    &self.generators,
-                    record.device,
-                    ym,
-                    &record.data,
-                    &mut enroll_failures,
-                );
-                if let Some(o) = &self.obs {
-                    let enrolled = device.enrollments.iter().flatten().count() as u64;
-                    o.devices_enrolled.add(enrolled);
-                    o.enroll_failures.add(enroll_failures);
-                }
-                self.enroll_failures += enroll_failures;
-                self.devices.insert(record.device.0, device);
-            }
-            Some(state) if ym < state.enroll_month => {
-                // An earlier month opened after the device enrolled from a
-                // later one: the enrollment reference was wrong.
-                self.out_of_order.get_or_insert(record.device);
-            }
-            Some(_) => {}
-        }
-        self.windows.insert(
-            key,
-            MonthState {
-                device: record.device,
-                year_month: ym,
-                width: record.data.len(),
-                reads: 0,
-                wchd_sum: 0.0,
-                failures: vec![0; self.config.profiles.len()],
-            },
-        );
     }
 
     /// Merges a device-disjoint shard into this accumulator. Sharding a
@@ -416,22 +321,11 @@ impl KeyLifeAccumulator {
     /// Panics if the shards saw overlapping devices (a harness bug, not a
     /// data condition).
     pub fn merge(&mut self, other: KeyLifeAccumulator) {
-        for device in other.devices.keys() {
-            assert!(
-                !self.devices.contains_key(device),
-                "shards must be device-disjoint, both saw device {device}"
-            );
-        }
-        self.devices.extend(other.devices);
-        self.windows.extend(other.windows);
-        self.records_seen += other.records_seen;
-        self.records_folded += other.records_folded;
-        self.skipped_width_mismatch += other.skipped_width_mismatch;
+        self.fold.merge(other.fold);
         self.reconstructions += other.reconstructions;
         self.reconstruct_failures += other.reconstruct_failures;
         self.wrong_keys += other.wrong_keys;
         self.enroll_failures += other.enroll_failures;
-        self.out_of_order = self.out_of_order.or(other.out_of_order);
     }
 
     /// Finalizes the accumulation into a [`KeyLife`] report.
@@ -446,23 +340,23 @@ impl KeyLifeAccumulator {
         if self.config.profiles.is_empty() {
             return Err(KeyLifeError::NoProfiles);
         }
-        if let Some(device) = self.out_of_order {
+        if let Some(device) = self.fold.out_of_order() {
             return Err(KeyLifeError::OutOfOrder { device });
         }
-        if self.records_seen == 0 {
+        if self.fold.records_seen() == 0 {
             return Err(KeyLifeError::Empty);
         }
-        if self.windows.is_empty() {
+        if self.fold.windows().is_empty() {
             return Err(KeyLifeError::NoWindows);
         }
         Ok(assemble(
             &self.config,
-            &self.devices,
-            &self.windows,
+            self.fold.devices(),
+            self.fold.windows(),
             LifeCounters {
-                records_seen: self.records_seen,
-                records_folded: self.records_folded,
-                skipped_width_mismatch: self.skipped_width_mismatch,
+                records_seen: self.fold.records_seen(),
+                records_folded: self.fold.records_folded(),
+                skipped_width_mismatch: self.fold.skipped_width_mismatch(),
                 reconstructions: self.reconstructions,
                 reconstruct_failures: self.reconstruct_failures,
                 wrong_keys: self.wrong_keys,
@@ -490,33 +384,22 @@ fn enroll_rng(seed: u64, device: BoardId, profile: usize) -> PufRng {
     PufRng::from_state((z, 0))
 }
 
-fn enroll_device(
-    config: &KeyLifeConfig,
+/// One enrollment per generator from `reference`, `None` where the
+/// response cannot cover the profile's codeword.
+fn enroll(
+    seed: u64,
     generators: &[KeyGenerator],
     device: BoardId,
-    ym: (i32, u8),
     reference: &BitVec,
-    enroll_failures: &mut u64,
-) -> DeviceLife {
-    let enrollments = generators
+) -> Enrollments {
+    generators
         .iter()
         .enumerate()
         .map(|(p, generator)| {
-            let mut rng = enroll_rng(config.enroll_seed, device, p);
-            match generator.enroll(reference, &mut rng) {
-                Ok(enrollment) => Some(enrollment),
-                Err(_) => {
-                    *enroll_failures += 1;
-                    None
-                }
-            }
+            let mut rng = enroll_rng(seed, device, p);
+            generator.enroll(reference, &mut rng).ok()
         })
-        .collect();
-    DeviceLife {
-        enroll_month: ym,
-        reference: reference.clone(),
-        enrollments,
-    }
+        .collect()
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -604,8 +487,8 @@ pub struct KeyLife {
 
 fn assemble(
     config: &KeyLifeConfig,
-    devices: &BTreeMap<u8, DeviceLife>,
-    windows: &BTreeMap<(u8, i32, u8), MonthState>,
+    devices: &BTreeMap<u8, FoldDevice<Enrollments>>,
+    windows: &BTreeMap<(u8, i32, u8), FoldWindow<Failures>>,
     counters: LifeCounters,
 ) -> KeyLife {
     let mut months: Vec<(i32, u8)> = windows.values().map(|w| w.year_month).collect();
@@ -618,10 +501,7 @@ fn assemble(
         .iter()
         .enumerate()
         .map(|(p, profile)| {
-            let enrolled = devices
-                .values()
-                .filter(|d| d.enrollments[p].is_some())
-                .count();
+            let enrolled = devices.values().filter(|d| d.state[p].is_some()).count();
             let rows = months
                 .iter()
                 .enumerate()
@@ -632,7 +512,7 @@ fn assemble(
                     let mut erasures = 0u64;
                     let mut max_wchd: Option<f64> = None;
                     for (id, device) in devices {
-                        if device.enrollments[p].is_none() || ym <= device.enroll_month {
+                        if device.state[p].is_none() || ym <= device.reference_month {
                             continue;
                         }
                         row_devices += 1;
@@ -640,7 +520,7 @@ fn assemble(
                             Some(w) => {
                                 let reads = u64::from(w.reads);
                                 attempts += reads;
-                                failures += w.failures[p];
+                                failures += w.state[p];
                                 erasures += expected.saturating_sub(reads);
                                 if reads > 0 {
                                     let mean = w.wchd_sum / w.reads as f64;
@@ -723,98 +603,65 @@ impl KeyLife {
         if records.is_empty() {
             return Err(KeyLifeError::Empty);
         }
-        let generators: Vec<KeyGenerator> =
-            config.profiles.iter().map(KeyProfile::generator).collect();
         let protocol = config.protocol;
-
-        // Group eligible reads into (device, month) windows, preserving
-        // arrival order, applying the cap and width rules record by record.
-        // A device's first eligible read is its enrollment reference.
-        let mut retained: BTreeMap<(u8, i32, u8), Vec<BitVec>> = BTreeMap::new();
-        let mut widths: BTreeMap<(u8, i32, u8), usize> = BTreeMap::new();
-        let mut references: BTreeMap<u8, ((i32, u8), usize)> = BTreeMap::new();
-        let mut records_seen = 0u64;
-        let mut records_folded = 0u64;
-        let mut skipped_width_mismatch = 0u64;
+        // The fold's order check: an eligible read of its device's reference
+        // width, from a month before the device's first eligible read.
+        let mut firsts: BTreeMap<u8, ((i32, u8), usize)> = BTreeMap::new();
         for record in records {
-            records_seen += 1;
-            if protocol.reads_per_window == 0 {
+            let date = record.timestamp.datetime().date;
+            if protocol.reads_per_window == 0
+                || date.day < effective_eval_day(&protocol, date.year, date.month)
+            {
                 continue;
             }
-            let dt = record.timestamp.datetime();
-            if dt.date.day < effective_eval_day(&protocol, dt.date.year, dt.date.month) {
-                continue;
-            }
-            let ym = (dt.date.year, dt.date.month);
-            let key = (record.device.0, ym.0, ym.1);
-            let (first, reference_width) = *references
+            let ym = (date.year, date.month);
+            let (first, width) = *firsts
                 .entry(record.device.0)
                 .or_insert((ym, record.data.len()));
-            if ym < first {
+            if ym < first && record.data.len() == width {
                 return Err(KeyLifeError::OutOfOrder {
                     device: record.device,
                 });
             }
-            let width = *widths.entry(key).or_insert_with(|| record.data.len());
-            let window = retained.entry(key).or_default();
-            if window.len() as u64 >= u64::from(protocol.reads_per_window) {
-                continue;
-            }
-            if record.data.len() != width || record.data.len() != reference_width {
-                skipped_width_mismatch += 1;
-                continue;
-            }
-            window.push(record.data.clone());
-            records_folded += 1;
         }
-        if retained.is_empty() {
+        let selection = select_windows_counted(records, &protocol);
+        if selection.windows.is_empty() {
             return Err(KeyLifeError::NoWindows);
         }
 
         // Enroll every device from the first read of its earliest window.
-        let mut devices: BTreeMap<u8, DeviceLife> = BTreeMap::new();
-        let mut enroll_failures = 0u64;
-        for (&(id, year, month), reads) in &retained {
-            if devices.contains_key(&id) {
-                continue;
-            }
-            let reference = reads.first().expect("windows retain their first read");
-            devices.insert(
-                id,
-                enroll_device(
-                    config,
-                    &generators,
-                    BoardId(id),
-                    (year, month),
-                    reference,
-                    &mut enroll_failures,
-                ),
-            );
+        let generators: Vec<KeyGenerator> =
+            config.profiles.iter().map(KeyProfile::generator).collect();
+        let mut devices: BTreeMap<u8, FoldDevice<Enrollments>> = BTreeMap::new();
+        for w in &selection.windows {
+            devices.entry(w.device.0).or_insert_with(|| FoldDevice {
+                reference_month: w.year_month,
+                reference: w.first_read.clone(),
+                state: enroll(config.enroll_seed, &generators, w.device, &w.first_read),
+            });
         }
 
-        // Replay every retained read: WCHD accumulation for all months,
+        // Replay every selected read: WCHD accumulation for all months,
         // reconstruction for post-enrollment months.
         let mut reconstructions = 0u64;
         let mut reconstruct_failures = 0u64;
         let mut wrong_keys = 0u64;
-        let mut windows: BTreeMap<(u8, i32, u8), MonthState> = BTreeMap::new();
-        for (&(id, year, month), reads) in &retained {
-            let device = &devices[&id];
-            let ym = (year, month);
-            let mut state = MonthState {
-                device: BoardId(id),
-                year_month: ym,
-                width: widths[&(id, year, month)],
-                reads: u32::try_from(reads.len()).expect("cap fits u32"),
+        let mut windows: BTreeMap<(u8, i32, u8), FoldWindow<Failures>> = BTreeMap::new();
+        for w in &selection.windows {
+            let device = &devices[&w.device.0];
+            let mut window = FoldWindow {
+                device: w.device,
+                year_month: w.year_month,
+                reads: w.reads(),
                 wchd_sum: 0.0,
-                failures: vec![0; config.profiles.len()],
+                state: vec![0; config.profiles.len()],
             };
-            for read in reads {
-                state.wchd_sum += read.fractional_hamming_distance(&device.reference);
-                if ym <= device.enroll_month {
+            for read in w.readouts.iter() {
+                window.wchd_sum += read.fractional_hamming_distance(&device.reference);
+                if w.year_month <= device.reference_month {
                     continue;
                 }
-                for (p, enrollment) in device.enrollments.iter().enumerate() {
+                for (p, enrollment) in device.state.iter().enumerate() {
                     let Some(enrollment) = enrollment else {
                         continue;
                     };
@@ -828,22 +675,27 @@ impl KeyLife {
                         Err(_) => true,
                     };
                     if failed {
-                        state.failures[p] += 1;
+                        window.state[p] += 1;
                         reconstruct_failures += 1;
                     }
                 }
             }
-            windows.insert((id, year, month), state);
+            windows.insert((w.device.0, w.year_month.0, w.year_month.1), window);
         }
 
+        let enroll_failures = devices
+            .values()
+            .flat_map(|d| &d.state)
+            .filter(|e| e.is_none())
+            .count() as u64;
         Ok(assemble(
             config,
             &devices,
             &windows,
             LifeCounters {
-                records_seen,
-                records_folded,
-                skipped_width_mismatch,
+                records_seen: records.len() as u64,
+                records_folded: windows.values().map(|w| u64::from(w.reads)).sum(),
+                skipped_width_mismatch: selection.skipped_width_mismatch,
                 reconstructions,
                 reconstruct_failures,
                 wrong_keys,

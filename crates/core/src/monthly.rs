@@ -2,9 +2,17 @@
 //!
 //! "We select the first 1 000 consecutive measurements after midnight on the
 //! 8th of each month for each SRAM chip." This module implements exactly
-//! that filter over a campaign record stream.
+//! that filter over a campaign record stream, in both of its forms:
+//! [`select_windows_counted`] selects over a record slice and retains every
+//! selected read-out, and the crate-private `WindowFold` applies the same
+//! rule one record at a time, retaining only counts and sums. Both streaming
+//! accumulators, [`WindowAccumulator`](crate::WindowAccumulator) and
+//! [`KeyLifeAccumulator`](crate::KeyLifeAccumulator), fold through
+//! `WindowFold`; the in-memory references select through
+//! [`select_windows_counted`].
 
 use pufbits::{BitMatrix, BitVec, OnesCounter};
+use pufobs::{Counter, Instruments};
 use puftestbed::{BoardId, Record, Timestamp};
 use std::collections::BTreeMap;
 
@@ -144,7 +152,7 @@ pub fn select_windows_counted(
         }
         let key = (record.device.0, dt.date.year, dt.date.month);
         if !windows.contains_key(&key) {
-            // Reference-width rule, as in `WindowAccumulator::push`.
+            // Reference-width rule, as in `WindowFold::push`.
             let width = *device_widths
                 .entry(record.device.0)
                 .or_insert(record.data.len());
@@ -182,14 +190,6 @@ pub fn select_windows_counted(
     }
 }
 
-/// Convenience: the month keys present in a set of windows, in order.
-pub fn month_keys(windows: &[MonthlyWindow]) -> Vec<(i32, u8)> {
-    let mut keys: Vec<(i32, u8)> = windows.iter().map(|w| w.year_month).collect();
-    keys.sort_unstable();
-    keys.dedup();
-    keys
-}
-
 /// Midnight opening the evaluation window of month `(year, month)`.
 ///
 /// The evaluation day is clamped into the month, so e.g. an `eval_day` of 30
@@ -201,6 +201,235 @@ pub fn window_open(protocol: &EvaluationProtocol, year: i32, month: u8) -> Times
         month,
         effective_eval_day(protocol, year, month),
     ))
+}
+
+/// A device as [`WindowFold`] tracks it, plus the caller's state `D`.
+#[derive(Debug, Clone)]
+pub(crate) struct FoldDevice<D> {
+    /// Month of the device's first eligible read.
+    pub(crate) reference_month: (i32, u8),
+    /// The device's first eligible read: every WCHD compares with it, and
+    /// every folded read has its width.
+    pub(crate) reference: BitVec,
+    pub(crate) state: D,
+}
+
+/// A (device, month) window as [`WindowFold`] tracks it, plus the caller's
+/// state `W`.
+#[derive(Debug, Clone)]
+pub(crate) struct FoldWindow<W> {
+    pub(crate) device: BoardId,
+    pub(crate) year_month: (i32, u8),
+    /// Reads folded into the window.
+    pub(crate) reads: u32,
+    /// Running sum of per-read FHD against the device reference, in arrival
+    /// order (bit-identical to summing the retained rows).
+    pub(crate) wchd_sum: f64,
+    pub(crate) state: W,
+}
+
+/// The streaming form of the selection rule: [`select_windows_counted`]'s
+/// evaluation day, window cap and reference-width rule applied one record at
+/// a time, plus the order check a stream needs. It keeps counts and sums,
+/// never read-outs, so memory is bounded by `devices × months`.
+///
+/// Records must arrive in per-device chronological order. A device whose
+/// earlier month opens after a later one was folded is remembered in
+/// [`out_of_order`](Self::out_of_order): its WCHD sums used the wrong
+/// reference.
+#[derive(Debug, Clone)]
+pub(crate) struct WindowFold<W, D> {
+    protocol: EvaluationProtocol,
+    windows: BTreeMap<(u8, i32, u8), FoldWindow<W>>,
+    devices: BTreeMap<u8, FoldDevice<D>>,
+    records_seen: u64,
+    records_folded: u64,
+    skipped_width_mismatch: u64,
+    out_of_order: Option<BoardId>,
+    obs: Option<FoldInstruments>,
+}
+
+/// `<prefix>.records_{seen,folded,skipped}`. Every pushed record is exactly
+/// one of folded or skipped, so `seen == folded + skipped` holds at every
+/// instant — the pipeline's conservation invariant.
+#[derive(Debug, Clone)]
+struct FoldInstruments {
+    seen: Counter,
+    folded: Counter,
+    skipped: Counter,
+}
+
+/// Counts a skipped record; returns what [`WindowFold::push`] returns for it.
+fn skip<T>(obs: &Option<FoldInstruments>) -> Option<T> {
+    if let Some(o) = obs {
+        o.skipped.inc();
+    }
+    None
+}
+
+impl<W, D> WindowFold<W, D> {
+    pub(crate) fn new(protocol: EvaluationProtocol) -> Self {
+        Self {
+            protocol,
+            windows: BTreeMap::new(),
+            devices: BTreeMap::new(),
+            records_seen: 0,
+            records_folded: 0,
+            skipped_width_mismatch: 0,
+            out_of_order: None,
+            obs: None,
+        }
+    }
+
+    /// Maintains the `<prefix>.records_{seen,folded,skipped}` counters.
+    pub(crate) fn attach_instruments(&mut self, ins: &Instruments, prefix: &str) {
+        let counter = |name: &str| ins.counter(&format!("{prefix}.records_{name}"));
+        self.obs = Some(FoldInstruments {
+            seen: counter("seen"),
+            folded: counter("folded"),
+            skipped: counter("skipped"),
+        });
+    }
+
+    pub(crate) fn protocol(&self) -> EvaluationProtocol {
+        self.protocol
+    }
+
+    pub(crate) fn records_seen(&self) -> u64 {
+        self.records_seen
+    }
+
+    pub(crate) fn records_folded(&self) -> u64 {
+        self.records_folded
+    }
+
+    pub(crate) fn skipped_width_mismatch(&self) -> u64 {
+        self.skipped_width_mismatch
+    }
+
+    pub(crate) fn out_of_order(&self) -> Option<BoardId> {
+        self.out_of_order
+    }
+
+    pub(crate) fn devices(&self) -> &BTreeMap<u8, FoldDevice<D>> {
+        &self.devices
+    }
+
+    /// Windows keyed and sorted by `(device, year, month)`.
+    pub(crate) fn windows(&self) -> &BTreeMap<(u8, i32, u8), FoldWindow<W>> {
+        &self.windows
+    }
+
+    pub(crate) fn windows_mut(&mut self) -> impl Iterator<Item = &mut FoldWindow<W>> {
+        self.windows.values_mut()
+    }
+
+    pub(crate) fn into_windows(self) -> BTreeMap<(u8, i32, u8), FoldWindow<W>> {
+        self.windows
+    }
+
+    /// Folds one record. Returns the window it folded into, the window's
+    /// device, the read's FHD against the device reference, and whether the
+    /// read opened the window; `None` if the rule skipped the record.
+    /// `new_device` builds the caller's state on a device's first eligible
+    /// read, `new_window` on the first read of a window (given its month).
+    #[inline]
+    pub(crate) fn push(
+        &mut self,
+        record: &Record,
+        new_device: impl FnOnce() -> D,
+        new_window: impl FnOnce((i32, u8)) -> W,
+    ) -> Option<(&mut FoldWindow<W>, &FoldDevice<D>, f64, bool)> {
+        self.records_seen += 1;
+        if let Some(o) = &self.obs {
+            o.seen.inc();
+        }
+        let date = record.timestamp.datetime().date;
+        // As in `select_windows_counted`: a zero-read protocol selects
+        // nothing, and the evaluation day is clamped into short months.
+        if self.protocol.reads_per_window == 0
+            || date.day < effective_eval_day(&self.protocol, date.year, date.month)
+        {
+            return skip(&self.obs);
+        }
+        let ym = (date.year, date.month);
+        let key = (record.device.0, ym.0, ym.1);
+        let opened = !self.windows.contains_key(&key);
+        if opened {
+            match self.devices.get(&record.device.0) {
+                None => {
+                    let state = new_device();
+                    self.devices.insert(
+                        record.device.0,
+                        FoldDevice {
+                            reference_month: ym,
+                            reference: record.data.clone(),
+                            state,
+                        },
+                    );
+                }
+                // Reference-width rule: a read of another width than its
+                // device's reference never opens a window.
+                Some(device) if device.reference.len() != record.data.len() => {
+                    self.skipped_width_mismatch += 1;
+                    return skip(&self.obs);
+                }
+                Some(device) if ym < device.reference_month => {
+                    self.out_of_order.get_or_insert(record.device);
+                }
+                Some(_) => {}
+            }
+            let state = new_window(ym);
+            self.windows.insert(
+                key,
+                FoldWindow {
+                    device: record.device,
+                    year_month: ym,
+                    reads: 0,
+                    wchd_sum: 0.0,
+                    state,
+                },
+            );
+        }
+        let device = &self.devices[&record.device.0];
+        let window = self.windows.get_mut(&key).expect("window opened above");
+        if window.reads >= self.protocol.reads_per_window {
+            return skip(&self.obs);
+        }
+        if record.data.len() != device.reference.len() {
+            self.skipped_width_mismatch += 1;
+            return skip(&self.obs);
+        }
+        let fhd = record.data.fractional_hamming_distance(&device.reference);
+        window.reads += 1;
+        window.wchd_sum += fhd;
+        self.records_folded += 1;
+        if let Some(o) = &self.obs {
+            o.folded.inc();
+        }
+        Some((window, device, fhd, opened))
+    }
+
+    /// Merges a device-disjoint shard; the merged maps stay key-sorted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shards saw overlapping devices (a harness bug, not a
+    /// data condition).
+    pub(crate) fn merge(&mut self, other: Self) {
+        for device in other.devices.keys() {
+            assert!(
+                !self.devices.contains_key(device),
+                "shards must be device-disjoint, both saw device {device}"
+            );
+        }
+        self.devices.extend(other.devices);
+        self.windows.extend(other.windows);
+        self.records_seen += other.records_seen;
+        self.records_folded += other.records_folded;
+        self.skipped_width_mismatch += other.skipped_width_mismatch;
+        self.out_of_order = self.out_of_order.or(other.out_of_order);
+    }
 }
 
 #[cfg(test)]
@@ -267,9 +496,9 @@ mod tests {
             record_at(0, 448_000, CalendarDate::new(2017, 3, 8), 0.0, 3),
         ];
         let windows = select_windows(&records, &protocol);
-        assert_eq!(windows.len(), 3);
-        let keys = month_keys(&windows);
-        assert_eq!(keys, vec![(2017, 2), (2017, 3)]);
+        let keys: Vec<(u8, (i32, u8))> =
+            windows.iter().map(|w| (w.device.0, w.year_month)).collect();
+        assert_eq!(keys, vec![(0, (2017, 2)), (0, (2017, 3)), (1, (2017, 2))]);
     }
 
     #[test]
@@ -306,7 +535,8 @@ mod tests {
             record_at(0, 2, CalendarDate::new(2017, 3, 30), 0.0, 0x03),
         ];
         let windows = select_windows(&records, &protocol);
-        assert_eq!(month_keys(&windows), vec![(2017, 2), (2017, 3)]);
+        let months: Vec<(i32, u8)> = windows.iter().map(|w| w.year_month).collect();
+        assert_eq!(months, vec![(2017, 2), (2017, 3)]);
         assert_eq!(windows[0].first_read, BitVec::from_bytes(&[0x02]));
         assert_eq!(
             window_open(&protocol, 2017, 2),
@@ -340,7 +570,8 @@ mod tests {
             record_at(0, 2, CalendarDate::new(2017, 4, 8), 0.0, 3),
         ];
         let windows = select_windows(&records, &protocol);
-        assert_eq!(month_keys(&windows), vec![(2017, 2), (2017, 4)]);
+        let months: Vec<(i32, u8)> = windows.iter().map(|w| w.year_month).collect();
+        assert_eq!(months, vec![(2017, 2), (2017, 4)]);
         assert!(windows.iter().all(|w| w.reads() == 1));
     }
 

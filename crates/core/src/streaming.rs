@@ -7,9 +7,13 @@
 //! per-(device, month) running state — a [`OnesCounter`], the window's first
 //! read-out, and incremental WCHD/FHW sums — so peak memory is bounded by
 //! `devices × months × window state` and is **independent of the record
-//! count**. The produced [`Assessment`] is identical (bit-for-bit, including
-//! every floating-point sum, because additions happen in the same order) to
-//! the in-memory path on the same record sequence.
+//! count**. The selection rule and the WCHD sums come from the window fold
+//! in [`monthly`](crate::monthly), which the key-lifetime accumulator folds
+//! through too; this module adds the per-cell counts, the FHW sums and the
+//! month-zero samples. Both assessment paths finish in one assembly, and
+//! the produced [`Assessment`] is identical (bit-for-bit, including every
+//! floating-point sum, because additions happen in the same order) to the
+//! in-memory path on the same record sequence.
 //!
 //! The accumulator implements [`RecordSink`], so a campaign can pipe
 //! directly into the assessment without touching disk or materialising a
@@ -32,32 +36,24 @@
 //! # Ok::<(), std::io::Error>(())
 //! ```
 
-use crate::assessment::{AssessError, Assessment, DeviceMonth, MonthlyAggregate};
-use crate::entropy::{noise_entropy, stable_cell_ratio};
-use crate::metrics::InitialQuality;
-use crate::monthly::EvaluationProtocol;
+use crate::assessment::{assemble, AssessError, Assessment, WindowStats};
+use crate::metrics::{between_class_hds, InitialQuality};
+use crate::monthly::{EvaluationProtocol, WindowFold};
 use pufbits::{BitMatrix, BitVec, BlockCounter, OnesCounter};
 use pufobs::{Counter, Gauge, Instruments};
-use pufstats::Summary;
 use puftestbed::store::RecordSink;
 use puftestbed::{BoardId, Record};
-use std::collections::BTreeMap;
 use std::io;
 
-/// One window's running state: everything the metrics need, nothing the
-/// record count scales.
+/// One window's state beyond the fold's read count and WCHD sum: everything
+/// the metrics need, nothing the record count scales.
 #[derive(Debug, Clone)]
 struct WindowState {
-    device: BoardId,
-    year_month: (i32, u8),
     /// Per-cell one-counts, staged 64 rows at a time through the word-level
     /// transpose kernel and flushed into a plain [`OnesCounter`] at
     /// [`finish`](WindowAccumulator::finish).
     counter: BlockCounter,
     first_read: BitVec,
-    /// Running sum of per-read FHD against the device reference, in arrival
-    /// order (bit-identical to summing the retained rows).
-    wchd_sum: f64,
     /// Running sum of per-read fractional Hamming weight.
     fhw_sum: f64,
     /// Per-read samples, retained only while this window's month is the
@@ -70,27 +66,6 @@ struct WindowState {
 struct WindowSamples {
     wchd: Vec<f64>,
     fhw: Vec<f64>,
-}
-
-/// [`WindowState`] with its block counter flushed into a plain
-/// [`OnesCounter`] — the form the finalization metrics consume.
-#[derive(Debug, Clone)]
-struct FinishedWindow {
-    device: BoardId,
-    year_month: (i32, u8),
-    counter: OnesCounter,
-    first_read: BitVec,
-    wchd_sum: f64,
-    fhw_sum: f64,
-    samples: Option<WindowSamples>,
-}
-
-/// Per-device reference tracking: the first read-out of the device's
-/// earliest window anchors every WCHD comparison.
-#[derive(Debug, Clone)]
-struct DeviceState {
-    reference_month: (i32, u8),
-    reference: BitVec,
 }
 
 /// A finished window's retained state, for consumers that need more than
@@ -118,61 +93,28 @@ pub struct WindowSnapshot {
 /// [`finish`](Self::finish) as [`AssessError::OutOfOrder`].
 #[derive(Debug, Clone)]
 pub struct WindowAccumulator {
-    protocol: EvaluationProtocol,
-    windows: BTreeMap<(u8, i32, u8), WindowState>,
-    devices: BTreeMap<u8, DeviceState>,
+    fold: WindowFold<WindowState, ()>,
     /// Earliest window month seen so far — the candidate "month zero".
     min_month: Option<(i32, u8)>,
-    records_seen: u64,
-    records_folded: u64,
-    skipped_width_mismatch: u64,
-    out_of_order: Option<BoardId>,
     obs: Option<AccumulatorInstruments>,
 }
 
-/// Pre-registered handles for the accumulator's instrument points. Every
-/// pushed record is exactly one of folded / skipped, so
-/// `assess.records_seen == assess.records_folded + assess.records_skipped`
-/// holds at every instant — the pipeline's conservation invariant.
+/// Pre-registered handles for the accumulator's window instruments; the
+/// fold maintains the `assess.records_*` counters.
 #[derive(Debug, Clone)]
 struct AccumulatorInstruments {
-    /// `assess.records_seen` — records pushed (eligible or not).
-    seen: Counter,
-    /// `assess.records_folded` — records folded into a window.
-    folded: Counter,
-    /// `assess.records_skipped` — records not folded (off the evaluation
-    /// day, past the window cap, or width-mismatched).
-    skipped: Counter,
     /// `assess.windows_opened` — (device, month) windows opened.
     windows_opened: Counter,
     /// `assess.windows_open` — windows currently held in memory.
     windows_open: Gauge,
 }
 
-impl AccumulatorInstruments {
-    fn new(ins: &Instruments) -> Self {
-        Self {
-            seen: ins.counter("assess.records_seen"),
-            folded: ins.counter("assess.records_folded"),
-            skipped: ins.counter("assess.records_skipped"),
-            windows_opened: ins.counter("assess.windows_opened"),
-            windows_open: ins.gauge("assess.windows_open"),
-        }
-    }
-}
-
 impl WindowAccumulator {
     /// Creates an empty accumulator for `protocol`.
     pub fn new(protocol: EvaluationProtocol) -> Self {
         Self {
-            protocol,
-            windows: BTreeMap::new(),
-            devices: BTreeMap::new(),
+            fold: WindowFold::new(protocol),
             min_month: None,
-            records_seen: 0,
-            records_folded: 0,
-            skipped_width_mismatch: 0,
-            out_of_order: None,
             obs: None,
         }
     }
@@ -184,41 +126,45 @@ impl WindowAccumulator {
     /// instruments. Clones of an instrumented accumulator share the same
     /// underlying instruments.
     pub fn attach_instruments(&mut self, ins: &Instruments) {
-        self.obs = Some(AccumulatorInstruments::new(ins));
+        self.fold.attach_instruments(ins, "assess");
+        self.obs = Some(AccumulatorInstruments {
+            windows_opened: ins.counter("assess.windows_opened"),
+            windows_open: ins.gauge("assess.windows_open"),
+        });
     }
 
     /// The protocol in use.
     pub fn protocol(&self) -> EvaluationProtocol {
-        self.protocol
+        self.fold.protocol()
     }
 
     /// Records pushed so far (eligible or not).
     pub fn records_seen(&self) -> u64 {
-        self.records_seen
+        self.fold.records_seen()
     }
 
     /// Records folded into a window so far.
     pub fn records_folded(&self) -> u64 {
-        self.records_folded
+        self.fold.records_folded()
     }
 
     /// Records pushed but not folded (ineligible day, window already at
     /// its read cap, or width mismatch). Always
     /// `records_seen() - records_folded()`.
     pub fn records_skipped(&self) -> u64 {
-        self.records_seen - self.records_folded
+        self.fold.records_seen() - self.fold.records_folded()
     }
 
     /// Eligible records dropped because their width differed from their
     /// window's established width, or from their device's reference width
     /// when they would open a new window.
     pub fn skipped_width_mismatch(&self) -> u64 {
-        self.skipped_width_mismatch
+        self.fold.skipped_width_mismatch()
     }
 
     /// Number of (device, month) windows opened so far.
     pub fn windows_open(&self) -> usize {
-        self.windows.len()
+        self.fold.windows().len()
     }
 
     /// Folds one record into the accumulation.
@@ -227,125 +173,49 @@ impl WindowAccumulator {
     /// cap) are ignored; width mismatches are counted and skipped, exactly
     /// like [`select_windows_counted`](crate::monthly::select_windows_counted).
     pub fn push(&mut self, record: &Record) {
-        self.records_seen += 1;
-        if let Some(o) = &self.obs {
-            o.seen.inc();
-        }
-        let dt = record.timestamp.datetime();
-        // Mirror `select_windows_counted`: a zero-read protocol selects
-        // nothing, and the evaluation day is clamped into short months.
-        if self.protocol.reads_per_window == 0 {
-            self.count_skip();
+        let mut stale_month_zero = None;
+        let Some((window, _, wchd, opened)) = self.fold.push(
+            record,
+            || (),
+            |ym| {
+                if self.min_month.is_none_or(|min| ym < min) {
+                    // A new month zero: the old candidate's windows no
+                    // longer feed the initial-quality bundle.
+                    stale_month_zero = self.min_month.replace(ym);
+                }
+                WindowState {
+                    counter: BlockCounter::new(record.data.len()),
+                    first_read: record.data.clone(),
+                    fhw_sum: 0.0,
+                    samples: (self.min_month == Some(ym)).then(WindowSamples::default),
+                }
+            },
+        ) else {
             return;
-        }
-        if dt.date.day
-            < crate::monthly::effective_eval_day(&self.protocol, dt.date.year, dt.date.month)
-        {
-            self.count_skip();
-            return;
-        }
-        let ym = (dt.date.year, dt.date.month);
-        let key = (record.device.0, ym.0, ym.1);
-
-        if !self.windows.contains_key(&key) {
-            // Reference-width rule: a device's later windows take the width
-            // of its first read, the reference every WCHD compares with.
-            let device = self.devices.get(&record.device.0);
-            if device.is_some_and(|d| d.reference.len() != record.data.len()) {
-                self.skipped_width_mismatch += 1;
-                self.count_skip();
-                return;
-            }
-            self.open_window(record, ym, key);
-        }
-        let device_reference = &self.devices[&record.device.0].reference;
-        let window = self.windows.get_mut(&key).expect("window opened above");
-        if window.counter.observations() >= self.protocol.reads_per_window {
-            self.count_skip();
-            return;
-        }
-        if record.data.len() != window.counter.width() {
-            self.skipped_width_mismatch += 1;
-            self.count_skip();
-            return;
-        }
+        };
+        let fhw = record.data.fractional_hamming_weight();
         window
+            .state
             .counter
             .add(&record.data)
-            .expect("width checked above");
-        let wchd = record.data.fractional_hamming_distance(device_reference);
-        let fhw = record.data.fractional_hamming_weight();
-        window.wchd_sum += wchd;
-        window.fhw_sum += fhw;
-        if let Some(samples) = &mut window.samples {
+            .expect("the fold checked the width");
+        window.state.fhw_sum += fhw;
+        if let Some(samples) = &mut window.state.samples {
             samples.wchd.push(wchd);
             samples.fhw.push(fhw);
         }
-        self.records_folded += 1;
-        if let Some(o) = &self.obs {
-            o.folded.inc();
-        }
-    }
-
-    fn count_skip(&self) {
-        if let Some(o) = &self.obs {
-            o.skipped.inc();
-        }
-    }
-
-    /// Opens the (device, month) window for `record`, updating the device
-    /// reference and the month-zero candidate.
-    fn open_window(&mut self, record: &Record, ym: (i32, u8), key: (u8, i32, u8)) {
-        match self.devices.get(&record.device.0) {
-            None => {
-                self.devices.insert(
-                    record.device.0,
-                    DeviceState {
-                        reference_month: ym,
-                        reference: record.data.clone(),
-                    },
-                );
-            }
-            Some(state) if ym < state.reference_month => {
-                // An earlier month opened after a later one was accumulated:
-                // every WCHD sum of this device used the wrong reference.
-                self.out_of_order.get_or_insert(record.device);
-            }
-            Some(_) => {}
-        }
-        let retain_samples = match self.min_month {
-            None => {
-                self.min_month = Some(ym);
-                true
-            }
-            Some(min) if ym < min => {
-                // A new month zero: the old candidate's windows no longer
-                // feed the initial-quality bundle, so free their samples.
-                for window in self.windows.values_mut() {
-                    if window.year_month == min {
-                        window.samples = None;
-                    }
+        if let Some(stale) = stale_month_zero {
+            for window in self.fold.windows_mut() {
+                if window.year_month == stale {
+                    window.state.samples = None;
                 }
-                self.min_month = Some(ym);
-                true
             }
-            Some(min) => ym == min,
-        };
-        self.windows.insert(
-            key,
-            WindowState {
-                device: record.device,
-                year_month: ym,
-                counter: BlockCounter::new(record.data.len()),
-                first_read: record.data.clone(),
-                wchd_sum: 0.0,
-                fhw_sum: 0.0,
-                samples: retain_samples.then(WindowSamples::default),
-            },
-        );
-        if let Some(o) = &self.obs {
-            o.windows_opened.inc();
-            o.windows_open.set(self.windows.len() as i64);
+        }
+        if opened {
+            if let Some(o) = &self.obs {
+                o.windows_opened.inc();
+                o.windows_open.set(self.fold.windows().len() as i64);
+            }
         }
     }
 
@@ -366,133 +236,54 @@ impl WindowAccumulator {
     ///
     /// Same conditions as [`finish`](Self::finish).
     pub fn finish_with_windows(self) -> Result<(Assessment, Vec<WindowSnapshot>), AssessError> {
-        if let Some(device) = self.out_of_order {
+        if let Some(device) = self.fold.out_of_order() {
             return Err(AssessError::OutOfOrder { device });
         }
-        if self.records_seen == 0 {
+        if self.fold.records_seen() == 0 {
             return Err(AssessError::Empty);
         }
-        if self.windows.is_empty() {
-            return Err(AssessError::NoWindows);
-        }
-
-        // Flush every window's staged rows into its plain counter; the
-        // BTreeMap iteration order (and thus every float sum) is unchanged.
-        let windows: BTreeMap<(u8, i32, u8), FinishedWindow> = self
-            .windows
-            .into_iter()
-            .map(|(key, w)| {
-                (
-                    key,
-                    FinishedWindow {
-                        device: w.device,
-                        year_month: w.year_month,
-                        counter: w.counter.into_counter(),
-                        first_read: w.first_read,
-                        wchd_sum: w.wchd_sum,
-                        fhw_sum: w.fhw_sum,
-                        samples: w.samples,
-                    },
-                )
+        let protocol = self.fold.protocol();
+        // Flush every window's staged rows into its plain counter. A window
+        // exists only once a read folded into it, so no average is 0/0.
+        let mut samples = Vec::new();
+        let windows: Vec<WindowStats> = self
+            .fold
+            .into_windows()
+            .into_values()
+            .map(|w| {
+                let reads = f64::from(w.reads);
+                samples.push(w.state.samples);
+                WindowStats {
+                    device: w.device,
+                    year_month: w.year_month,
+                    reads: w.reads,
+                    wchd: w.wchd_sum / reads,
+                    fhw: w.state.fhw_sum / reads,
+                    counter: w.state.counter.into_counter(),
+                    first_read: w.state.first_read,
+                }
             })
             .collect();
-
-        // Mirror `Assessment::from_records` step for step (and in the same
-        // iteration order) so every derived float is bit-identical.
-        let mut months: Vec<(i32, u8)> = windows.values().map(|w| w.year_month).collect();
-        months.sort_unstable();
-        months.dedup();
-        let month_index: BTreeMap<(i32, u8), u32> = months
-            .iter()
-            .enumerate()
-            .map(|(i, &ym)| (ym, u32::try_from(i).expect("month count fits u32")))
-            .collect();
-        let first_month = months[0];
-
-        let mut devices: Vec<BoardId> = Vec::new();
-        for w in windows.values() {
-            if !devices.contains(&w.device) {
-                devices.push(w.device);
-            }
-        }
-        if devices.len() < 2 {
-            return Err(AssessError::TooFewDevices {
-                devices: devices.len(),
-            });
-        }
-        for device in &devices {
-            let has_reference = self.devices[&device.0].reference_month == first_month;
-            if !has_reference {
-                return Err(AssessError::MissingReference { device: *device });
-            }
-        }
-        crate::assessment::check_widths(windows.values().map(|w| (w.device, w.first_read.len())))?;
-
-        let mut device_months = Vec::with_capacity(windows.len());
-        for w in windows.values() {
-            // A window only exists once a record folded into it (the cap
-            // check precedes opening for zero-read protocols), so the
-            // division is never 0/0.
-            let reads = f64::from(w.counter.observations());
-            device_months.push(DeviceMonth {
-                device: w.device,
-                year_month: w.year_month,
-                month_index: month_index[&w.year_month],
-                reads: w.counter.observations(),
-                wchd: w.wchd_sum / reads,
-                fhw: w.fhw_sum / reads,
-                noise_entropy: noise_entropy(&w.counter),
-                stable_ratio: stable_cell_ratio(&w.counter),
-            });
-        }
-
-        let mut aggregates = Vec::with_capacity(months.len());
-        for &ym in &months {
-            let of_month: Vec<&DeviceMonth> = device_months
-                .iter()
-                .filter(|d| d.year_month == ym)
-                .collect();
-            let firsts: BitMatrix = windows
-                .values()
-                .filter(|w| w.year_month == ym)
-                .map(|w| w.first_read.clone())
-                .collect();
-            let (bchd, month_puf_entropy) = crate::assessment::month_uniqueness(&firsts);
-            aggregates.push(MonthlyAggregate {
-                month_index: month_index[&ym],
-                year_month: ym,
-                wchd: Summary::of(of_month.iter().map(|d| d.wchd)),
-                fhw: Summary::of(of_month.iter().map(|d| d.fhw)),
-                noise_entropy: Summary::of(of_month.iter().map(|d| d.noise_entropy)),
-                stable_ratio: Summary::of(of_month.iter().map(|d| d.stable_ratio)),
-                bchd,
-                puf_entropy: month_puf_entropy,
-            });
-        }
-
         // Fig. 5 bundle from the month-zero samples (retained per window in
         // arrival order; concatenated here in window order, exactly as
         // `InitialQuality::evaluate` walks the retained matrices).
-        let mut wchd_samples = Vec::new();
-        let mut fhw_samples = Vec::new();
-        let mut references = Vec::new();
-        for w in windows.values().filter(|w| w.year_month == first_month) {
-            let samples = w
-                .samples
-                .as_ref()
-                .expect("month-zero windows retain samples");
-            wchd_samples.extend_from_slice(&samples.wchd);
-            fhw_samples.extend_from_slice(&samples.fhw);
-            references.push(w.first_read.clone());
-        }
-        let references = BitMatrix::from_rows(references).expect("equal read widths");
-        let bchd_samples = crate::metrics::between_class_hds(&references);
-        let initial_quality = InitialQuality::from_samples(wchd_samples, bchd_samples, fhw_samples);
-
-        let assessment =
-            Assessment::from_parts(self.protocol, device_months, aggregates, initial_quality);
+        let assessment = assemble(protocol, &windows, |first_month| {
+            let mut wchd_samples = Vec::new();
+            let mut fhw_samples = Vec::new();
+            let mut references = Vec::new();
+            for (w, samples) in windows.iter().zip(&samples) {
+                if w.year_month == first_month {
+                    let samples = samples.as_ref().expect("month-zero windows retain samples");
+                    wchd_samples.extend_from_slice(&samples.wchd);
+                    fhw_samples.extend_from_slice(&samples.fhw);
+                    references.push(w.first_read.clone());
+                }
+            }
+            let references = BitMatrix::from_rows(references).expect("equal read widths");
+            InitialQuality::from_samples(wchd_samples, between_class_hds(&references), fhw_samples)
+        })?;
         let snapshots = windows
-            .into_values()
+            .into_iter()
             .map(|w| WindowSnapshot {
                 device: w.device,
                 year_month: w.year_month,

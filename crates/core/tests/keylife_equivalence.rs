@@ -6,7 +6,7 @@
 //! `crates/bench/tests/streaming_equivalence.rs`.
 
 use pufassess::monthly::EvaluationProtocol;
-use pufassess::{KeyLife, KeyLifeAccumulator, KeyLifeConfig, KeyProfile};
+use pufassess::{KeyLife, KeyLifeAccumulator, KeyLifeConfig, KeyProfile, WindowAccumulator};
 use pufbits::BitVec;
 use puftestbed::faults::{Brownout, I2cBurst};
 use puftestbed::{
@@ -144,31 +144,63 @@ fn streaming_matches_in_memory_on_a_faulted_campaign() {
 
 #[test]
 fn a_read_of_another_width_than_the_reference_is_skipped_on_both_paths() {
-    // Device 0 enrolls from a 1 024-bit read in February. Its 2 048-bit
-    // March read opens March's window at its own width, but it cannot be
-    // compared with the reference: both paths must skip and count it.
-    let read = |seq: u64, month: u8, bits: usize| {
+    // Device 0 enrolls from a 1 024-bit read in February. Its first March
+    // read is 2 048 bits wide: it cannot be compared with the reference, so
+    // it is skipped and counted, and the two 1 024-bit reads after it open
+    // and fill March's window. Device 1 reads 1 024 bits in both months.
+    let read = |device: u8, seq: u64, month: u8, bits: usize| {
         Record::new(
-            BoardId(0),
+            BoardId(device),
             seq,
             Timestamp::from_date(CalendarDate::new(2017, month, 8)),
-            BitVec::from_bits((0..bits).map(|i| i % 3 == 0)),
+            BitVec::from_bits((0..bits).map(|i| i % (3 + usize::from(device)) == 0)),
         )
     };
-    let records = [read(0, 2, 1024), read(1, 3, 2048)];
-    let config = keylife_config();
+    let records = [
+        read(0, 0, 2, 1024),
+        read(1, 0, 2, 1024),
+        read(0, 1, 3, 2048),
+        read(0, 2, 3, 1024),
+        read(0, 3, 3, 1024),
+        read(1, 1, 3, 1024),
+    ];
+    let protocol = EvaluationProtocol {
+        reads_per_window: 5,
+        ..EvaluationProtocol::default()
+    };
+    let config = KeyLifeConfig {
+        protocol,
+        ..keylife_config()
+    };
     let in_memory = KeyLife::from_records(&records, &config).unwrap();
     let mut accumulator = KeyLifeAccumulator::new(config.clone());
+    let mut assessment = WindowAccumulator::new(protocol);
     for record in &records {
         accumulator.push(record);
+        assessment.push(record);
     }
     let streamed = accumulator.finish().unwrap();
     assert_eq!(in_memory, streamed);
     assert_eq!(in_memory.render_table(), streamed.render_table());
     assert_eq!(in_memory.csv(), streamed.csv());
-    assert_eq!(streamed.skipped_width_mismatch, 1);
-    assert_eq!(streamed.records_folded, 1);
-    assert_eq!(streamed.reconstructions, 0);
+
+    // One rule on both accumulators: keylife folds and skips what the
+    // assessment folds and skips.
+    assert_eq!(streamed.records_folded, assessment.records_folded());
+    assert_eq!(
+        streamed.skipped_width_mismatch,
+        assessment.skipped_width_mismatch()
+    );
+    assert_eq!(
+        (streamed.records_folded, streamed.skipped_width_mismatch),
+        (5, 1)
+    );
+    for profile in &streamed.profiles {
+        let march = &profile.rows[1];
+        assert_eq!(march.year_month, (2017, 3));
+        assert_eq!(march.attempts, 3, "{}", profile.profile.name);
+        assert_eq!(march.erasures, 2 * 5 - 3, "{}", profile.profile.name);
+    }
 }
 
 #[test]
