@@ -58,7 +58,7 @@ fn main() {
         match arg.as_str() {
             "--in" => input = Some(args.value(&arg)),
             "--format" => format = Some(args.parse(&arg)),
-            "--reads" => protocol.reads_per_window = args.parse(&arg),
+            "--reads" => protocol.reads_per_window = args.positive(&arg),
             "--eval-day" => protocol.eval_day = args.parse(&arg),
             "--csv" => csv_prefix = Some(args.value(&arg)),
             "--threads" => threads = args.positive(&arg),

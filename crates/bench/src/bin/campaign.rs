@@ -85,7 +85,7 @@ fn main() {
                 }
             }
             "--months" => config.months = args.parse(&arg),
-            "--reads" => config.reads_per_window = args.parse(&arg),
+            "--reads" => config.reads_per_window = args.positive(&arg),
             "--read-bits" => {
                 config.read_bits = args.positive(&arg);
                 config.sram_bits = config.sram_bits.max(config.read_bits);

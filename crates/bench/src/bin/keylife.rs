@@ -58,7 +58,7 @@ fn main() {
         match arg.as_str() {
             "--in" => input = Some(args.value(&arg)),
             "--format" => format = Some(args.parse(&arg)),
-            "--reads" => protocol.reads_per_window = args.parse(&arg),
+            "--reads" => protocol.reads_per_window = args.positive(&arg),
             "--eval-day" => protocol.eval_day = args.parse(&arg),
             "--profiles" => profile_list = Some(args.value(&arg)),
             "--secret-bits" => secret_bits = args.positive(&arg),

@@ -265,9 +265,15 @@ fn every_binary_exits_2_without_a_panic_on_bad_flags() {
         }
     }
     // Values that parse but that the rig cannot wire: no boards, more boards
-    // than two layers of slave addresses hold, an empty read window.
+    // than two layers of slave addresses hold, an empty read window, no
+    // reads per window.
     let records = temp_path("bad_rig.jsonl");
-    for args in [["--boards", "0"], ["--boards", "209"], ["--read-bits", "0"]] {
+    for args in [
+        ["--boards", "0"],
+        ["--boards", "209"],
+        ["--read-bits", "0"],
+        ["--reads", "0"],
+    ] {
         let out = Command::new(env!("CARGO_BIN_EXE_campaign"))
             .args(args)
             .arg("--out")
@@ -279,6 +285,19 @@ fn every_binary_exits_2_without_a_panic_on_bad_flags() {
         assert!(!stderr.contains("panicked"), "campaign {args:?}: {stderr}");
         assert!(!records.exists(), "campaign {args:?} wrote its output file");
     }
+    // A window of no reads is a usage error, not an input without windows.
+    let input = reads_file("zero_reads.jsonl", &[(0, 2, 64), (1, 2, 64)]);
+    for binary in [env!("CARGO_BIN_EXE_assess"), env!("CARGO_BIN_EXE_keylife")] {
+        let out = Command::new(binary)
+            .args(["--in", input.to_str().unwrap(), "--reads", "0"])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{binary} --reads 0: {stderr}");
+        assert!(!stderr.contains("panicked"), "{binary} --reads 0: {stderr}");
+        assert!(stderr.contains("--reads must be positive"), "{stderr}");
+    }
+    std::fs::remove_file(&input).ok();
 }
 
 /// Writes one JSON-lines file of `(device, month, bits)` reads, each at
