@@ -121,15 +121,15 @@ pub fn default_threads() -> usize {
 }
 
 /// Runs the campaign and the full in-memory assessment pipeline at `scale`
-/// sequentially: the materialised-dataset reference the streaming
+/// sequentially: the collected-records reference the streaming
 /// [`run_assessment_streaming`] is checked against.
 ///
 /// # Panics
 ///
 /// Panics if the assessment fails (cannot happen for the built-in scales).
 pub fn run_assessment(scale: Scale, seed: u64) -> Assessment {
-    let dataset = Campaign::new(scale.campaign_config(), seed).run_in_memory();
-    Assessment::from_dataset(&dataset, &scale.protocol())
+    let records = Campaign::new(scale.campaign_config(), seed).run_in_memory();
+    Assessment::from_records(&records, &scale.protocol())
         .expect("built-in scales produce assessable datasets")
 }
 

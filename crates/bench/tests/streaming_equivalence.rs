@@ -7,10 +7,10 @@ use pufassess::monthly::EvaluationProtocol;
 use pufassess::streaming::WindowAccumulator;
 use pufassess::{report, Assessment};
 use puftestbed::store::{ParallelRecordReader, RecordSink};
-use puftestbed::{Campaign, CampaignConfig, Dataset};
+use puftestbed::{Campaign, CampaignConfig, Record};
 use std::io::Cursor;
 
-fn faulty_campaign() -> Dataset {
+fn faulty_campaign() -> Vec<Record> {
     let config = CampaignConfig {
         boards: 4,
         sram_bits: 1024,
@@ -35,9 +35,9 @@ fn protocol() -> EvaluationProtocol {
 
 #[test]
 fn streaming_matches_in_memory_on_a_faulty_campaign() {
-    let dataset = faulty_campaign();
-    let in_memory = Assessment::from_records(dataset.records(), &protocol()).unwrap();
-    let streamed = Assessment::from_record_stream(dataset.records(), &protocol()).unwrap();
+    let records = faulty_campaign();
+    let in_memory = Assessment::from_records(&records, &protocol()).unwrap();
+    let streamed = Assessment::from_record_stream(&records, &protocol()).unwrap();
     assert_eq!(in_memory, streamed);
     assert_eq!(in_memory.table1().render(), streamed.table1().render());
     assert_eq!(
@@ -52,11 +52,11 @@ fn streaming_matches_in_memory_on_a_faulty_campaign() {
 
 #[test]
 fn streaming_matches_through_the_json_store_and_parallel_parser() {
-    let dataset = faulty_campaign();
-    let in_memory = Assessment::from_records(dataset.records(), &protocol()).unwrap();
+    let records = faulty_campaign();
+    let in_memory = Assessment::from_records(&records, &protocol()).unwrap();
 
     let mut sink = puftestbed::store::JsonLinesSink::new(Vec::new());
-    for r in dataset.records() {
+    for r in &records {
         sink.record(r).unwrap();
     }
     let bytes = sink.into_inner().unwrap();

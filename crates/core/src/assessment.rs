@@ -1,4 +1,4 @@
-//! The full assessment pipeline: campaign dataset → Fig. 6 development
+//! The full assessment pipeline: campaign records → Fig. 6 development
 //! series → Table I.
 //!
 //! The per-window statistics it folds (WCHD, FHW, per-cell one-counts) are
@@ -12,12 +12,12 @@ use crate::monthly::{select_windows, EvaluationProtocol};
 use crate::table1::Table1;
 use pufbits::{BitMatrix, BitVec, OnesCounter};
 use pufstats::Summary;
-use puftestbed::{BoardId, Dataset, Record};
+use puftestbed::{BoardId, Record};
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
-/// Error from [`Assessment::from_dataset`].
+/// Error from [`Assessment::from_records`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AssessError {
     /// The dataset holds no records.
@@ -173,16 +173,17 @@ impl MonthCoverage {
 /// # Examples
 ///
 /// ```
-/// use pufassess::{Assessment, EvaluationProtocol};
+/// use pufassess::{EvaluationProtocol, WindowAccumulator};
 /// use puftestbed::{Campaign, CampaignConfig};
 ///
 /// let config = CampaignConfig {
 ///     boards: 3, sram_bits: 128, read_bits: 128, months: 1, reads_per_window: 8,
 ///     ..CampaignConfig::default()
 /// };
-/// let dataset = Campaign::new(config, 2).run_in_memory();
 /// let protocol = EvaluationProtocol { reads_per_window: 8, ..EvaluationProtocol::default() };
-/// let a = Assessment::from_dataset(&dataset, &protocol).unwrap();
+/// let mut accumulator = WindowAccumulator::new(protocol);
+/// Campaign::new(config, 2).run(&mut accumulator).unwrap();
+/// let a = accumulator.finish().unwrap();
 /// assert!(a.coverage().is_complete());
 /// assert!(a.coverage().sparse_months().is_empty());
 /// ```
@@ -410,26 +411,15 @@ pub struct Assessment {
 }
 
 impl Assessment {
-    /// Runs the paper's evaluation protocol over a campaign dataset.
+    /// Runs the paper's evaluation protocol over a campaign's records (e.g.
+    /// collected by [`Campaign::run_in_memory`](puftestbed::Campaign::run_in_memory)
+    /// or read back from a JSON-lines store).
     ///
     /// # Errors
     ///
-    /// Returns [`AssessError`] if the dataset is empty, has fewer than two
+    /// Returns [`AssessError`] if there are no records, fewer than two
     /// devices, a device lacks a month-zero reference window, or devices
     /// read different widths.
-    pub fn from_dataset(
-        dataset: &Dataset,
-        protocol: &EvaluationProtocol,
-    ) -> Result<Self, AssessError> {
-        Self::from_records(dataset.records(), protocol)
-    }
-
-    /// [`from_dataset`](Self::from_dataset) over a raw record slice (e.g.
-    /// read back from a JSON-lines store).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`from_dataset`](Self::from_dataset).
     pub fn from_records(
         records: &[Record],
         protocol: &EvaluationProtocol,
@@ -558,7 +548,7 @@ mod tests {
     use super::*;
     use puftestbed::{Campaign, CampaignConfig};
 
-    fn small_campaign(months: u32, boards: usize, seed: u64) -> Dataset {
+    fn small_campaign(months: u32, boards: usize, seed: u64) -> Vec<Record> {
         let config = CampaignConfig {
             boards,
             sram_bits: 2048,
@@ -579,8 +569,8 @@ mod tests {
 
     #[test]
     fn assessment_covers_every_device_and_month() {
-        let dataset = small_campaign(3, 5, 50);
-        let a = Assessment::from_dataset(&dataset, &protocol()).unwrap();
+        let records = small_campaign(3, 5, 50);
+        let a = Assessment::from_records(&records, &protocol()).unwrap();
         assert_eq!(a.months(), 4);
         assert_eq!(a.devices().len(), 5);
         assert_eq!(a.device_months().len(), 20);
@@ -591,8 +581,8 @@ mod tests {
 
     #[test]
     fn month_zero_wchd_matches_fresh_quality() {
-        let dataset = small_campaign(1, 4, 51);
-        let a = Assessment::from_dataset(&dataset, &protocol()).unwrap();
+        let records = small_campaign(1, 4, 51);
+        let a = Assessment::from_records(&records, &protocol()).unwrap();
         let m0 = &a.aggregates()[0];
         // Paper start: ~2.5 % WCHD, 40–50 % BCHD, 60–70 % FHW.
         assert!(
@@ -611,8 +601,8 @@ mod tests {
 
     #[test]
     fn aging_trends_appear_in_the_aggregates() {
-        let dataset = small_campaign(24, 4, 52);
-        let a = Assessment::from_dataset(&dataset, &protocol()).unwrap();
+        let records = small_campaign(24, 4, 52);
+        let a = Assessment::from_records(&records, &protocol()).unwrap();
         let first = &a.aggregates()[0];
         let last = &a.aggregates()[a.months() - 1];
         assert!(last.wchd.mean > first.wchd.mean, "wchd rises");
@@ -631,8 +621,8 @@ mod tests {
 
     #[test]
     fn complete_campaign_has_complete_coverage() {
-        let dataset = small_campaign(2, 3, 55);
-        let a = Assessment::from_dataset(&dataset, &protocol()).unwrap();
+        let records = small_campaign(2, 3, 55);
+        let a = Assessment::from_records(&records, &protocol()).unwrap();
         let cov = a.coverage();
         assert!(cov.is_complete());
         assert!(cov.sparse_months().is_empty());
@@ -657,8 +647,8 @@ mod tests {
 
     #[test]
     fn single_device_is_rejected() {
-        let dataset = small_campaign(1, 1, 53);
-        let err = Assessment::from_dataset(&dataset, &protocol()).unwrap_err();
+        let records = small_campaign(1, 1, 53);
+        let err = Assessment::from_records(&records, &protocol()).unwrap_err();
         assert!(matches!(err, AssessError::TooFewDevices { devices: 1 }));
     }
 
@@ -690,10 +680,10 @@ mod tests {
     fn round_trip_through_json_store_preserves_assessment() {
         use puftestbed::store::{read_json_lines, JsonLinesSink, RecordSink};
         let dataset = small_campaign(2, 3, 54);
-        let direct = Assessment::from_dataset(&dataset, &protocol()).unwrap();
+        let direct = Assessment::from_records(&dataset, &protocol()).unwrap();
 
         let mut sink = JsonLinesSink::new(Vec::new());
-        for r in dataset.records() {
+        for r in &dataset {
             sink.record(r).unwrap();
         }
         let bytes = sink.into_inner().unwrap();

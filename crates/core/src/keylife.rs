@@ -888,13 +888,13 @@ mod tests {
 
     #[test]
     fn streaming_matches_in_memory_reference() {
-        let dataset = Campaign::new(campaign_config(3, 4), 51).run_in_memory();
+        let records = Campaign::new(campaign_config(3, 4), 51).run_in_memory();
         let mut acc = KeyLifeAccumulator::new(config());
-        for r in dataset.records() {
+        for r in &records {
             acc.push(r);
         }
         let streamed = acc.finish().unwrap();
-        let reference = KeyLife::from_records(dataset.records(), &config()).unwrap();
+        let reference = KeyLife::from_records(&records, &config()).unwrap();
         assert_eq!(streamed, reference);
         assert_eq!(streamed.render_table(), reference.render_table());
         assert_eq!(streamed.csv(), reference.csv());
@@ -902,11 +902,11 @@ mod tests {
 
     #[test]
     fn sharded_merge_is_identical_to_single_stream() {
-        let dataset = Campaign::new(campaign_config(2, 4), 52).run_in_memory();
+        let records = Campaign::new(campaign_config(2, 4), 52).run_in_memory();
         let mut single = KeyLifeAccumulator::new(config());
         let mut shard_a = KeyLifeAccumulator::new(config());
         let mut shard_b = KeyLifeAccumulator::new(config());
-        for r in dataset.records() {
+        for r in &records {
             single.push(r);
             if r.device.0 % 2 == 0 {
                 shard_a.push(r);
@@ -943,7 +943,6 @@ mod tests {
         // fully erased for it.
         let dataset = Campaign::new(campaign_config(2, 3), 54).run_in_memory();
         let first_month = dataset
-            .records()
             .iter()
             .map(|r| {
                 let d = r.timestamp.datetime().date;
@@ -952,7 +951,6 @@ mod tests {
             .min()
             .unwrap();
         let records: Vec<Record> = dataset
-            .records()
             .iter()
             .filter(|r| {
                 let d = r.timestamp.datetime().date;
@@ -1095,12 +1093,12 @@ mod tests {
 
     #[test]
     fn instrumented_accumulator_produces_the_same_report() {
-        let dataset = Campaign::new(campaign_config(2, 3), 57).run_in_memory();
+        let records = Campaign::new(campaign_config(2, 3), 57).run_in_memory();
         let mut plain = KeyLifeAccumulator::new(config());
         let ins = Instruments::new();
         let mut instrumented = KeyLifeAccumulator::new(config());
         instrumented.attach_instruments(&ins);
-        for r in dataset.records() {
+        for r in &records {
             plain.push(r);
             instrumented.push(r);
         }
@@ -1139,9 +1137,9 @@ mod tests {
             profiles: vec![KeyProfile::parse("polar-128-32", 32).unwrap()],
             ..config()
         };
-        let dataset = Campaign::new(campaign_config(2, 3), 56).run_in_memory();
-        let a = KeyLife::from_records(dataset.records(), &weak).unwrap();
-        let b = KeyLife::from_records(dataset.records(), &weak).unwrap();
+        let records = Campaign::new(campaign_config(2, 3), 56).run_in_memory();
+        let a = KeyLife::from_records(&records, &weak).unwrap();
+        let b = KeyLife::from_records(&records, &weak).unwrap();
         assert_eq!(a, b);
         assert!(a.reconstruct_failures > 0, "weak profile must fail visibly");
         assert_eq!(a.wrong_keys, 0, "failures are detected, not silent");
@@ -1152,15 +1150,15 @@ mod tests {
 
     #[test]
     fn enrollment_is_deterministic_in_the_seed() {
-        let dataset = Campaign::new(campaign_config(2, 3), 59).run_in_memory();
-        let a = KeyLife::from_records(dataset.records(), &config()).unwrap();
-        let b = KeyLife::from_records(dataset.records(), &config()).unwrap();
+        let records = Campaign::new(campaign_config(2, 3), 59).run_in_memory();
+        let a = KeyLife::from_records(&records, &config()).unwrap();
+        let b = KeyLife::from_records(&records, &config()).unwrap();
         assert_eq!(a, b);
         let other_seed = KeyLifeConfig {
             enroll_seed: 8,
             ..config()
         };
-        let c = KeyLife::from_records(dataset.records(), &other_seed).unwrap();
+        let c = KeyLife::from_records(&records, &other_seed).unwrap();
         // Different key material, identical failure accounting on a healthy
         // campaign.
         assert_eq!(c.reconstruct_failures, a.reconstruct_failures);

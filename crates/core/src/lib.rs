@@ -12,7 +12,7 @@
 //!   min-entropy within a device (§IV-C2).
 //! * [`monthly`] — the selection rule of §IV-B: "the first 1 000 consecutive
 //!   measurements after midnight on the 8th of each month".
-//! * [`assessment`] — the full pipeline from a campaign dataset to
+//! * [`assessment`] — the full pipeline from a campaign's records to
 //!   per-device monthly metrics and cross-device aggregates (Fig. 6).
 //! * [`streaming`] — the same pipeline in bounded memory: records fold one
 //!   at a time into per-(device, month) accumulators, so paper-scale
@@ -29,7 +29,7 @@
 //! # Quick start
 //!
 //! ```
-//! use pufassess::{assessment::Assessment, monthly::EvaluationProtocol};
+//! use pufassess::{monthly::EvaluationProtocol, streaming::WindowAccumulator};
 //! use puftestbed::{Campaign, CampaignConfig};
 //!
 //! // A miniature campaign (the full paper scale is the default config).
@@ -41,13 +41,15 @@
 //!     reads_per_window: 30,
 //!     ..CampaignConfig::default()
 //! };
-//! let dataset = Campaign::new(config, 11).run_in_memory();
 //! let protocol = EvaluationProtocol { reads_per_window: 30, ..EvaluationProtocol::default() };
-//! let assessment = Assessment::from_dataset(&dataset, &protocol)?;
+//! // Records fold into the assessment as the campaign emits them.
+//! let mut accumulator = WindowAccumulator::new(protocol);
+//! Campaign::new(config, 11).run(&mut accumulator)?;
+//! let assessment = accumulator.finish()?;
 //! assert_eq!(assessment.months(), 4); // months 0..=3
 //! let table = assessment.table1();
 //! assert!(table.wchd.end_avg > 0.0);
-//! # Ok::<(), pufassess::assessment::AssessError>(())
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 pub mod assessment;

@@ -87,9 +87,9 @@ impl MonthlyWindow {
 ///     boards: 2, sram_bits: 64, read_bits: 64, months: 1, reads_per_window: 8,
 ///     ..CampaignConfig::default()
 /// };
-/// let dataset = Campaign::new(config, 1).run_in_memory();
+/// let records = Campaign::new(config, 1).run_in_memory();
 /// let windows = select_windows(
-///     dataset.records(),
+///     &records,
 ///     &EvaluationProtocol { reads_per_window: 8, ..EvaluationProtocol::default() },
 /// );
 /// assert_eq!(windows.len(), 2 * 2); // 2 devices × 2 months

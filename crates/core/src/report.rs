@@ -171,9 +171,9 @@ mod tests {
             reads_per_window: 20,
             ..CampaignConfig::default()
         };
-        let dataset = Campaign::new(config, 70).run_in_memory();
-        Assessment::from_dataset(
-            &dataset,
+        let records = Campaign::new(config, 70).run_in_memory();
+        Assessment::from_records(
+            &records,
             &EvaluationProtocol {
                 reads_per_window: 20,
                 ..EvaluationProtocol::default()

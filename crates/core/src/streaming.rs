@@ -329,9 +329,9 @@ mod tests {
 
     #[test]
     fn streaming_equals_in_memory_exactly() {
-        let dataset = Campaign::new(campaign_config(3, 4), 91).run_in_memory();
-        let in_memory = Assessment::from_records(dataset.records(), &protocol()).unwrap();
-        let streamed = Assessment::from_record_stream(dataset.records(), &protocol()).unwrap();
+        let records = Campaign::new(campaign_config(3, 4), 91).run_in_memory();
+        let in_memory = Assessment::from_records(&records, &protocol()).unwrap();
+        let streamed = Assessment::from_record_stream(&records, &protocol()).unwrap();
         // Bit-exact: every float was accumulated in the same order.
         assert_eq!(in_memory, streamed);
         assert_eq!(in_memory.table1().render(), streamed.table1().render());
@@ -345,16 +345,16 @@ mod tests {
             .unwrap();
         assert_eq!(accumulator.windows_open(), 3 * 3);
         let direct = accumulator.finish().unwrap();
-        let dataset = Campaign::new(campaign_config(2, 3), 92).run_in_memory();
-        let replay = Assessment::from_records(dataset.records(), &protocol()).unwrap();
+        let records = Campaign::new(campaign_config(2, 3), 92).run_in_memory();
+        let replay = Assessment::from_records(&records, &protocol()).unwrap();
         assert_eq!(direct, replay);
     }
 
     #[test]
     fn snapshots_carry_the_window_counters() {
-        let dataset = Campaign::new(campaign_config(1, 2), 93).run_in_memory();
+        let records = Campaign::new(campaign_config(1, 2), 93).run_in_memory();
         let mut accumulator = WindowAccumulator::new(protocol());
-        for r in dataset.records() {
+        for r in &records {
             accumulator.push(r);
         }
         let (_, snapshots) = accumulator.finish_with_windows().unwrap();
@@ -437,12 +437,12 @@ mod tests {
 
     #[test]
     fn instrumented_accumulator_produces_the_same_assessment() {
-        let dataset = Campaign::new(campaign_config(2, 3), 95).run_in_memory();
+        let records = Campaign::new(campaign_config(2, 3), 95).run_in_memory();
         let mut plain = WindowAccumulator::new(protocol());
         let ins = Instruments::new();
         let mut instrumented = WindowAccumulator::new(protocol());
         instrumented.attach_instruments(&ins);
-        for r in dataset.records() {
+        for r in &records {
             plain.push(r);
             instrumented.push(r);
         }

@@ -227,9 +227,9 @@ mod tests {
             reads_per_window: 30,
             ..CampaignConfig::default()
         };
-        let dataset = Campaign::new(config, 60).run_in_memory();
-        Assessment::from_dataset(
-            &dataset,
+        let records = Campaign::new(config, 60).run_in_memory();
+        Assessment::from_records(
+            &records,
             &EvaluationProtocol {
                 reads_per_window: 30,
                 ..EvaluationProtocol::default()
@@ -305,12 +305,12 @@ mod tests {
             reads_per_window: 1,
             ..CampaignConfig::default()
         };
-        let dataset = Campaign::new(config, 61).run_in_memory();
+        let records = Campaign::new(config, 61).run_in_memory();
         let protocol = EvaluationProtocol {
             reads_per_window: 1,
             ..EvaluationProtocol::default()
         };
-        let table = Assessment::from_dataset(&dataset, &protocol)
+        let table = Assessment::from_records(&records, &protocol)
             .unwrap()
             .table1();
         assert_eq!(table.wchd.start_avg, 0.0);

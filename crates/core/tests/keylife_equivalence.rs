@@ -9,9 +9,7 @@ use pufassess::monthly::EvaluationProtocol;
 use pufassess::{KeyLife, KeyLifeAccumulator, KeyLifeConfig, KeyProfile, WindowAccumulator};
 use pufbits::BitVec;
 use puftestbed::faults::{Brownout, I2cBurst};
-use puftestbed::{
-    BoardId, CalendarDate, Campaign, CampaignConfig, Dataset, FaultPlan, Record, Timestamp,
-};
+use puftestbed::{BoardId, CalendarDate, Campaign, CampaignConfig, FaultPlan, Record, Timestamp};
 
 fn keylife_config() -> KeyLifeConfig {
     KeyLifeConfig {
@@ -27,7 +25,7 @@ fn keylife_config() -> KeyLifeConfig {
     }
 }
 
-fn clean_campaign() -> Dataset {
+fn clean_campaign() -> Vec<Record> {
     let config = CampaignConfig {
         boards: 4,
         sram_bits: 1024,
@@ -44,7 +42,7 @@ fn clean_campaign() -> Dataset {
 /// corrupts read-outs. The record file carries only the surviving reads —
 /// the workload must infer the rest as erasures, identically on both
 /// paths.
-fn faulted_campaign() -> Dataset {
+fn faulted_campaign() -> Vec<Record> {
     let config = CampaignConfig {
         boards: 4,
         sram_bits: 1024,
@@ -73,9 +71,9 @@ fn faulted_campaign() -> Dataset {
     Campaign::new(config, 71).run_in_memory()
 }
 
-fn streamed(dataset: &Dataset, config: &KeyLifeConfig) -> KeyLife {
+fn streamed(records: &[Record], config: &KeyLifeConfig) -> KeyLife {
     let mut accumulator = KeyLifeAccumulator::new(config.clone());
-    for record in dataset.records() {
+    for record in records {
         accumulator.push(record);
     }
     accumulator.finish().unwrap()
@@ -83,11 +81,11 @@ fn streamed(dataset: &Dataset, config: &KeyLifeConfig) -> KeyLife {
 
 /// Shards the records by `device % shards`, folds each shard in its own
 /// accumulator, and merges in shard order — the harness's parallel layout.
-fn sharded(dataset: &Dataset, config: &KeyLifeConfig, shards: usize) -> KeyLife {
+fn sharded(records: &[Record], config: &KeyLifeConfig, shards: usize) -> KeyLife {
     let mut accumulators: Vec<KeyLifeAccumulator> = (0..shards)
         .map(|_| KeyLifeAccumulator::new(config.clone()))
         .collect();
-    for record in dataset.records() {
+    for record in records {
         accumulators[record.device.0 as usize % shards].push(record);
     }
     let mut merged: Option<KeyLifeAccumulator> = None;
@@ -102,10 +100,10 @@ fn sharded(dataset: &Dataset, config: &KeyLifeConfig, shards: usize) -> KeyLife 
 
 #[test]
 fn streaming_matches_in_memory_on_a_clean_campaign() {
-    let dataset = clean_campaign();
+    let records = clean_campaign();
     let config = keylife_config();
-    let in_memory = KeyLife::from_records(dataset.records(), &config).unwrap();
-    let streamed = streamed(&dataset, &config);
+    let in_memory = KeyLife::from_records(&records, &config).unwrap();
+    let streamed = streamed(&records, &config);
     assert_eq!(in_memory, streamed);
     assert_eq!(in_memory.render_table(), streamed.render_table());
     assert_eq!(in_memory.csv(), streamed.csv());
@@ -114,10 +112,10 @@ fn streaming_matches_in_memory_on_a_clean_campaign() {
 
 #[test]
 fn streaming_matches_in_memory_on_a_faulted_campaign() {
-    let dataset = faulted_campaign();
+    let records = faulted_campaign();
     let config = keylife_config();
-    let in_memory = KeyLife::from_records(dataset.records(), &config).unwrap();
-    let streamed = streamed(&dataset, &config);
+    let in_memory = KeyLife::from_records(&records, &config).unwrap();
+    let streamed = streamed(&records, &config);
     assert_eq!(in_memory, streamed);
     assert_eq!(in_memory.render_table(), streamed.render_table());
     assert_eq!(in_memory.csv(), streamed.csv());
@@ -205,11 +203,11 @@ fn a_read_of_another_width_than_the_reference_is_skipped_on_both_paths() {
 
 #[test]
 fn sharded_merge_is_identical_for_every_shard_count() {
-    for dataset in [clean_campaign(), faulted_campaign()] {
+    for records in [clean_campaign(), faulted_campaign()] {
         let config = keylife_config();
-        let sequential = streamed(&dataset, &config);
+        let sequential = streamed(&records, &config);
         for shards in [1, 2, 3, 8] {
-            let merged = sharded(&dataset, &config, shards);
+            let merged = sharded(&records, &config, shards);
             assert_eq!(sequential, merged, "shards={shards}");
             assert_eq!(
                 sequential.render_table(),

@@ -63,8 +63,8 @@ fn missing_device_months_are_flagged_not_averaged() {
         },
         ..config(4)
     };
-    let dataset = Campaign::new(cfg, 41).run_in_memory();
-    let a = Assessment::from_dataset(&dataset, &protocol()).unwrap();
+    let records = Campaign::new(cfg, 41).run_in_memory();
+    let a = Assessment::from_records(&records, &protocol()).unwrap();
     assert_all_finite(&a);
 
     let cov = a.coverage();
@@ -93,7 +93,7 @@ fn missing_device_months_are_flagged_not_averaged() {
 
     // The streaming path sees the same holes and produces the identical
     // assessment, coverage included.
-    let streamed = Assessment::from_record_stream(dataset.records(), &protocol()).unwrap();
+    let streamed = Assessment::from_record_stream(&records, &protocol()).unwrap();
     assert_eq!(a, streamed);
 }
 
@@ -114,8 +114,8 @@ fn single_survivor_months_get_placeholder_uniqueness() {
         },
         ..config(2)
     };
-    let dataset = Campaign::new(cfg, 43).run_in_memory();
-    let a = Assessment::from_dataset(&dataset, &protocol()).unwrap();
+    let records = Campaign::new(cfg, 43).run_in_memory();
+    let a = Assessment::from_records(&records, &protocol()).unwrap();
     assert_all_finite(&a);
 
     let m0 = &a.aggregates()[0];
@@ -131,7 +131,7 @@ fn single_survivor_months_get_placeholder_uniqueness() {
         assert_eq!(m.devices_present, 1);
         assert_eq!(m.missing_devices, vec![BoardId(1)]);
     }
-    let streamed = Assessment::from_record_stream(dataset.records(), &protocol()).unwrap();
+    let streamed = Assessment::from_record_stream(&records, &protocol()).unwrap();
     assert_eq!(a, streamed);
 }
 
@@ -153,11 +153,11 @@ fn starved_windows_are_reported_as_underfilled() {
         },
         ..config(4)
     };
-    let dataset = Campaign::new(cfg, 47).run_in_memory();
-    let summary = dataset.summary();
+    let mut records = Vec::new();
+    let summary = Campaign::new(cfg, 47).run(&mut records).unwrap();
     assert!(summary.dropped > 0, "burst must actually drop read-outs");
 
-    let a = Assessment::from_dataset(&dataset, &protocol()).unwrap();
+    let a = Assessment::from_records(&records, &protocol()).unwrap();
     assert_all_finite(&a);
     let cov = a.coverage();
     assert!(!cov.is_complete());
@@ -181,7 +181,7 @@ fn starved_windows_are_reported_as_underfilled() {
             assert_eq!(d.reads, 10);
         }
     }
-    let streamed = Assessment::from_record_stream(dataset.records(), &protocol()).unwrap();
+    let streamed = Assessment::from_record_stream(&records, &protocol()).unwrap();
     assert_eq!(a, streamed);
 }
 
@@ -200,10 +200,10 @@ fn device_browned_out_of_month_zero_is_a_missing_reference() {
         },
         ..config(4)
     };
-    let dataset = Campaign::new(cfg, 53).run_in_memory();
-    let err = Assessment::from_dataset(&dataset, &protocol()).unwrap_err();
+    let records = Campaign::new(cfg, 53).run_in_memory();
+    let err = Assessment::from_records(&records, &protocol()).unwrap_err();
     assert_eq!(err, AssessError::MissingReference { device: BoardId(3) });
-    let streamed = Assessment::from_record_stream(dataset.records(), &protocol()).unwrap_err();
+    let streamed = Assessment::from_record_stream(&records, &protocol()).unwrap_err();
     assert_eq!(streamed, err);
 }
 

@@ -33,7 +33,7 @@ use crate::faults::{self, FaultChannel, FaultPlan, FaultTally, GapCause, GapReco
 use crate::i2c::{Address, I2cBus};
 use crate::schedule::READOUT_DELAY_S;
 use crate::store::checkpoint::{self, BoardState, CampaignState, CheckpointError};
-use crate::store::{MemorySink, Record, RecordSink};
+use crate::store::{Record, RecordSink};
 use crate::time::{CalendarDate, Timestamp};
 use crate::waveform::PowerWaveform;
 use pufbits::{BitVec, PufRng};
@@ -158,9 +158,9 @@ pub struct CampaignSummary {
 ///     reads_per_window: 5,
 ///     ..CampaignConfig::default()
 /// };
-/// let dataset = Campaign::new(config, 7).run_in_memory();
+/// let records = Campaign::new(config, 7).run_in_memory();
 /// // 2 windows × 2 boards × 5 reads.
-/// assert_eq!(dataset.records().len(), 20);
+/// assert_eq!(records.len(), 20);
 /// ```
 #[derive(Debug)]
 pub struct Campaign {
@@ -755,19 +755,12 @@ impl Campaign {
         }
     }
 
-    /// Runs the campaign into an in-memory [`Dataset`].
-    ///
-    /// # Panics
-    ///
-    /// Never panics on I/O (memory sink is infallible).
-    pub fn run_in_memory(&mut self) -> Dataset {
-        let mut sink = MemorySink::new();
-        let summary = self.run(&mut sink).expect("memory sink cannot fail");
-        Dataset {
-            records: sink.into_records(),
-            summary,
-            config: self.config.clone(),
-        }
+    /// Runs the campaign, collecting its records in arrival order. The
+    /// counters stay available through [`summary_so_far`](Self::summary_so_far).
+    pub fn run_in_memory(&mut self) -> Vec<Record> {
+        let mut records = Vec::new();
+        self.run(&mut records).expect("a Vec sink cannot fail");
+        records
     }
 
     fn campaign_epoch(&self) -> Timestamp {
@@ -996,62 +989,10 @@ impl Campaign {
     }
 }
 
-/// An in-memory campaign result: the record stream plus its provenance.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Dataset {
-    records: Vec<Record>,
-    summary: CampaignSummary,
-    config: CampaignConfig,
-}
-
-impl Dataset {
-    /// Assembles a dataset from parts (e.g. records read back from disk).
-    pub fn from_parts(records: Vec<Record>, config: CampaignConfig) -> Self {
-        let summary = CampaignSummary {
-            windows: 0,
-            records: records.len() as u64,
-            dropped: 0,
-            retries: 0,
-        };
-        Self {
-            records,
-            summary,
-            config,
-        }
-    }
-
-    /// All records in arrival order.
-    pub fn records(&self) -> &[Record] {
-        &self.records
-    }
-
-    /// The run counters.
-    pub fn summary(&self) -> CampaignSummary {
-        self.summary
-    }
-
-    /// The configuration that produced this dataset.
-    pub fn config(&self) -> &CampaignConfig {
-        &self.config
-    }
-
-    /// Number of distinct devices present.
-    pub fn devices(&self) -> usize {
-        let mut ids: Vec<u8> = self.records.iter().map(|r| r.device.0).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids.len()
-    }
-
-    /// Records of one device, in arrival order.
-    pub fn device_records(&self, device: BoardId) -> impl Iterator<Item = &Record> {
-        self.records.iter().filter(move |r| r.device == device)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
 
     fn tiny_config() -> CampaignConfig {
         CampaignConfig {
@@ -1078,11 +1019,12 @@ mod tests {
     #[test]
     fn windowed_campaign_produces_expected_record_counts() {
         let mut campaign = Campaign::new(tiny_config(), 1);
-        let dataset = campaign.run_in_memory();
+        let mut records = Vec::new();
+        let summary = campaign.run(&mut records).unwrap();
         // (months + 1) windows × boards × reads.
-        assert_eq!(dataset.records().len(), 3 * 4 * 10);
-        assert_eq!(dataset.devices(), 4);
-        let summary = dataset.summary();
+        assert_eq!(records.len(), 3 * 4 * 10);
+        let devices: BTreeSet<BoardId> = records.iter().map(|r| r.device).collect();
+        assert_eq!(devices.len(), 4);
         assert_eq!(summary.windows, 3);
         assert_eq!(summary.records, 120);
         assert_eq!(summary.dropped, 0);
@@ -1093,9 +1035,9 @@ mod tests {
         // The paper's synchronization property: "each slave board always
         // produces the same quantity of SRAM PUF data".
         let mut campaign = Campaign::new(tiny_config(), 2);
-        let dataset = campaign.run_in_memory();
+        let records = campaign.run_in_memory();
         let counts: Vec<usize> = (0..4)
-            .map(|i| dataset.device_records(BoardId(i)).count())
+            .map(|i| records.iter().filter(|r| r.device == BoardId(i)).count())
             .collect();
         assert!(counts.iter().all(|&c| c == counts[0]), "{counts:?}");
     }
@@ -1103,16 +1045,15 @@ mod tests {
     #[test]
     fn window_timestamps_fall_on_the_evaluation_day() {
         let mut campaign = Campaign::new(tiny_config(), 3);
-        let dataset = campaign.run_in_memory();
-        for record in dataset.records() {
+        let records = campaign.run_in_memory();
+        for record in &records {
             let dt = record.timestamp.datetime();
             assert_eq!(dt.date.day, 8, "window day: {dt}");
             // First reads of the window land right after midnight.
             assert!(dt.hour == 0, "within the after-midnight window: {dt}");
         }
         // Months advance: Feb, Mar, Apr 2017.
-        let months: Vec<(i32, u8)> = dataset
-            .records()
+        let months: Vec<(i32, u8)> = records
             .iter()
             .map(|r| {
                 let d = r.timestamp.datetime().date;
@@ -1127,10 +1068,9 @@ mod tests {
     #[test]
     fn sequence_numbers_account_for_skipped_cycles() {
         let mut campaign = Campaign::new(tiny_config(), 4);
-        let dataset = campaign.run_in_memory();
-        let first_window_seq = dataset.records()[0].seq;
-        let later = dataset
-            .records()
+        let records = campaign.run_in_memory();
+        let first_window_seq = records[0].seq;
+        let later = records
             .iter()
             .find(|r| r.timestamp.datetime().date.month == 3)
             .unwrap();
@@ -1141,11 +1081,11 @@ mod tests {
     #[test]
     fn layers_interleave_within_a_window() {
         let mut campaign = Campaign::new(tiny_config(), 5);
-        let dataset = campaign.run_in_memory();
+        let records = campaign.run_in_memory();
         // Boards 0, 2 are layer 0; boards 1, 3 are layer 1. Layer-1 records
         // of the same read index are 2–3 s later.
-        let r0 = dataset.device_records(BoardId(0)).next().unwrap();
-        let r1 = dataset.device_records(BoardId(1)).next().unwrap();
+        let r0 = records.iter().find(|r| r.device == BoardId(0)).unwrap();
+        let r1 = records.iter().find(|r| r.device == BoardId(1)).unwrap();
         let dt = r1.timestamp.seconds_since(r0.timestamp);
         assert!((2..=3).contains(&dt), "layer offset {dt}");
     }
@@ -1161,8 +1101,8 @@ mod tests {
             ..CampaignConfig::default()
         };
         let mut campaign = Campaign::new(config, 6);
-        let dataset = campaign.run_in_memory();
-        let device: Vec<&Record> = dataset.device_records(BoardId(0)).collect();
+        let records = campaign.run_in_memory();
+        let device: Vec<&Record> = records.iter().filter(|r| r.device == BoardId(0)).collect();
         let reference = &device[0].data;
         let fresh_fhd = device[1].data.fractional_hamming_distance(reference);
         let aged_fhd = device[device.len() - 1]
@@ -1183,10 +1123,14 @@ mod tests {
             ..tiny_config()
         };
         let mut campaign = Campaign::new(config, 7);
-        let dataset = campaign.run_in_memory();
-        assert_eq!(dataset.records().len(), 4 * 25);
+        let records = campaign.run_in_memory();
+        assert_eq!(records.len(), 4 * 25);
         // Consecutive seq numbers, no gaps.
-        let seqs: Vec<u64> = dataset.device_records(BoardId(0)).map(|r| r.seq).collect();
+        let seqs: Vec<u64> = records
+            .iter()
+            .filter(|r| r.device == BoardId(0))
+            .map(|r| r.seq)
+            .collect();
         for w in seqs.windows(2) {
             assert_eq!(w[1], w[0] + 1);
         }
@@ -1200,11 +1144,11 @@ mod tests {
             ..tiny_config()
         };
         let mut campaign = Campaign::new(config, 8);
-        let dataset = campaign.run_in_memory();
-        let summary = dataset.summary();
+        let mut records = Vec::new();
+        let summary = campaign.run(&mut records).unwrap();
         assert!(summary.dropped > 0, "faults must drop read-outs");
         // Everything that did arrive has the right shape.
-        for r in dataset.records() {
+        for r in &records {
             assert_eq!(r.data.len(), 128);
         }
     }
@@ -1217,11 +1161,11 @@ mod tests {
             ..tiny_config()
         };
         let mut campaign = Campaign::new(config, 9);
-        let dataset = campaign.run_in_memory();
-        let summary = dataset.summary();
+        let mut records = Vec::new();
+        let summary = campaign.run(&mut records).unwrap();
         assert_eq!(summary.dropped, 0);
         assert!(summary.retries > 0);
-        assert_eq!(dataset.records().len(), 120);
+        assert_eq!(records.len(), 120);
     }
 
     #[test]
@@ -1241,8 +1185,8 @@ mod tests {
             ..nominal_cfg.clone()
         };
         let wchd_growth = |cfg: CampaignConfig| {
-            let dataset = Campaign::new(cfg, 77).run_in_memory();
-            let device: Vec<&Record> = dataset.device_records(BoardId(0)).collect();
+            let records = Campaign::new(cfg, 77).run_in_memory();
+            let device: Vec<&Record> = records.iter().filter(|r| r.device == BoardId(0)).collect();
             let reference = &device[0].data;
             let fresh: f64 = device[1..10]
                 .iter()
@@ -1272,11 +1216,11 @@ mod tests {
             i2c_retries: 2,
             ..tiny_config()
         };
-        let dataset = Campaign::new(config, 11)
+        let summary = Campaign::new(config, 11)
             .threads(2)
             .instruments(&ins)
-            .run_in_memory();
-        let summary = dataset.summary();
+            .run(&mut Vec::new())
+            .unwrap();
         let snap = ins.snapshot();
         assert_eq!(snap.counter("campaign.records"), summary.records);
         assert_eq!(snap.counter("campaign.dropped"), summary.dropped);
@@ -1315,8 +1259,7 @@ mod tests {
             reads_per_window: 20,
             ..CampaignConfig::default()
         };
-        let dataset = Campaign::new(config, 13).run_in_memory();
-        let records = dataset.records();
+        let records = Campaign::new(config, 13).run_in_memory();
         let mean_weight: f64 = records
             .iter()
             .map(|r| r.data.fractional_hamming_weight())
@@ -1326,16 +1269,16 @@ mod tests {
             (0.55..=0.70).contains(&mean_weight),
             "power-up bias drifted: mean weight {mean_weight}"
         );
-        let reference: Vec<&Record> = dataset.device_records(BoardId(0)).collect();
+        let reference: Vec<&Record> = records.iter().filter(|r| r.device == BoardId(0)).collect();
         let within: f64 = reference[1..]
             .iter()
             .map(|r| r.data.fractional_hamming_distance(&reference[0].data))
             .sum::<f64>()
             / (reference.len() - 1) as f64;
         assert!(within < 0.15, "within-class noise blew up: {within}");
-        let other = dataset
-            .device_records(BoardId(1))
-            .next()
+        let other = records
+            .iter()
+            .find(|r| r.device == BoardId(1))
             .expect("board 1 recorded");
         let between = other.data.fractional_hamming_distance(&reference[0].data);
         assert!(
@@ -1346,13 +1289,16 @@ mod tests {
 
     #[test]
     fn instrumented_run_is_record_identical() {
-        let plain = Campaign::new(tiny_config(), 12).run_in_memory();
+        let mut plain = Vec::new();
+        let plain_summary = Campaign::new(tiny_config(), 12).run(&mut plain).unwrap();
         let ins = Instruments::new();
-        let instrumented = Campaign::new(tiny_config(), 12)
+        let mut instrumented = Vec::new();
+        let instrumented_summary = Campaign::new(tiny_config(), 12)
             .instruments(&ins)
-            .run_in_memory();
-        assert_eq!(plain.records(), instrumented.records());
-        assert_eq!(plain.summary(), instrumented.summary());
+            .run(&mut instrumented)
+            .unwrap();
+        assert_eq!(plain, instrumented);
+        assert_eq!(plain_summary, instrumented_summary);
     }
 
     #[test]

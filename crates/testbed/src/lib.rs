@@ -41,10 +41,14 @@
 //!     ..CampaignConfig::default()
 //! };
 //! let mut campaign = Campaign::new(config, 42);
-//! let dataset = campaign.run_in_memory();
-//! assert_eq!(dataset.devices(), 4);
+//! let mut records = Vec::new();
+//! let summary = campaign.run(&mut records)?;
 //! // Three windows: month 0 (start), month 1, month 2.
-//! assert_eq!(dataset.records().len(), 4 * 3 * 20);
+//! assert_eq!(summary.windows, 3);
+//! assert_eq!(records.len(), 4 * 3 * 20);
+//! // Board 3 alone: 3 windows × 20 reads.
+//! assert_eq!(records.iter().filter(|r| r.device.0 == 3).count(), 3 * 20);
+//! # Ok::<(), std::io::Error>(())
 //! ```
 
 pub mod board;
@@ -60,8 +64,7 @@ mod campaign;
 
 pub use board::{BoardId, MasterBoard, SlaveBoard, SlaveBoardState};
 pub use campaign::{
-    board_stream_seed, Campaign, CampaignConfig, CampaignSummary, Dataset, MeasurementPlan,
-    MAX_BOARDS,
+    board_stream_seed, Campaign, CampaignConfig, CampaignSummary, MeasurementPlan, MAX_BOARDS,
 };
 pub use faults::{FaultPlan, FaultTally, GapCause, GapRecord, PlanError};
 pub use power::PowerSwitch;

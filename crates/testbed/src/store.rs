@@ -527,32 +527,11 @@ impl<W: Write> RecordSink for JsonLinesSink<W> {
     }
 }
 
-/// Sink keeping every record in memory (tests, small campaigns).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MemorySink {
-    records: Vec<Record>,
-}
-
-impl MemorySink {
-    /// Creates an empty sink.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The collected records.
-    pub fn records(&self) -> &[Record] {
-        &self.records
-    }
-
-    /// Consumes the sink, returning the records.
-    pub fn into_records(self) -> Vec<Record> {
-        self.records
-    }
-}
-
-impl RecordSink for MemorySink {
+/// Collects every record in memory, in arrival order (tests, small
+/// campaigns).
+impl RecordSink for Vec<Record> {
     fn record(&mut self, record: &Record) -> io::Result<()> {
-        self.records.push(record.clone());
+        self.push(record.clone());
         Ok(())
     }
 }
@@ -981,12 +960,12 @@ mod tests {
 
     #[test]
     fn memory_sink_collects_in_order() {
-        let mut sink = MemorySink::new();
+        let mut sink = Vec::new();
         for i in 0..3 {
             sink.record(&sample(0, i)).unwrap();
         }
-        assert_eq!(sink.records().len(), 3);
-        assert_eq!(sink.into_records()[2].seq, 2);
+        assert_eq!(sink.len(), 3);
+        assert_eq!(sink[2].seq, 2);
     }
 
     #[test]
@@ -1011,7 +990,7 @@ mod tests {
 
     #[test]
     fn tee_sink_duplicates_in_order() {
-        let mut tee = TeeSink::new(MemorySink::new(), JsonLinesSink::new(Vec::new()));
+        let mut tee = TeeSink::new(Vec::<Record>::new(), JsonLinesSink::new(Vec::new()));
         let records: Vec<Record> = (0..4).map(|i| sample(i % 2, u64::from(i))).collect();
         for r in &records {
             // Exercise the blanket `&mut S` impl too.
@@ -1019,7 +998,7 @@ mod tests {
             sink.record(r).unwrap();
         }
         let (memory, lines) = tee.into_inner();
-        assert_eq!(memory.into_records(), records);
+        assert_eq!(memory, records);
         let back: Vec<Record> = read_json_lines(lines.into_inner().unwrap().as_slice())
             .collect::<Result<_, _>>()
             .unwrap();

@@ -7,7 +7,6 @@
 
 use proptest::prelude::*;
 use puftestbed::store::checkpoint::{self, BoardState, CampaignState, CheckpointError};
-use puftestbed::store::MemorySink;
 use puftestbed::{
     BoardId, Campaign, CampaignConfig, CampaignSummary, MeasurementPlan, Record, SlaveBoardState,
 };
@@ -41,9 +40,9 @@ fn json_bytes(records: &[Record]) -> Vec<u8> {
 
 fn full_run(cfg: &CampaignConfig, seed: u64, threads: usize) -> (Vec<Record>, CampaignSummary) {
     let mut campaign = Campaign::new(cfg.clone(), seed).threads(threads);
-    let mut sink = MemorySink::new();
-    let summary = campaign.run(&mut sink).expect("memory sink cannot fail");
-    (sink.into_records(), summary)
+    let mut records = Vec::new();
+    let summary = campaign.run(&mut records).expect("a Vec sink cannot fail");
+    (records, summary)
 }
 
 /// Runs `halt` windows, checkpoints through a full encode/decode cycle,
@@ -59,8 +58,8 @@ fn interrupted_run(
     let mut first = Campaign::new(cfg.clone(), seed)
         .threads(threads_before)
         .halt_after_windows(halt);
-    let mut head = MemorySink::new();
-    first.run(&mut head).expect("memory sink cannot fail");
+    let mut head = Vec::new();
+    first.run(&mut head).expect("a Vec sink cannot fail");
     assert!(!first.completed(), "halt must leave work remaining");
     // Round-trip the state through the wire format, as a real resume does.
     let state = checkpoint::decode(&checkpoint::encode(&first.export_state()))
@@ -68,11 +67,11 @@ fn interrupted_run(
     let mut second = Campaign::resume(cfg.clone(), seed, &state)
         .expect("matching config resumes")
         .threads(threads_after);
-    let mut tail = MemorySink::new();
-    let summary = second.run(&mut tail).expect("memory sink cannot fail");
+    let mut tail = Vec::new();
+    let summary = second.run(&mut tail).expect("a Vec sink cannot fail");
     assert!(second.completed());
-    let mut records = head.into_records();
-    records.extend(tail.into_records());
+    let mut records = head;
+    records.extend(tail);
     (records, summary)
 }
 
@@ -98,7 +97,7 @@ fn resume_at_every_boundary_is_byte_identical_for_any_threads() {
 fn resumed_campaign_reexports_the_same_state() {
     let cfg = config();
     let mut first = Campaign::new(cfg.clone(), SEED).halt_after_windows(2);
-    let mut sink = MemorySink::new();
+    let mut sink = Vec::new();
     first.run(&mut sink).unwrap();
     let state = first.export_state();
     let resumed = Campaign::resume(cfg, SEED, &state).unwrap();
@@ -117,15 +116,15 @@ fn continuous_plan_checkpoint_round_trips_too() {
         ..config()
     };
     let mut campaign = Campaign::new(cfg.clone(), SEED);
-    let mut sink = MemorySink::new();
+    let mut sink = Vec::new();
     campaign.run(&mut sink).unwrap();
     assert!(campaign.completed());
     let state = checkpoint::decode(&checkpoint::encode(&campaign.export_state())).unwrap();
     // Resuming a completed continuous campaign runs nothing further.
     let mut resumed = Campaign::resume(cfg, SEED, &state).unwrap();
-    let mut tail = MemorySink::new();
+    let mut tail = Vec::new();
     let summary = resumed.run(&mut tail).unwrap();
-    assert_eq!(tail.into_records().len(), 0);
+    assert_eq!(tail.len(), 0);
     assert_eq!(summary, state.summary);
 }
 
@@ -133,7 +132,7 @@ fn continuous_plan_checkpoint_round_trips_too() {
 fn wrong_seed_is_refused_with_a_config_mismatch() {
     let cfg = config();
     let mut campaign = Campaign::new(cfg.clone(), SEED).halt_after_windows(1);
-    campaign.run(&mut MemorySink::new()).unwrap();
+    campaign.run(&mut Vec::new()).unwrap();
     let state = campaign.export_state();
     let err = Campaign::resume(cfg, SEED + 1, &state).unwrap_err();
     assert!(
@@ -146,7 +145,7 @@ fn wrong_seed_is_refused_with_a_config_mismatch() {
 fn changed_config_is_refused_with_a_config_mismatch() {
     let cfg = config();
     let mut campaign = Campaign::new(cfg.clone(), SEED).halt_after_windows(1);
-    campaign.run(&mut MemorySink::new()).unwrap();
+    campaign.run(&mut Vec::new()).unwrap();
     let state = campaign.export_state();
     let changed = CampaignConfig {
         i2c_nack_rate: cfg.i2c_nack_rate + 0.01,
@@ -163,7 +162,7 @@ fn changed_config_is_refused_with_a_config_mismatch() {
 fn internally_inconsistent_state_is_refused() {
     let cfg = config();
     let mut campaign = Campaign::new(cfg.clone(), SEED).halt_after_windows(1);
-    campaign.run(&mut MemorySink::new()).unwrap();
+    campaign.run(&mut Vec::new()).unwrap();
     let good = campaign.export_state();
 
     // A state passing the hash but carrying the wrong board count.
@@ -195,7 +194,7 @@ fn internally_inconsistent_state_is_refused() {
 fn damaged_checkpoint_file_never_resumes_silently() {
     let cfg = config();
     let mut campaign = Campaign::new(cfg, SEED).halt_after_windows(1);
-    campaign.run(&mut MemorySink::new()).unwrap();
+    campaign.run(&mut Vec::new()).unwrap();
     let state = campaign.export_state();
     let dir = std::env::temp_dir();
     let path = dir.join(format!("pufchk_damaged_{}.pufchk", std::process::id()));
@@ -233,7 +232,7 @@ fn checkpoint_files_appear_at_the_configured_cadence() {
     let mut campaign = Campaign::new(cfg.clone(), SEED)
         .instruments(&ins)
         .checkpoints(2, &path);
-    let mut sink = MemorySink::new();
+    let mut sink = Vec::new();
     campaign.run(&mut sink).unwrap();
     // 5 windows at a cadence of 2 → checkpoints after windows 2, 4, and at
     // completion.

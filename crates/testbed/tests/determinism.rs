@@ -1,6 +1,6 @@
 //! Satellite: the sharded campaign engine is deterministic — same
 //! `CampaignConfig` + seed twice, and any thread count, produce
-//! byte-identical `Dataset` records.
+//! byte-identical records.
 
 use puftestbed::store::Record;
 use puftestbed::{Campaign, CampaignConfig, MeasurementPlan};
@@ -22,13 +22,9 @@ fn config_with_faults() -> CampaignConfig {
 }
 
 fn run(config: CampaignConfig, seed: u64, threads: usize) -> (Vec<Record>, String) {
-    let dataset = Campaign::new(config, seed).threads(threads).run_in_memory();
-    let bytes: String = dataset
-        .records()
-        .iter()
-        .map(|r| r.to_json_line() + "\n")
-        .collect();
-    (dataset.records().to_vec(), bytes)
+    let records = Campaign::new(config, seed).threads(threads).run_in_memory();
+    let bytes: String = records.iter().map(|r| r.to_json_line() + "\n").collect();
+    (records, bytes)
 }
 
 #[test]
@@ -54,12 +50,12 @@ fn thread_count_does_not_change_the_record_stream() {
 fn summaries_agree_across_thread_counts() {
     let summary_1 = Campaign::new(config_with_faults(), 41)
         .threads(1)
-        .run_in_memory()
-        .summary();
+        .run(&mut Vec::new())
+        .unwrap();
     let summary_8 = Campaign::new(config_with_faults(), 41)
         .threads(8)
-        .run_in_memory()
-        .summary();
+        .run(&mut Vec::new())
+        .unwrap();
     assert_eq!(summary_1, summary_8);
     assert!(summary_1.retries > 0, "faults must actually fire");
 }

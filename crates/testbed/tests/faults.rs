@@ -7,7 +7,7 @@
 
 use pufobs::Instruments;
 use puftestbed::faults::{Brownout, I2cBurst, LayerSkew, StuckCluster};
-use puftestbed::store::{MemorySink, Record};
+use puftestbed::store::Record;
 use puftestbed::{BoardId, Campaign, CampaignConfig, FaultPlan, GapCause};
 
 fn base_config() -> CampaignConfig {
@@ -50,11 +50,7 @@ fn spicy_plan() -> FaultPlan {
 }
 
 fn run(config: CampaignConfig, seed: u64, threads: usize) -> Vec<Record> {
-    Campaign::new(config, seed)
-        .threads(threads)
-        .run_in_memory()
-        .records()
-        .to_vec()
+    Campaign::new(config, seed).threads(threads).run_in_memory()
 }
 
 #[test]
@@ -99,29 +95,29 @@ fn faulted_campaign_resumes_byte_identically() {
         faults: spicy_plan(),
         ..base_config()
     };
-    let mut reference_sink = MemorySink::new();
+    let mut reference_sink = Vec::new();
     Campaign::new(config.clone(), 9)
         .threads(2)
         .run(&mut reference_sink)
         .unwrap();
-    let reference = reference_sink.into_records();
+    let reference = reference_sink;
 
     // Interrupt after one window, resume with a different thread count.
-    let mut head_sink = MemorySink::new();
+    let mut head_sink = Vec::new();
     let mut halted = Campaign::new(config.clone(), 9)
         .threads(1)
         .halt_after_windows(1);
     halted.run(&mut head_sink).unwrap();
     let state = halted.export_state();
-    let mut tail_sink = MemorySink::new();
+    let mut tail_sink = Vec::new();
     Campaign::resume(config, 9, &state)
         .unwrap()
         .threads(4)
         .run(&mut tail_sink)
         .unwrap();
 
-    let mut resumed = head_sink.into_records();
-    resumed.extend(tail_sink.into_records());
+    let mut resumed = head_sink;
+    resumed.extend(tail_sink);
     assert_eq!(resumed, reference);
 }
 
@@ -132,7 +128,7 @@ fn resume_under_a_changed_plan_is_refused() {
         ..base_config()
     };
     let mut halted = Campaign::new(config.clone(), 9).halt_after_windows(1);
-    halted.run(&mut MemorySink::new()).unwrap();
+    halted.run(&mut Vec::new()).unwrap();
     let state = halted.export_state();
     let mut changed = config;
     changed.faults.brownouts[0].until_window = 2;
@@ -157,15 +153,14 @@ fn brownout_removes_exactly_the_scheduled_device_month() {
         ..base_config()
     };
     let mut campaign = Campaign::new(config, 11);
-    let dataset = campaign.run_in_memory();
+    let records = campaign.run_in_memory();
     // Board 2's window-1 records (window 1 = March 2017) vanish; every
     // other board's stream is untouched byte-for-byte — the brownout
     // decision is a pure function of the plan, so it cannot leak into
     // other boards through scheduling or shared RNG state.
-    assert_eq!(dataset.records().len(), clean.len() - 10);
+    assert_eq!(records.len(), clean.len() - 10);
     assert!(
-        !dataset
-            .records()
+        !records
             .iter()
             .any(|r| r.device == BoardId(2) && r.timestamp.datetime().date.month == 3),
         "browned-out window must produce no records"
@@ -177,7 +172,7 @@ fn brownout_removes_exactly_the_scheduled_device_month() {
             .cloned()
             .collect()
     };
-    assert_eq!(others(dataset.records()), others(&clean));
+    assert_eq!(others(&records), others(&clean));
     // Board 2 keeps its schedule (seq/timestamps) outside the brownout;
     // its post-brownout *data* legitimately differs from the clean run
     // because the missed power-ups never drew from its stream.
@@ -188,7 +183,7 @@ fn brownout_removes_exactly_the_scheduled_device_month() {
             .map(|r| (r.seq, r.timestamp.0))
             .collect()
     };
-    assert_eq!(board2(dataset.records()), board2(&clean));
+    assert_eq!(board2(&records), board2(&clean));
     // The hole is reported, not silently averaged over.
     let tally = campaign.fault_tally();
     assert_eq!(tally.browned_out_windows, 1);
@@ -218,9 +213,9 @@ fn stuck_cluster_forces_bits_from_its_window_on() {
         ..base_config()
     };
     let mut campaign = Campaign::new(config, 13);
-    let dataset = campaign.run_in_memory();
+    let records = campaign.run_in_memory();
     let clean = run(base_config(), 13, 1);
-    for (faulted, clean) in dataset.records().iter().zip(&clean) {
+    for (faulted, clean) in records.iter().zip(&clean) {
         assert_eq!(faulted.device, clean.device);
         assert_eq!(faulted.seq, clean.seq);
         let month = faulted.timestamp.datetime().date.month;
@@ -287,14 +282,14 @@ fn i2c_burst_drops_are_gap_recorded_and_survivors_are_clean() {
     };
     let ins = Instruments::new();
     let mut campaign = Campaign::new(config, 19).instruments(&ins);
-    let dataset = campaign.run_in_memory();
-    let summary = dataset.summary();
+    let mut records = Vec::new();
+    let summary = campaign.run(&mut records).unwrap();
     assert!(summary.dropped > 0, "burst must drop read-outs");
     assert!(summary.retries > 0, "burst must trigger retries");
     // Delivered records are bit-exact copies of the clean run's — injected
     // transport faults delay or drop read-outs but never corrupt the
     // payload that finally lands, and never touch other boards.
-    for faulted in dataset.records() {
+    for faulted in &records {
         let original = clean
             .iter()
             .find(|c| c.device == faulted.device && c.seq == faulted.seq)
@@ -331,9 +326,9 @@ fn fault_tallies_are_thread_count_independent() {
         ..base_config()
     };
     let mut one = Campaign::new(config.clone(), 23).threads(1);
-    one.run(&mut MemorySink::new()).unwrap();
+    one.run(&mut Vec::new()).unwrap();
     let mut eight = Campaign::new(config, 23).threads(8);
-    eight.run(&mut MemorySink::new()).unwrap();
+    eight.run(&mut Vec::new()).unwrap();
     assert_eq!(one.fault_tally(), eight.fault_tally());
     assert_eq!(one.gap_records(), eight.gap_records());
 }

@@ -9,7 +9,7 @@
 //! ```
 
 use sram_puf_longterm::pufassess::report::{self, Series};
-use sram_puf_longterm::pufassess::{Assessment, EvaluationProtocol};
+use sram_puf_longterm::pufassess::{EvaluationProtocol, WindowAccumulator};
 use sram_puf_longterm::puftestbed::{Campaign, CampaignConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -37,14 +37,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "running {} boards × {} months × {} reads/window…",
         config.boards, config.months, config.reads_per_window
     );
-    let dataset = Campaign::new(config, 2017).run_in_memory();
+    // Records fold into the assessment as the campaign emits them, so a
+    // paper-scale run never holds its 400 000 read-outs in memory at once.
+    let mut accumulator = WindowAccumulator::new(protocol);
+    let summary = Campaign::new(config, 2017).run(&mut accumulator)?;
     eprintln!(
         "campaign done: {} records ({} windows)",
-        dataset.summary().records,
-        dataset.summary().windows
+        summary.records, summary.windows
     );
 
-    let assessment = Assessment::from_dataset(&dataset, &protocol)?;
+    let assessment = accumulator.finish()?;
 
     println!("=== Fig. 5: initial quality ===\n");
     println!("{}", report::fig5_text(assessment.initial_quality(), 48));

@@ -27,9 +27,9 @@ fn monte_carlo_campaign_tracks_the_analytic_series() {
         ..CampaignConfig::default()
     };
     let profile = config.profile.clone();
-    let dataset = Campaign::new(config, 31_415).run_in_memory();
-    let assessment = Assessment::from_dataset(
-        &dataset,
+    let records = Campaign::new(config, 31_415).run_in_memory();
+    let assessment = Assessment::from_records(
+        &records,
         &EvaluationProtocol {
             reads_per_window: reads,
             ..EvaluationProtocol::default()
@@ -101,9 +101,9 @@ fn disabled_aging_freezes_the_monte_carlo_campaign() {
         profile,
         ..CampaignConfig::default()
     };
-    let dataset = Campaign::new(config, 2_718).run_in_memory();
-    let assessment = Assessment::from_dataset(
-        &dataset,
+    let records = Campaign::new(config, 2_718).run_in_memory();
+    let assessment = Assessment::from_records(
+        &records,
         &EvaluationProtocol {
             reads_per_window: reads,
             ..EvaluationProtocol::default()

@@ -24,8 +24,8 @@ fn protocol() -> EvaluationProtocol {
 
 #[test]
 fn two_year_campaign_reproduces_table1_shape() {
-    let dataset = Campaign::new(campaign_config(24), 424).run_in_memory();
-    let assessment = Assessment::from_dataset(&dataset, &protocol()).unwrap();
+    let records = Campaign::new(campaign_config(24), 424).run_in_memory();
+    let assessment = Assessment::from_records(&records, &protocol()).unwrap();
     let table = assessment.table1();
 
     // Start column: the calibrated model must land on the paper's values.
@@ -94,8 +94,8 @@ fn two_year_campaign_reproduces_table1_shape() {
 
 #[test]
 fn monthly_rate_matches_paper_within_tolerance() {
-    let dataset = Campaign::new(campaign_config(24), 425).run_in_memory();
-    let table = Assessment::from_dataset(&dataset, &protocol())
+    let records = Campaign::new(campaign_config(24), 425).run_in_memory();
+    let table = Assessment::from_records(&records, &protocol())
         .unwrap()
         .table1();
     let monthly = table.wchd.monthly_change(24);
@@ -107,8 +107,8 @@ fn monthly_rate_matches_paper_within_tolerance() {
 
 #[test]
 fn wchd_growth_decelerates_like_fig6a() {
-    let dataset = Campaign::new(campaign_config(24), 426).run_in_memory();
-    let assessment = Assessment::from_dataset(&dataset, &protocol()).unwrap();
+    let records = Campaign::new(campaign_config(24), 426).run_in_memory();
+    let assessment = Assessment::from_records(&records, &protocol()).unwrap();
     let series = assessment.aggregates();
     let first_year = series[12].wchd.mean - series[0].wchd.mean;
     let second_year = series[24].wchd.mean - series[12].wchd.mean;
@@ -122,8 +122,8 @@ fn wchd_growth_decelerates_like_fig6a() {
 fn every_device_line_trends_the_same_way() {
     // Fig. 6a/6c plot one line per device; each individual device must show
     // the aging trend, not only the average.
-    let dataset = Campaign::new(campaign_config(24), 427).run_in_memory();
-    let assessment = Assessment::from_dataset(&dataset, &protocol()).unwrap();
+    let records = Campaign::new(campaign_config(24), 427).run_in_memory();
+    let assessment = Assessment::from_records(&records, &protocol()).unwrap();
     for device in assessment.devices() {
         let series = assessment.device_series(device);
         let first = series.first().unwrap();
@@ -151,9 +151,10 @@ fn dropped_boards_do_not_corrupt_the_assessment() {
         months: 2,
         ..campaign_config(2)
     };
-    let dataset = Campaign::new(config, 428).run_in_memory();
-    assert!(dataset.summary().dropped > 0);
-    let assessment = Assessment::from_dataset(&dataset, &protocol()).unwrap();
+    let mut records = Vec::new();
+    let summary = Campaign::new(config, 428).run(&mut records).unwrap();
+    assert!(summary.dropped > 0);
+    let assessment = Assessment::from_records(&records, &protocol()).unwrap();
     assert_eq!(assessment.months(), 3);
     // Windows are smaller than requested but metrics stay in range.
     let m0 = &assessment.aggregates()[0];
@@ -162,8 +163,8 @@ fn dropped_boards_do_not_corrupt_the_assessment() {
 
 #[test]
 fn device_identities_stay_distinguishable_after_aging() {
-    let dataset = Campaign::new(campaign_config(24), 429).run_in_memory();
-    let assessment = Assessment::from_dataset(&dataset, &protocol()).unwrap();
+    let records = Campaign::new(campaign_config(24), 429).run_in_memory();
+    let assessment = Assessment::from_records(&records, &protocol()).unwrap();
     let last = assessment.aggregates().last().unwrap();
     // Worst pair of aged devices still far from the within-class band.
     assert!(

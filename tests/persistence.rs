@@ -49,8 +49,8 @@ fn campaign_streams_to_disk_and_replays_identically() {
     let replayed = Assessment::from_records(&records, &protocol).expect("assessable");
 
     // An identically seeded in-memory run must agree exactly.
-    let direct_dataset = Campaign::new(config, 9001).run_in_memory();
-    let direct = Assessment::from_dataset(&direct_dataset, &protocol).unwrap();
+    let direct_records = Campaign::new(config, 9001).run_in_memory();
+    let direct = Assessment::from_records(&direct_records, &protocol).unwrap();
     assert_eq!(replayed, direct);
 
     std::fs::remove_file(&path).ok();
