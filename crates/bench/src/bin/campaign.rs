@@ -98,7 +98,7 @@ fn main() {
             "--checkpoint-out" => checkpoint_out = Some(args.value(&arg)),
             "--checkpoint-every" => checkpoint_every = args.parse(&arg),
             "--resume-from" => resume_from = Some(args.value(&arg)),
-            "--halt-after-windows" => halt_after = Some(args.parse(&arg)),
+            "--halt-after-windows" => halt_after = Some(args.positive(&arg)),
             "--faults" => faults_from = Some(args.value(&arg)),
             "--max-retries" => config.i2c_retries = args.parse(&arg),
             "--io-faults" => io_faults_from = Some(args.value(&arg)),

@@ -32,6 +32,11 @@
 //! `puftestbed::store::iofault`) injected into the `--records-out`,
 //! checkpoint, and resume-salvage I/O; without the flag every artifact is
 //! byte-identical to a build without the fault layer.
+//!
+//! The campaign flags (`--records-out`, `--checkpoint-out`, `--resume-from`,
+//! `--halt-after-windows`, `--io-faults`) need an artifact that runs the
+//! campaign: `--fig5`, `--fig6`, `--table1`, `--all` or no artifact flag.
+//! Without one, `repro` exits 2 instead of ignoring them.
 
 use pufassess::report::{self, Series};
 use pufassess::streaming::WindowAccumulator;
@@ -87,7 +92,7 @@ fn main() {
             "--checkpoint-out" => checkpoint_out = Some(args.value(&arg)),
             "--checkpoint-every" => checkpoint_every = args.parse(&arg),
             "--resume-from" => resume_from = Some(args.value(&arg)),
-            "--halt-after-windows" => halt_after = Some(args.parse(&arg)),
+            "--halt-after-windows" => halt_after = Some(args.positive(&arg)),
             "--io-faults" => io_faults_from = Some(args.value(&arg)),
             "--verbose" => verbose = true,
             "--all" => artifacts.extend(ARTIFACTS),
@@ -122,6 +127,22 @@ fn main() {
         );
         std::process::exit(2);
     }
+    let runs_campaign = ["fig5", "fig6", "table1"]
+        .iter()
+        .any(|a| artifacts.contains(a));
+    if !runs_campaign
+        && (records_out.is_some()
+            || checkpoint_out.is_some()
+            || resume_from.is_some()
+            || halt_after.is_some()
+            || io_faults_from.is_some())
+    {
+        eprintln!(
+            "--records-out, --checkpoint-out, --resume-from, --halt-after-windows and \
+             --io-faults act on the campaign, which only --fig5, --fig6 or --table1 runs"
+        );
+        std::process::exit(2);
+    }
 
     // Figures 3 and 4 and the accelerated comparison need no campaign.
     if artifacts.contains("fig3") {
@@ -149,10 +170,7 @@ fn main() {
         }
     });
 
-    if ["fig5", "fig6", "table1"]
-        .iter()
-        .any(|a| artifacts.contains(a))
-    {
+    if runs_campaign {
         eprintln!("running campaign at {scale:?} scale (seed {seed}, {threads} threads)…");
         let heartbeat = if verbose {
             obs.as_ref().map(|ins| {

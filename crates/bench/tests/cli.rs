@@ -266,13 +266,26 @@ fn every_binary_exits_2_without_a_panic_on_bad_flags() {
     }
     // Values that parse but that the rig cannot wire: no boards, more boards
     // than two layers of slave addresses hold, an empty read window, no
-    // reads per window.
+    // reads per window, a halt before the first window (on a small rig, so
+    // a run that ignored it would end quickly).
     let records = temp_path("bad_rig.jsonl");
     for args in [
-        ["--boards", "0"],
-        ["--boards", "209"],
-        ["--read-bits", "0"],
-        ["--reads", "0"],
+        &["--boards", "0"][..],
+        &["--boards", "209"],
+        &["--read-bits", "0"],
+        &["--reads", "0"],
+        &[
+            "--boards",
+            "2",
+            "--months",
+            "1",
+            "--reads",
+            "2",
+            "--read-bits",
+            "64",
+            "--halt-after-windows",
+            "0",
+        ],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_campaign"))
             .args(args)
@@ -285,6 +298,21 @@ fn every_binary_exits_2_without_a_panic_on_bad_flags() {
         assert!(!stderr.contains("panicked"), "campaign {args:?}: {stderr}");
         assert!(!records.exists(), "campaign {args:?} wrote its output file");
     }
+    let checkpoint = temp_path("halt_zero.pufchk");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--scale", "smoke", "--table1", "--halt-after-windows", "0"])
+        .arg("--checkpoint-out")
+        .arg(&checkpoint)
+        .output()
+        .expect("repro runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "repro: {stderr}");
+    assert!(!stderr.contains("panicked"), "repro: {stderr}");
+    assert!(
+        stderr.contains("--halt-after-windows must be positive"),
+        "{stderr}"
+    );
+    assert!(!checkpoint.exists(), "repro wrote its checkpoint");
     // A window of no reads is a usage error, not an input without windows.
     let input = reads_file("zero_reads.jsonl", &[(0, 2, 64), (1, 2, 64)]);
     for binary in [env!("CARGO_BIN_EXE_assess"), env!("CARGO_BIN_EXE_keylife")] {
@@ -298,6 +326,42 @@ fn every_binary_exits_2_without_a_panic_on_bad_flags() {
         assert!(stderr.contains("--reads must be positive"), "{stderr}");
     }
     std::fs::remove_file(&input).ok();
+}
+
+#[test]
+fn repro_refuses_campaign_flags_without_a_campaign_artifact() {
+    // Only --fig5, --fig6 and --table1 run the campaign these flags act on;
+    // with none of them selected the flags would be silently dropped.
+    let records = temp_path("no_campaign.jsonl");
+    let checkpoint = temp_path("no_campaign.pufchk");
+    let (records_arg, checkpoint_arg) = (records.to_str().unwrap(), checkpoint.to_str().unwrap());
+    for args in [
+        &["--fig3", "--records-out", records_arg][..],
+        &["--keylife", "--records-out", records_arg],
+        &["--fig4", "--checkpoint-out", checkpoint_arg],
+        &[
+            "--accel",
+            "--records-out",
+            records_arg,
+            "--resume-from",
+            checkpoint_arg,
+        ],
+        &["--fig3", "--halt-after-windows", "1"],
+        &["--fig3", "--io-faults", checkpoint_arg],
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["--scale", "smoke"])
+            .args(args)
+            .output()
+            .expect("repro runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "repro {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "repro {args:?}: {stderr}");
+        assert!(stderr.contains("--fig5, --fig6 or --table1"), "{stderr}");
+        assert!(out.stdout.is_empty(), "repro {args:?} printed artifacts");
+        assert!(!records.exists(), "repro {args:?} wrote {records:?}");
+        assert!(!checkpoint.exists(), "repro {args:?} wrote {checkpoint:?}");
+    }
 }
 
 /// Writes one JSON-lines file of `(device, month, bits)` reads, each at

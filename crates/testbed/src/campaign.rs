@@ -732,7 +732,7 @@ impl Campaign {
     /// Stops [`run`](Self::run) after `windows` evaluation windows have
     /// executed *in that call*, leaving the campaign resumable — an
     /// in-process interruption drill. A checkpoint (if configured) is
-    /// written before stopping.
+    /// written before stopping. `windows` of 0 is treated as 1.
     pub fn halt_after_windows(mut self, windows: u32) -> Self {
         self.halt_after = Some(windows);
         self
