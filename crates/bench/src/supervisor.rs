@@ -27,6 +27,7 @@
 //! terminate within its restart budget.
 
 use pufobs::Instruments;
+use puftestbed::store::atomic::tmp_path;
 use puftestbed::store::checkpoint;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -133,25 +134,21 @@ impl ChildSpec {
         Ok(spec)
     }
 
-    /// The files whose mtimes count as progress for the stall watchdog.
+    /// The files whose mtimes count as progress for the stall watchdog: the
+    /// output and the checkpoint, each with the temporary file that
+    /// [`tmp_path`] names for it.
     fn watched_paths(&self) -> Vec<PathBuf> {
         let mut paths = Vec::new();
         if let Some(out) = &self.out {
             paths.push(out.clone());
-            paths.push(tmp_of(out));
+            paths.push(tmp_path(out));
         }
         if let Some(ckpt) = &self.checkpoint {
             paths.push(ckpt.clone());
-            paths.push(tmp_of(ckpt));
+            paths.push(tmp_path(ckpt));
         }
         paths
     }
-}
-
-fn tmp_of(path: &Path) -> PathBuf {
-    let mut name = path.as_os_str().to_os_string();
-    name.push(".tmp");
-    PathBuf::from(name)
 }
 
 /// How a supervised run ended.
