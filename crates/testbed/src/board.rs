@@ -1,15 +1,12 @@
-//! The Arduino boards of the rig: slaves that own an SRAM, masters that
-//! collect from them.
+//! The Arduino boards of the rig: each owns an SRAM, the device under test.
 
-use crate::i2c::{Address, I2cBus, TransferError};
 use pufbits::BitVec;
 use rand::Rng;
 use sramaging::{AgingSimulator, AgingState, StressConditions};
 use sramcell::{ArrayState, Environment, PowerUpKernel, SramArray, TechnologyProfile};
 use std::fmt;
 
-/// Identifier of a board in the rig (the paper's S0–S7 on layer 0 and
-/// S16–S23 on layer 1; masters are M0 and M1).
+/// Identifier of a board in the rig, shown in the paper's `S<n>` style.
 ///
 /// # Examples
 ///
@@ -205,101 +202,6 @@ pub struct SlaveBoardState {
     pub aging: AgingState,
 }
 
-/// A master board: owns an I2C bus segment and collects read-outs from its
-/// slaves, as M0 and M1 do in the paper's Algorithm 1.
-///
-/// # Examples
-///
-/// ```
-/// use rand::SeedableRng;
-/// use puftestbed::{BoardId, MasterBoard, SlaveBoard};
-/// use sramcell::TechnologyProfile;
-///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(6);
-/// let profile = TechnologyProfile::atmega32u4();
-/// let slave = SlaveBoard::new(BoardId(0), &profile, 512, 512, &mut rng);
-/// let mut master = MasterBoard::new("M0", vec![slave]);
-/// let readouts = master.collect_cycle(&mut rng)?;
-/// assert_eq!(readouts.len(), 1);
-/// assert_eq!(readouts[0].1.len(), 512);
-/// # Ok::<(), puftestbed::i2c::TransferError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct MasterBoard {
-    name: String,
-    slaves: Vec<SlaveBoard>,
-    bus: I2cBus,
-}
-
-impl MasterBoard {
-    /// Creates a master controlling `slaves` over an ideal bus.
-    pub fn new(name: &str, slaves: Vec<SlaveBoard>) -> Self {
-        Self::with_bus(name, slaves, I2cBus::ideal())
-    }
-
-    /// Creates a master with an explicit (possibly faulty) bus.
-    pub fn with_bus(name: &str, slaves: Vec<SlaveBoard>, bus: I2cBus) -> Self {
-        Self {
-            name: name.to_string(),
-            slaves,
-            bus,
-        }
-    }
-
-    /// Master name (`"M0"`, `"M1"`).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The slaves under this master.
-    pub fn slaves(&self) -> &[SlaveBoard] {
-        &self.slaves
-    }
-
-    /// Mutable access to the slaves (aging, environment changes).
-    pub fn slaves_mut(&mut self) -> &mut [SlaveBoard] {
-        &mut self.slaves
-    }
-
-    /// Bus statistics.
-    pub fn bus(&self) -> &I2cBus {
-        &self.bus
-    }
-
-    /// I2C address assigned to slave index `i` (0x10 + i, as a rig would).
-    fn slave_address(i: usize) -> Address {
-        Address::new(0x10 + u8::try_from(i).expect("slave index fits u8"))
-            .expect("slave addresses stay in the valid range")
-    }
-
-    /// Runs one collection cycle: every slave powers up, reads out, and
-    /// ships its pattern to the master over I2C. Returns `(id, readout)`
-    /// pairs in slave order.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`TransferError`] if the bus is faulty; the
-    /// campaign layer decides whether to retry.
-    pub fn collect_cycle<R: Rng + ?Sized>(
-        &mut self,
-        rng: &mut R,
-    ) -> Result<Vec<(BoardId, BitVec)>, TransferError> {
-        let mut out = Vec::with_capacity(self.slaves.len());
-        let mut bytes = Vec::new();
-        for i in 0..self.slaves.len() {
-            let readout = self.slaves[i].power_cycle(rng);
-            bytes.clear();
-            readout.to_bytes_into(&mut bytes);
-            let received = self.bus.transfer(Self::slave_address(i), &bytes, rng)?;
-            out.push((
-                self.slaves[i].id(),
-                BitVec::from_bytes_with_len(&received, readout.len()),
-            ));
-        }
-        Ok(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,45 +229,6 @@ mod tests {
         board.age(2.0, 24);
         assert_ne!(before, *board.sram());
         assert!(board.aging().stress_age_years() > 1.0);
-    }
-
-    #[test]
-    fn master_collects_from_all_slaves_in_order() {
-        let mut rng = StdRng::seed_from_u64(32);
-        let slaves: Vec<SlaveBoard> = (0..8)
-            .map(|i| SlaveBoard::new(BoardId(i), &profile(), 256, 256, &mut rng))
-            .collect();
-        let mut master = MasterBoard::new("M0", slaves);
-        let readouts = master.collect_cycle(&mut rng).unwrap();
-        assert_eq!(readouts.len(), 8);
-        for (i, (id, bits)) in readouts.iter().enumerate() {
-            assert_eq!(*id, BoardId(i as u8));
-            assert_eq!(bits.len(), 256);
-        }
-        assert_eq!(master.bus().transactions(), 8);
-        assert_eq!(master.bus().bytes_moved(), 8 * 32);
-    }
-
-    #[test]
-    fn transport_preserves_readout_bits() {
-        let mut rng = StdRng::seed_from_u64(33);
-        let slave = SlaveBoard::new(BoardId(0), &profile(), 1000, 1000, &mut rng);
-        // 1000 bits is not byte-aligned: transport must round-trip exactly.
-        let mut master = MasterBoard::new("M0", vec![slave]);
-        // Compare against a directly captured pattern using a cloned RNG.
-        let mut rng_direct = rng.clone();
-        let mut slave_copy = master.slaves()[0].clone();
-        let direct = slave_copy.power_cycle(&mut rng_direct);
-        let collected = master.collect_cycle(&mut rng).unwrap();
-        assert_eq!(collected[0].1, direct);
-    }
-
-    #[test]
-    fn faulty_bus_surfaces_errors() {
-        let mut rng = StdRng::seed_from_u64(34);
-        let slave = SlaveBoard::new(BoardId(0), &profile(), 128, 128, &mut rng);
-        let mut master = MasterBoard::with_bus("M0", vec![slave], I2cBus::with_faults(1.0, 0.0));
-        assert!(master.collect_cycle(&mut rng).is_err());
     }
 
     #[test]

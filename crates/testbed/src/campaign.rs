@@ -394,18 +394,18 @@ impl BoardShard {
             out.missed_power_ups = u64::from(ctx.reads);
             return out;
         }
-        let period = PowerWaveform::paper_layer(0).period_s();
+        let layer = u8::try_from(self.layer).expect("layer fits u8");
+        let waveform = PowerWaveform::paper_layer(layer);
+        let period = waveform.period_s();
         let base_cycle = (ctx.window_start.seconds_since(ctx.epoch) as f64 / period) as u64;
         out.records = Vec::with_capacity(ctx.reads as usize);
         let burst = ctx.plan.burst_rates(id, ctx.window);
-        let skew = ctx
-            .plan
-            .layer_skew_s(u8::try_from(self.layer).expect("layer fits u8"));
+        let skew = ctx.plan.layer_skew_s(layer);
         let has_stuck = !ctx.plan.stuck_clusters.is_empty();
         let mut bytes = Vec::new();
         for read in 0..ctx.reads {
             let t_in_window =
-                f64::from(read) * period + 2.7 * self.layer as f64 + READOUT_DELAY_S + skew;
+                f64::from(read) * period + waveform.offset_s() + READOUT_DELAY_S + skew;
             let timestamp = ctx.window_start.offset_by(t_in_window);
             let seq = base_cycle + u64::from(read);
             let mut readout = self.board.power_cycle_with(&mut self.kernel, &mut self.rng);
@@ -1088,6 +1088,41 @@ mod tests {
         let r1 = records.iter().find(|r| r.device == BoardId(1)).unwrap();
         let dt = r1.timestamp.seconds_since(r0.timestamp);
         assert!((2..=3).contains(&dt), "layer offset {dt}");
+    }
+
+    #[test]
+    fn read_timestamps_follow_the_layer_waveforms() {
+        // Read k of a window is captured READOUT_DELAY_S after the k-th
+        // rising edge of the board's layer: a board's reads are one period
+        // apart, and layer 1 trails layer 0 by half a period.
+        let config = tiny_config();
+        let mut campaign = Campaign::new(config.clone(), 8);
+        let records = campaign.run_in_memory();
+        let period = PowerWaveform::paper_layer(0).period_s();
+        let per_window = config.boards * config.reads_per_window as usize;
+        assert_eq!(records.len(), (config.months as usize + 1) * per_window);
+        for (month, window) in (0..).zip(records.chunks(per_window)) {
+            let window_start = Timestamp::from_date(campaign.window_date(month));
+            for board in 0..config.boards {
+                let layer = u8::try_from(board % 2).unwrap();
+                let offset = PowerWaveform::paper_layer(layer).offset_s();
+                let reads = window.iter().filter(|r| usize::from(r.device.0) == board);
+                let mut count = 0;
+                for (read, record) in (0..).zip(reads) {
+                    let expected =
+                        window_start.offset_by(f64::from(read) * period + offset + READOUT_DELAY_S);
+                    assert_eq!(
+                        record.timestamp, expected,
+                        "month {month}, board {board}, read {read}"
+                    );
+                    count += 1;
+                }
+                assert_eq!(
+                    count, config.reads_per_window,
+                    "month {month}, board {board}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Simulated I2C transport between master and slave boards.
+//! Simulated I2C transport of each board's read-outs.
 //!
 //! The rig moves every read-out from slave to master over I2C (paper §III,
 //! Fig. 2a). This module models the transport at the transaction level:

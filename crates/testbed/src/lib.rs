@@ -1,21 +1,27 @@
-//! Simulated measurement rig: Arduino boards, I2C links, power switch,
-//! campaign scheduler, JSON store.
+//! Simulated measurement rig: Arduino boards, I2C links, power waveforms,
+//! campaign runner, record store.
 //!
 //! This crate reproduces the paper's §III measurement setup (Fig. 2) in
-//! software:
+//! software, to the level the analysis sees: which read-outs exist and when
+//! each was taken.
 //!
-//! * **16 slave boards** ([`SlaveBoard`]), each an ATmega32u4 with 2.5 KB of
-//!   SRAM of which the first 1 KB is read out per power cycle;
-//! * **2 master boards** ([`MasterBoard`]) controlling eight slaves each over
-//!   a simulated **I2C bus** ([`i2c`]) with Wire-style 32-byte chunking and a
-//!   CRC;
-//! * a **power switch** ([`PowerSwitch`]) with one channel per slave;
-//! * the **two-layer handshake** of the paper's Algorithm 1
-//!   ([`schedule::HandshakeMachine`]), producing the 5.4 s power-cycle cadence
-//!   (3.8 s on / 1.6 s off, [`PowerWaveform`], Fig. 3) with the two layers
-//!   interleaved and unsynchronized;
+//! * **16 boards** ([`SlaveBoard`]), each an ATmega32u4 with 2.5 KB of SRAM
+//!   of which the first 1 KB is read out per power cycle, stacked in two
+//!   layers (even board indices on layer 0, odd on layer 1);
+//! * one simulated **I2C link** per board ([`i2c`]) with Wire-style 32-byte
+//!   chunking and a CRC, carrying every read-out to the sink;
+//! * one **power waveform** per layer ([`PowerWaveform`], Fig. 3): a 5.4 s
+//!   power cycle (3.8 s on / 1.6 s off), layer 1 half a period behind
+//!   layer 0 so the layers never switch at the same instant. A board's
+//!   read-out is captured [`schedule::READOUT_DELAY_S`] after its layer's
+//!   rising edge, so each board reads about 11 times a minute and every
+//!   board reads equally often;
 //! * a **Raspberry-Pi-style data sink** ([`store`]) persisting read-outs as
-//!   JSON records.
+//!   JSON lines or binary `pufrec/1` records.
+//!
+//! The paper's master boards, power-switch board and the Algorithm-1
+//! handshake between the layers are not modelled one by one: they decide
+//! only when each board powers up, and the waveforms give that timetable.
 //!
 //! The [`Campaign`] runner ties these together and drives the devices through
 //! months of simulated aging. Because the paper's own analysis only consumes
@@ -54,7 +60,6 @@
 pub mod board;
 pub mod faults;
 pub mod i2c;
-pub mod power;
 pub mod schedule;
 pub mod store;
 mod time;
@@ -62,12 +67,11 @@ mod waveform;
 
 mod campaign;
 
-pub use board::{BoardId, MasterBoard, SlaveBoard, SlaveBoardState};
+pub use board::{BoardId, SlaveBoard, SlaveBoardState};
 pub use campaign::{
     board_stream_seed, Campaign, CampaignConfig, CampaignSummary, MeasurementPlan, MAX_BOARDS,
 };
 pub use faults::{FaultPlan, FaultTally, GapCause, GapRecord, PlanError};
-pub use power::PowerSwitch;
 pub use store::{BoardState, CampaignState, CheckpointError, Record, RecordSink};
 pub use time::{days_in_month, CalendarDate, DateTime, Timestamp};
 pub use waveform::PowerWaveform;

@@ -1,280 +1,16 @@
-//! The two-layer test flow of the paper's Algorithm 1.
+//! When the rig captures its read-outs.
 //!
-//! The rig stacks its 18 boards in two layers. Each layer's master runs the
-//! same loop — wait for the peer's *end* signal, power the slaves, signal the
-//! peer to start, read every slave over I2C, ship the data, power off, and
-//! hand back — so the two layers interleave half a period apart, never
-//! switch at the same instant, and always produce the same number of
-//! measurements per board ("data from different layers are synchronized").
-//!
-//! [`HandshakeMachine`] implements the signal-level protocol for property
-//! testing; [`two_layer_schedule`] is the compiled-down timetable the
-//! campaign runner consumes.
-
-use crate::waveform::PowerWaveform;
-
-/// Protocol phases of one layer's master in Algorithm 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LayerPhase {
-    /// Step 1: waiting for the peer layer's end signal.
-    WaitingForPeerEnd,
-    /// Steps 2–3: slaves powered, peer signalled to start.
-    PoweredOn,
-    /// Steps 4–5: reading slaves and forwarding to the data sink.
-    ReadingOut,
-    /// Step 6: slaves powered off.
-    PoweredOff,
-    /// Steps 7–8: waiting for the peer's start, then signalling end.
-    HandingOver,
-}
-
-/// Signals exchanged between the two layer masters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Signal {
-    /// "I have started my read-out" (step 3 / step 7).
-    Start,
-    /// "I have finished my cycle" (step 8 / step 1).
-    End,
-}
-
-/// The interlocked two-master state machine of Algorithm 1.
-///
-/// Drive it with [`step`](Self::step); each call advances exactly one layer
-/// by one phase and returns the signal it emitted, if any. The machine
-/// panics (protocol violation) if an implementation bug would ever let both
-/// layers power on simultaneously — the condition the rig's separate supply
-/// channels exist to prevent.
-///
-/// # Examples
-///
-/// ```
-/// use puftestbed::schedule::HandshakeMachine;
-///
-/// let mut hs = HandshakeMachine::new();
-/// for _ in 0..100 {
-///     hs.step();
-/// }
-/// // Both layers make (lockstep) progress.
-/// assert!(hs.cycles(0) > 0);
-/// assert!(hs.cycles(0).abs_diff(hs.cycles(1)) <= 1);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HandshakeMachine {
-    phase: [LayerPhase; 2],
-    cycles: [u64; 2],
-    /// Pending signal for each layer (set by the peer).
-    inbox: [Option<Signal>; 2],
-    /// Which layer steps next.
-    turn: u8,
-}
-
-impl Default for HandshakeMachine {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl HandshakeMachine {
-    /// Creates the machine in its power-on state: layer 1 is treated as
-    /// having just finished (the paper starts layer 0 first).
-    pub fn new() -> Self {
-        Self {
-            phase: [LayerPhase::WaitingForPeerEnd, LayerPhase::HandingOver],
-            cycles: [0, 0],
-            inbox: [Some(Signal::End), None],
-            turn: 0,
-        }
-    }
-
-    /// Current phase of `layer`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer > 1`.
-    pub fn phase(&self, layer: u8) -> LayerPhase {
-        self.phase[usize::from(layer)]
-    }
-
-    /// Completed read-out cycles of `layer`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer > 1`.
-    pub fn cycles(&self, layer: u8) -> u64 {
-        self.cycles[usize::from(layer)]
-    }
-
-    /// Advances the next layer by one phase. Returns `(layer, new_phase)`.
-    pub fn step(&mut self) -> (u8, LayerPhase) {
-        let me = usize::from(self.turn);
-        let peer = 1 - me;
-        let next = match self.phase[me] {
-            LayerPhase::WaitingForPeerEnd => {
-                if self.inbox[me] == Some(Signal::End) {
-                    self.inbox[me] = None;
-                    // Step 2–3: power on, then tell the peer to start.
-                    assert!(
-                        !matches!(
-                            self.phase[peer],
-                            LayerPhase::PoweredOn | LayerPhase::ReadingOut
-                        ),
-                        "protocol violation: both layers powered simultaneously"
-                    );
-                    self.inbox[peer] = Some(Signal::Start);
-                    LayerPhase::PoweredOn
-                } else {
-                    LayerPhase::WaitingForPeerEnd
-                }
-            }
-            LayerPhase::PoweredOn => LayerPhase::ReadingOut,
-            LayerPhase::ReadingOut => {
-                self.cycles[me] += 1;
-                LayerPhase::PoweredOff
-            }
-            LayerPhase::PoweredOff => LayerPhase::HandingOver,
-            LayerPhase::HandingOver => {
-                // Step 7–8: once the peer has started, signal our end.
-                if self.inbox[me] == Some(Signal::Start) {
-                    self.inbox[me] = None;
-                    self.inbox[peer] = Some(Signal::End);
-                    LayerPhase::WaitingForPeerEnd
-                } else {
-                    LayerPhase::HandingOver
-                }
-            }
-        };
-        self.phase[me] = next;
-        let stepped = self.turn;
-        self.turn = 1 - self.turn;
-        (stepped, next)
-    }
-}
-
-/// One scheduled read-out in the compiled timetable.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ScheduledReadout {
-    /// Cycle index (per layer).
-    pub cycle: u64,
-    /// Rig layer (0 or 1).
-    pub layer: u8,
-    /// Seconds since the campaign start at which the read-out is captured.
-    pub time_s: f64,
-}
+//! The paper's Algorithm 1 has the two layer masters hand the power cycle
+//! back and forth by signal; what that leaves in the data is a timetable,
+//! and the campaign runner computes the timetable directly. Every board
+//! powers up on its layer's [`PowerWaveform`](crate::PowerWaveform) (a
+//! 5.4 s period, layer 1 half a period behind layer 0, so the layers never
+//! switch at the same instant) and captures its read-out
+//! [`READOUT_DELAY_S`] after the rising edge. Read `k` of an evaluation
+//! window therefore lands at `window start + k · period + layer offset +
+//! READOUT_DELAY_S`, plus any clock skew a [`FaultPlan`](crate::FaultPlan)
+//! injects.
 
 /// Delay from a layer's rising edge to its read-out capture, seconds.
 /// (Power settle plus the SRAM read, well inside the 3.8 s on-window.)
 pub const READOUT_DELAY_S: f64 = 0.5;
-
-/// Compiles the Algorithm-1 timetable for `cycles` cycles of both layers:
-/// each layer reads once per 5.4 s period, half a period apart, at
-/// [`READOUT_DELAY_S`] after its rising edge.
-///
-/// # Examples
-///
-/// ```
-/// let schedule = puftestbed::schedule::two_layer_schedule(3);
-/// assert_eq!(schedule.len(), 6);
-/// // Interleaved: strictly increasing capture times alternating layers.
-/// assert!(schedule.windows(2).all(|w| w[0].time_s < w[1].time_s));
-/// ```
-pub fn two_layer_schedule(cycles: u64) -> Vec<ScheduledReadout> {
-    let waveforms = [PowerWaveform::paper_layer(0), PowerWaveform::paper_layer(1)];
-    let mut out = Vec::with_capacity(usize::try_from(cycles).expect("cycles fits usize") * 2);
-    for cycle in 0..cycles {
-        for layer in 0..2u8 {
-            let edge = waveforms[usize::from(layer)].cycle_start(cycle as i64);
-            out.push(ScheduledReadout {
-                cycle,
-                layer,
-                time_s: edge + READOUT_DELAY_S,
-            });
-        }
-    }
-    out.sort_by(|a, b| a.time_s.total_cmp(&b.time_s));
-    out
-}
-
-/// Measurement cadence of the paper's rig: read-outs per minute per board.
-///
-/// # Examples
-///
-/// ```
-/// // "around 10 measurements per minute"
-/// let per_min = puftestbed::schedule::readouts_per_minute();
-/// assert!(per_min > 10.0 && per_min < 12.0);
-/// ```
-pub fn readouts_per_minute() -> f64 {
-    60.0 / PowerWaveform::paper_layer(0).period_s()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn machine_alternates_layers_fairly() {
-        let mut hs = HandshakeMachine::new();
-        for _ in 0..10_000 {
-            hs.step();
-        }
-        let (c0, c1) = (hs.cycles(0), hs.cycles(1));
-        assert!(c0 > 0);
-        assert!(
-            c0.abs_diff(c1) <= 1,
-            "layers must stay in lockstep: {c0} vs {c1}"
-        );
-    }
-
-    #[test]
-    fn machine_never_powers_both_layers() {
-        let mut hs = HandshakeMachine::new();
-        for _ in 0..10_000 {
-            hs.step();
-            let both_on = matches!(hs.phase(0), LayerPhase::PoweredOn | LayerPhase::ReadingOut)
-                && matches!(hs.phase(1), LayerPhase::PoweredOn | LayerPhase::ReadingOut);
-            assert!(!both_on);
-        }
-    }
-
-    #[test]
-    fn layer0_starts_first() {
-        let mut hs = HandshakeMachine::new();
-        // Find the first layer to reach ReadingOut.
-        loop {
-            let (layer, phase) = hs.step();
-            if phase == LayerPhase::ReadingOut {
-                assert_eq!(layer, 0);
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn schedule_has_one_readout_per_layer_per_period() {
-        let schedule = two_layer_schedule(100);
-        assert_eq!(schedule.len(), 200);
-        let layer0: Vec<_> = schedule.iter().filter(|r| r.layer == 0).collect();
-        assert_eq!(layer0.len(), 100);
-        // Consecutive layer-0 readouts are one period apart.
-        for w in layer0.windows(2) {
-            assert!((w[1].time_s - w[0].time_s - 5.4).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn schedule_interleaves_layers() {
-        let schedule = two_layer_schedule(10);
-        for w in schedule.windows(2) {
-            assert_ne!(w[0].layer, w[1].layer, "layers must alternate");
-            assert!((w[1].time_s - w[0].time_s - 2.7).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn cadence_matches_paper_claim() {
-        // ~11 M measurements over 730 days ≈ 10.5 per minute.
-        let per_min = readouts_per_minute();
-        let total = per_min * 60.0 * 24.0 * 730.0;
-        assert!((10.0e6..12.5e6).contains(&total), "total {total}");
-    }
-}

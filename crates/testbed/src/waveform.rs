@@ -87,17 +87,6 @@ impl PowerWaveform {
         phase < self.on_s
     }
 
-    /// Index of the cycle containing time `t` (cycle 0 starts at the
-    /// offset; times before the offset belong to negative cycles).
-    pub fn cycle_index(&self, t: f64) -> i64 {
-        ((t - self.offset_s) / self.period_s).floor() as i64
-    }
-
-    /// Start time of cycle `index` (the rising edge).
-    pub fn cycle_start(&self, index: i64) -> f64 {
-        self.offset_s + index as f64 * self.period_s
-    }
-
     /// Samples the waveform into `(t, on)` pairs with step `dt` — the
     /// digital equivalent of the paper's oscilloscope capture.
     ///
@@ -139,20 +128,10 @@ mod tests {
         // At the instant layer 0 switches off (t = 3.8), layer 1 is on.
         assert!(!l0.is_on(3.9));
         assert!(l1.is_on(3.9));
-        // The rising edges never coincide.
-        for k in 0..10 {
-            let edge0 = l0.cycle_start(k);
-            assert!(!(l1.cycle_start(k) - edge0).abs().eq(&0.0));
-        }
-    }
-
-    #[test]
-    fn cycle_indexing_is_consistent() {
-        let w = PowerWaveform::paper_layer(1);
-        for k in [-3, 0, 1, 100] {
-            let t = w.cycle_start(k) + 0.1;
-            assert_eq!(w.cycle_index(t), k);
-        }
+        // The rising edges never coincide: layer 1's trail layer 0's by
+        // half a period.
+        let shift = (l1.offset_s() - l0.offset_s()).rem_euclid(l0.period_s());
+        assert!((shift - l0.period_s() / 2.0).abs() < 1e-12, "shift {shift}");
     }
 
     #[test]
@@ -160,7 +139,7 @@ mod tests {
         let w = PowerWaveform::paper_layer(0);
         // rem_euclid keeps the phase positive.
         assert_eq!(w.is_on(-5.4), w.is_on(0.0));
-        assert_eq!(w.cycle_index(-0.1), -1);
+        assert!(!w.is_on(-0.1)); // the off-time before cycle 0
     }
 
     #[test]

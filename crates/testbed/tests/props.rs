@@ -3,7 +3,6 @@
 use proptest::prelude::*;
 use pufbits::BitVec;
 use puftestbed::i2c::{decode_message, encode_message};
-use puftestbed::schedule::{two_layer_schedule, HandshakeMachine, LayerPhase};
 use puftestbed::store::json::{self, JsonValue};
 use puftestbed::store::{ParseRecordError, Record};
 use puftestbed::{BoardId, CalendarDate, Timestamp};
@@ -127,28 +126,5 @@ proptest! {
         let v = JsonValue::String(s.clone());
         let parsed = json::parse(&v.to_string()).unwrap();
         prop_assert_eq!(parsed, v);
-    }
-
-    #[test]
-    fn schedule_is_sorted_and_complete(cycles in 1u64..200) {
-        let schedule = two_layer_schedule(cycles);
-        prop_assert_eq!(schedule.len() as u64, cycles * 2);
-        for w in schedule.windows(2) {
-            prop_assert!(w[0].time_s < w[1].time_s);
-        }
-        let per_layer = schedule.iter().filter(|r| r.layer == 0).count() as u64;
-        prop_assert_eq!(per_layer, cycles);
-    }
-
-    #[test]
-    fn handshake_stays_in_lockstep(steps in 1usize..5000) {
-        let mut hs = HandshakeMachine::new();
-        for _ in 0..steps {
-            hs.step();
-            let both_powered = matches!(hs.phase(0), LayerPhase::PoweredOn | LayerPhase::ReadingOut)
-                && matches!(hs.phase(1), LayerPhase::PoweredOn | LayerPhase::ReadingOut);
-            prop_assert!(!both_powered);
-        }
-        prop_assert!(hs.cycles(0).abs_diff(hs.cycles(1)) <= 1);
     }
 }
