@@ -25,7 +25,9 @@
 //! describing the campaign must match the original run (the checkpoint's
 //! config hash is verified) — and produces a record file byte-identical to
 //! the uninterrupted run. `--halt-after-windows` stops the run early while
-//! keeping it resumable (an in-process interruption drill).
+//! keeping it resumable (an in-process interruption drill). It and
+//! `--checkpoint-every`/`--checkpoint-keep` act only through the checkpoint,
+//! so without `--checkpoint-out` they exit 2.
 //!
 //! `--faults FILE` loads a JSON fault plan (brownouts, I2C bursts, stuck
 //! cells, clock skew — see `puftestbed::faults`) and injects it
@@ -61,13 +63,13 @@ fn main() {
     let mut metrics_out: Option<String> = None;
     let mut verbose = false;
     let mut checkpoint_out: Option<String> = None;
-    let mut checkpoint_every: u32 = 0;
+    let mut checkpoint_every: Option<u32> = None;
     let mut resume_from: Option<String> = None;
     let mut halt_after: Option<u32> = None;
     let mut faults_from: Option<String> = None;
     let mut io_faults_from: Option<String> = None;
     let mut io_incarnation = 0u64;
-    let mut checkpoint_keep = 1u32;
+    let mut checkpoint_keep: Option<u32> = None;
 
     let mut args = cli::Args::from_env();
     while let Some(arg) = args.next() {
@@ -96,14 +98,14 @@ fn main() {
             "--metrics-out" => metrics_out = Some(args.value(&arg)),
             "--verbose" => verbose = true,
             "--checkpoint-out" => checkpoint_out = Some(args.value(&arg)),
-            "--checkpoint-every" => checkpoint_every = args.parse(&arg),
+            "--checkpoint-every" => checkpoint_every = Some(args.parse(&arg)),
             "--resume-from" => resume_from = Some(args.value(&arg)),
             "--halt-after-windows" => halt_after = Some(args.positive(&arg)),
             "--faults" => faults_from = Some(args.value(&arg)),
             "--max-retries" => config.i2c_retries = args.parse(&arg),
             "--io-faults" => io_faults_from = Some(args.value(&arg)),
             "--io-incarnation" => io_incarnation = args.parse(&arg),
-            "--checkpoint-keep" => checkpoint_keep = args.positive(&arg),
+            "--checkpoint-keep" => checkpoint_keep = Some(args.positive(&arg)),
             "--help" | "-h" => {
                 eprintln!(
                     "usage: campaign --out FILE [--format json|binary] [--boards N] \
@@ -126,12 +128,17 @@ fn main() {
         eprintln!("--out FILE is required (try --help)");
         exit(2);
     };
-    if checkpoint_every > 0 && checkpoint_out.is_none() {
-        eprintln!("--checkpoint-every needs --checkpoint-out FILE");
-        exit(2);
-    }
-    if checkpoint_out.is_some() && checkpoint_every == 0 {
-        checkpoint_every = 1;
+    // These flags only act through the checkpoint; without one they would
+    // be dropped silently (and a halted run could never be resumed).
+    for (flag, given) in [
+        ("--checkpoint-every", checkpoint_every.is_some()),
+        ("--checkpoint-keep", checkpoint_keep.is_some()),
+        ("--halt-after-windows", halt_after.is_some()),
+    ] {
+        if given && checkpoint_out.is_none() {
+            eprintln!("{flag} needs --checkpoint-out FILE");
+            exit(2);
+        }
     }
     // The fault plan is part of the campaign's identity (its hash feeds the
     // checkpoint config hash), so load it before any resume validation.
@@ -217,8 +224,8 @@ fn main() {
     }
     if let Some(ckpt) = &checkpoint_out {
         campaign = campaign
-            .checkpoints(checkpoint_every, ckpt)
-            .checkpoint_keep(checkpoint_keep);
+            .checkpoints(checkpoint_every.unwrap_or(1), ckpt)
+            .checkpoint_keep(checkpoint_keep.unwrap_or(1));
     }
     if let Some(n) = halt_after {
         campaign = campaign.halt_after_windows(n);
@@ -266,13 +273,11 @@ fn main() {
             "done: {} records over {} windows ({} transport retries, {} dropped)",
             summary.records, summary.windows, summary.retries, summary.dropped
         );
-    } else {
+    } else if let Some(ckpt) = &checkpoint_out {
         eprintln!(
             "halted after {} windows ({} records so far); continue with \
-             --resume-from {}",
-            summary.windows,
-            summary.records,
-            checkpoint_out.as_deref().unwrap_or("<checkpoint>")
+             --resume-from {ckpt}",
+            summary.windows, summary.records
         );
     }
     if let (Some(path), Some(ins)) = (&metrics_out, &obs) {

@@ -22,11 +22,13 @@
 //! printed artifacts by a byte.
 //!
 //! `--checkpoint-out`/`--checkpoint-every` write `pufchk/1` checkpoints at
-//! window boundaries; `--resume-from` (which needs `--records-out`, the
-//! file the interrupted stream is salvaged from) continues a halted or
-//! killed run and reproduces the uninterrupted run's records and tables
-//! exactly. `--halt-after-windows` stops the campaign early but
-//! resumable.
+//! window boundaries; `--resume-from` continues a halted or killed run and
+//! reproduces the uninterrupted run's records and tables exactly. Both
+//! `--checkpoint-out` and `--resume-from` need `--records-out`, the file
+//! the interrupted stream is salvaged from. `--halt-after-windows` stops
+//! the campaign early but resumable, so it needs `--checkpoint-out`;
+//! `--checkpoint-every` does too, and `--format` needs `--records-out`.
+//! Each exits 2 without the flag it needs.
 //!
 //! `--io-faults FILE` loads a deterministic storage fault plan (see
 //! `puftestbed::store::iofault`) injected into the `--records-out`,
@@ -63,12 +65,12 @@ fn main() {
     let mut seed = 2017;
     let mut threads = default_threads();
     let mut records_out: Option<String> = None;
-    let mut format = RecordFormat::Json;
+    let mut format: Option<RecordFormat> = None;
     let mut out_dir = String::from("examples/out");
     let mut metrics_out: Option<String> = None;
     let mut verbose = false;
     let mut checkpoint_out: Option<String> = None;
-    let mut checkpoint_every: u32 = 0;
+    let mut checkpoint_every: Option<u32> = None;
     let mut resume_from: Option<String> = None;
     let mut halt_after: Option<u32> = None;
     let mut io_faults_from: Option<String> = None;
@@ -86,11 +88,11 @@ fn main() {
             "--seed" => seed = args.parse(&arg),
             "--threads" => threads = args.positive(&arg),
             "--records-out" => records_out = Some(args.value(&arg)),
-            "--format" => format = args.parse(&arg),
+            "--format" => format = Some(args.parse(&arg)),
             "--metrics-out" => metrics_out = Some(args.value(&arg)),
             "--out-dir" => out_dir = args.value(&arg),
             "--checkpoint-out" => checkpoint_out = Some(args.value(&arg)),
-            "--checkpoint-every" => checkpoint_every = args.parse(&arg),
+            "--checkpoint-every" => checkpoint_every = Some(args.parse(&arg)),
             "--resume-from" => resume_from = Some(args.value(&arg)),
             "--halt-after-windows" => halt_after = Some(args.positive(&arg)),
             "--io-faults" => io_faults_from = Some(args.value(&arg)),
@@ -112,13 +114,6 @@ fn main() {
     }
     if artifacts.is_empty() {
         artifacts.extend(ARTIFACTS);
-    }
-    if checkpoint_every > 0 && checkpoint_out.is_none() {
-        eprintln!("--checkpoint-every needs --checkpoint-out FILE");
-        std::process::exit(2);
-    }
-    if checkpoint_out.is_some() && checkpoint_every == 0 {
-        checkpoint_every = 1;
     }
     if resume_from.is_some() && records_out.is_none() {
         eprintln!(
@@ -143,6 +138,22 @@ fn main() {
         );
         std::process::exit(2);
     }
+    // Flags that only act through a file another flag names: a halted run
+    // resumes from its checkpoint, and a checkpoint from the records file.
+    let checkpoint = ("--checkpoint-out", checkpoint_out.is_some());
+    let records = ("--records-out", records_out.is_some());
+    for (flag, given, (needs, present)) in [
+        ("--checkpoint-every", checkpoint_every.is_some(), checkpoint),
+        ("--halt-after-windows", halt_after.is_some(), checkpoint),
+        ("--checkpoint-out", checkpoint_out.is_some(), records),
+        ("--format", format.is_some(), records),
+    ] {
+        if given && !present {
+            eprintln!("{flag} needs {needs} FILE");
+            std::process::exit(2);
+        }
+    }
+    let format = format.unwrap_or(RecordFormat::Json);
 
     // Figures 3 and 4 and the accelerated comparison need no campaign.
     if artifacts.contains("fig3") {
@@ -215,7 +226,7 @@ fn main() {
                 campaign = campaign.instruments(ins);
             }
             if let Some(ckpt) = &checkpoint_out {
-                campaign = campaign.checkpoints(checkpoint_every, ckpt);
+                campaign = campaign.checkpoints(checkpoint_every.unwrap_or(1), ckpt);
             }
             if let Some(policy) = &io_policy {
                 campaign = campaign.io_policy(policy.clone());
@@ -275,14 +286,14 @@ fn main() {
                         .expect("built-in scales produce assessable datasets"),
                 )
             } else {
-                let summary = campaign.summary_so_far();
-                eprintln!(
-                    "halted after {} windows ({} records so far); continue with \
-                     --resume-from {} to finish and print the tables",
-                    summary.windows,
-                    summary.records,
-                    checkpoint_out.as_deref().unwrap_or("<checkpoint>")
-                );
+                if let Some(ckpt) = &checkpoint_out {
+                    let summary = campaign.summary_so_far();
+                    eprintln!(
+                        "halted after {} windows ({} records so far); continue with \
+                         --resume-from {ckpt} to finish and print the tables",
+                        summary.windows, summary.records
+                    );
+                }
                 None
             }
         };

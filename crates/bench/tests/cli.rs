@@ -266,9 +266,28 @@ fn every_binary_exits_2_without_a_panic_on_bad_flags() {
     }
     // Values that parse but that the rig cannot wire: no boards, more boards
     // than two layers of slave addresses hold, an empty read window, no
-    // reads per window, a halt before the first window (on a small rig, so
-    // a run that ignored it would end quickly).
+    // reads per window, a halt before the first window; and flags that act
+    // only through a checkpoint, given without one (on a small rig, so a
+    // run that ignored them would end quickly).
     let records = temp_path("bad_rig.jsonl");
+    let small_rig = [
+        "--boards",
+        "2",
+        "--months",
+        "2",
+        "--reads",
+        "2",
+        "--read-bits",
+        "64",
+    ];
+    let without_checkpoint: Vec<Vec<&str>> = [
+        ["--halt-after-windows", "1"],
+        ["--checkpoint-keep", "2"],
+        ["--checkpoint-every", "0"],
+    ]
+    .iter()
+    .map(|flag| [&small_rig[..], flag].concat())
+    .collect();
     for args in [
         &["--boards", "0"][..],
         &["--boards", "209"],
@@ -286,7 +305,10 @@ fn every_binary_exits_2_without_a_panic_on_bad_flags() {
             "--halt-after-windows",
             "0",
         ],
-    ] {
+    ]
+    .into_iter()
+    .chain(without_checkpoint.iter().map(Vec::as_slice))
+    {
         let out = Command::new(env!("CARGO_BIN_EXE_campaign"))
             .args(args)
             .arg("--out")
@@ -297,6 +319,7 @@ fn every_binary_exits_2_without_a_panic_on_bad_flags() {
         assert_eq!(out.status.code(), Some(2), "campaign {args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "campaign {args:?}: {stderr}");
         assert!(!records.exists(), "campaign {args:?} wrote its output file");
+        assert!(out.stdout.is_empty(), "campaign {args:?} printed to stdout");
     }
     let checkpoint = temp_path("halt_zero.pufchk");
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
@@ -313,6 +336,19 @@ fn every_binary_exits_2_without_a_panic_on_bad_flags() {
         "{stderr}"
     );
     assert!(!checkpoint.exists(), "repro wrote its checkpoint");
+    // Without a checkpoint a halted run could never be resumed.
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--scale", "smoke", "--table1", "--halt-after-windows", "1"])
+        .output()
+        .expect("repro runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "repro: {stderr}");
+    assert!(!stderr.contains("panicked"), "repro: {stderr}");
+    assert!(
+        stderr.contains("--halt-after-windows needs --checkpoint-out FILE"),
+        "{stderr}"
+    );
+    assert!(out.stdout.is_empty(), "repro printed artifacts");
     // A window of no reads is a usage error, not an input without windows.
     let input = reads_file("zero_reads.jsonl", &[(0, 2, 64), (1, 2, 64)]);
     for binary in [env!("CARGO_BIN_EXE_assess"), env!("CARGO_BIN_EXE_keylife")] {
@@ -360,6 +396,45 @@ fn repro_refuses_campaign_flags_without_a_campaign_artifact() {
         assert!(stderr.contains("--fig5, --fig6 or --table1"), "{stderr}");
         assert!(out.stdout.is_empty(), "repro {args:?} printed artifacts");
         assert!(!records.exists(), "repro {args:?} wrote {records:?}");
+        assert!(!checkpoint.exists(), "repro {args:?} wrote {checkpoint:?}");
+    }
+}
+
+#[test]
+fn repro_refuses_record_flags_without_records_out() {
+    // `--format` only shapes the --records-out file, and a checkpoint can
+    // only be resumed together with the records file it accounts for.
+    let checkpoint = temp_path("no_records.pufchk");
+    let checkpoint_arg = checkpoint.to_str().unwrap();
+    for (args, message) in [
+        (
+            &["--format", "binary"][..],
+            "--format needs --records-out FILE",
+        ),
+        (
+            &["--checkpoint-out", checkpoint_arg],
+            "--checkpoint-out needs --records-out FILE",
+        ),
+        (
+            &[
+                "--checkpoint-out",
+                checkpoint_arg,
+                "--halt-after-windows",
+                "1",
+            ],
+            "--checkpoint-out needs --records-out FILE",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["--scale", "smoke", "--table1"])
+            .args(args)
+            .output()
+            .expect("repro runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "repro {args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "repro {args:?}: {stderr}");
+        assert!(stderr.contains(message), "repro {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "repro {args:?} printed artifacts");
         assert!(!checkpoint.exists(), "repro {args:?} wrote {checkpoint:?}");
     }
 }
