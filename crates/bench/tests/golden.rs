@@ -1,7 +1,8 @@
 //! Golden-file regression tests: the fixed-seed smoke-scale pipeline must
 //! reproduce the committed Table I, aggregate CSV, and Fig. 6 summary
-//! *string-exactly*. Any drift in the cell model, campaign engine, merge
-//! order, statistics, or report formatting shows up as a diff here.
+//! *string-exactly*, and `repro --accel` its nominal-vs-accelerated
+//! comparison. Any drift in the cell model, aging model, campaign engine,
+//! merge order, statistics, or report formatting shows up as a diff here.
 //!
 //! When an intentional change moves the numbers, regenerate the files and
 //! review the diff like any other code change:
@@ -13,6 +14,7 @@
 use pufassess::report::{self, Series};
 use pufbench::{run_assessment_streaming, Scale};
 use std::path::PathBuf;
+use std::process::Command;
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -53,5 +55,22 @@ fn fixed_seed_smoke_pipeline_matches_the_golden_files() {
     check_golden(
         "fig6_wchd.txt",
         &report::fig6_text(&assessment, Series::Wchd, 40),
+    );
+}
+
+#[test]
+fn repro_accel_stdout_matches_the_golden_file() {
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("--accel")
+        .output()
+        .expect("repro runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    check_golden(
+        "accel.txt",
+        &String::from_utf8(out.stdout).expect("utf-8 stdout"),
     );
 }
