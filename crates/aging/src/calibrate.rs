@@ -12,14 +12,14 @@
 //!   the noise-entropy growth relative to the WCHD growth);
 //! * the **acceleration factor** of the comparator schedule.
 //!
-//! All solves are monotone one-dimensional bisection against the analytic
-//! endpoint evaluation; the (A, beta) pair is found by nesting (for each
-//! candidate beta, A is re-fitted to the WCHD endpoint, then beta moves to
-//! match the noise endpoint — the noise growth at fixed WCHD endpoint is
-//! strictly decreasing in beta).
+//! All solves are monotone one-dimensional bisection against the last
+//! month of [`analytic_series`] (its 1 000-read stable-cell window enters no
+//! fit); the (A, beta) pair is found by nesting (for each candidate beta, A
+//! is re-fitted to the WCHD endpoint, then beta moves to match the noise
+//! endpoint — the noise growth at fixed WCHD endpoint is strictly
+//! decreasing in beta).
 
-use crate::longterm::analytic_endpoint;
-use crate::BtiModel;
+use crate::{analytic_series, BtiModel};
 use pufstats::solve::{bisect, SolveError};
 use sramcell::PopulationModel;
 
@@ -54,7 +54,8 @@ pub fn fit_prefactor(
 ) -> Result<f64, SolveError> {
     let objective = |prefactor: f64| {
         let bti = BtiModel::with_bias_ratio(prefactor, exponent, bias_ratio);
-        analytic_endpoint(population, bti, stress_rate, months).0 - target_end_wchd
+        analytic_series(population, bti, stress_rate, months, 1000)[months as usize].wchd
+            - target_end_wchd
     };
     bisect(objective, 1e-6, 50.0, 1e-7, 200)
 }
@@ -86,7 +87,8 @@ pub fn fit_drift_law(
         ) {
             Ok(a) => {
                 let bti = BtiModel::with_bias_ratio(a, exponent, beta);
-                analytic_endpoint(population, bti, stress_rate, months).1
+                analytic_series(population, bti, stress_rate, months, 1000)[months as usize]
+                    .noise_entropy
             }
             Err(e) => {
                 *inner_err = Some(e);
@@ -136,7 +138,8 @@ pub fn fit_acceleration_factor(
     target_end_wchd: f64,
 ) -> Result<f64, SolveError> {
     let objective = |factor: f64| {
-        analytic_endpoint(population, bti, base_stress_rate * factor, months).0 - target_end_wchd
+        let series = analytic_series(population, bti, base_stress_rate * factor, months, 1000);
+        series[months as usize].wchd - target_end_wchd
     };
     bisect(objective, 1e-6, 1e6, 1e-5, 300)
 }
@@ -144,7 +147,7 @@ pub fn fit_acceleration_factor(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{analytic_series, compound_monthly_rate};
+    use crate::compound_monthly_rate;
     use sramcell::TechnologyProfile;
 
     #[test]

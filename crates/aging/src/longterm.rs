@@ -4,13 +4,14 @@
 //! faithful reproduction of the paper's pipeline, but it is sampling-noisy
 //! and costly at full scale. This module computes the *expected* development
 //! of every Table I metric directly: the initial mismatch distribution is
-//! discretized on quadrature nodes, each node's deterministic drift
-//! trajectory is integrated through the BTI law, and the metrics are
-//! evaluated as weighted sums over nodes. The simulator is property-tested
-//! against these curves.
+//! discretized on quadrature nodes where the metrics move, each node's
+//! deterministic drift trajectory is integrated through the BTI law, and the
+//! metrics are evaluated as weighted sums over nodes. The simulator is
+//! property-tested against these curves.
 
 use crate::BtiModel;
-use pufstats::normal::{pdf, phi};
+use pufstats::normal::{pdf, phi, PHI_SATURATION};
+use pufstats::solve::gaussian_band_rule;
 use sramcell::PopulationModel;
 
 /// Expected values of the paper's metrics at one point in time.
@@ -47,6 +48,11 @@ pub struct ExpectedMetrics {
 /// equals the population's [`expected_wchd`](PopulationModel::expected_wchd)
 /// (the reference read-out itself is noisy).
 ///
+/// The fresh mismatch `m0` gets [band-rule](gaussian_band_rule) nodes in
+/// noise units: every metric is flat in `Phi(m)` past `|m| = 9`, and no
+/// trajectory moves more than `(1 + 4·beta)·g(τ_end)`. The drift bias `eta`
+/// gets 21 Simpson nodes over `±4`; each month takes 8 substeps.
+///
 /// # Panics
 ///
 /// Panics if `reads == 0` or `stress_rate < 0`.
@@ -80,12 +86,9 @@ pub fn analytic_series(
     assert!(reads > 0, "stable-cell window must be non-empty");
     assert!(stress_rate >= 0.0, "stress rate must be non-negative");
 
-    // Outer Simpson grid over the mismatch m0 (±RANGE population sigmas),
-    // inner Simpson grid over the static drift bias eta (±ETA_RANGE); the
-    // inner grid collapses to a single node when the drift law carries no
+    // Inner Simpson grid over the static drift bias eta (±ETA_RANGE); it
+    // collapses to a single node when the drift law carries no
     // data-independent component.
-    const RANGE: f64 = 8.0;
-    const STEPS: usize = 4000; // even
     const ETA_RANGE: f64 = 4.0;
     const ETA_STEPS: usize = 20; // even
 
@@ -114,31 +117,20 @@ pub fn analytic_series(
         nodes
     };
 
-    let h = 2.0 * RANGE / STEPS as f64;
-    let mut m = Vec::with_capacity((STEPS + 1) * eta_nodes.len());
+    // Outer band rule over the mismatch m0. Since |dm/dg| <= 1 + beta·|eta|,
+    // no node moves farther than `reach` by the last month.
+    let tau_end = f64::from(months) / 12.0 * stress_rate;
+    let reach = (1.0 + bti.bias_ratio * ETA_RANGE) * bti.cumulative_drift(tau_end);
+    let outer = gaussian_band_rule(population.mu, population.sigma, PHI_SATURATION + reach);
+    let mut m = Vec::with_capacity(outer.len() * eta_nodes.len());
     let mut eta = Vec::with_capacity(m.capacity());
     let mut weights = Vec::with_capacity(m.capacity());
-    let mut wsum = 0.0;
-    for i in 0..=STEPS {
-        let z = -RANGE + i as f64 * h;
-        let simpson = if i == 0 || i == STEPS {
-            1.0
-        } else if i % 2 == 1 {
-            4.0
-        } else {
-            2.0
-        };
-        let w_outer = simpson * pdf(z);
-        let m0 = population.mu + population.sigma * z;
+    for (m0, w_outer) in outer {
         for &(e, w_inner) in &eta_nodes {
             m.push(m0);
             eta.push(e);
             weights.push(w_outer * w_inner);
-            wsum += w_outer * w_inner;
         }
-    }
-    for w in &mut weights {
-        *w /= wsum;
     }
 
     let p0: Vec<f64> = m.iter().map(|&mi| phi(mi)).collect();
@@ -187,83 +179,6 @@ fn evaluate(month: u32, m: &[f64], p0: &[f64], w: &[f64], reads: u32) -> Expecte
     }
 }
 
-/// Expected `(WCHD, noise entropy)` after `months` months only — a
-/// light-weight endpoint evaluation for calibration loops (coarser grids
-/// than [`analytic_series`]).
-///
-/// # Panics
-///
-/// Panics if `stress_rate < 0`.
-pub(crate) fn analytic_endpoint(
-    population: &PopulationModel,
-    bti: BtiModel,
-    stress_rate: f64,
-    months: u32,
-) -> (f64, f64) {
-    assert!(stress_rate >= 0.0, "stress rate must be non-negative");
-    const RANGE: f64 = 8.0;
-    const STEPS: usize = 1500;
-    const ETA_RANGE: f64 = 4.0;
-    const ETA_STEPS: usize = 12;
-    const SUBSTEPS: u32 = 8;
-
-    let eta_nodes: Vec<(f64, f64)> = if bti.bias_ratio == 0.0 {
-        vec![(0.0, 1.0)]
-    } else {
-        let h = 2.0 * ETA_RANGE / ETA_STEPS as f64;
-        (0..=ETA_STEPS)
-            .map(|i| {
-                let z = -ETA_RANGE + i as f64 * h;
-                let simpson = if i == 0 || i == ETA_STEPS {
-                    1.0
-                } else if i % 2 == 1 {
-                    4.0
-                } else {
-                    2.0
-                };
-                (z, simpson * pdf(z))
-            })
-            .collect()
-    };
-
-    let h = 2.0 * RANGE / STEPS as f64;
-    let beta = bti.bias_ratio;
-    let total_steps = months * SUBSTEPS;
-    let mut wchd = 0.0;
-    let mut noise = 0.0;
-    let mut wsum = 0.0;
-    for i in 0..=STEPS {
-        let z = -RANGE + i as f64 * h;
-        let simpson = if i == 0 || i == STEPS {
-            1.0
-        } else if i % 2 == 1 {
-            4.0
-        } else {
-            2.0
-        };
-        let w_outer = simpson * pdf(z);
-        let m0 = population.mu + population.sigma * z;
-        let p0 = phi(m0);
-        for &(e, w_inner) in &eta_nodes {
-            let w = w_outer * w_inner;
-            let mut m = m0;
-            for s in 0..total_steps {
-                let tau0 = f64::from(s) / f64::from(SUBSTEPS) / 12.0 * stress_rate;
-                let tau1 = f64::from(s + 1) / f64::from(SUBSTEPS) / 12.0 * stress_rate;
-                let dg = bti.drift_increment(tau0, tau1);
-                if dg > 0.0 {
-                    m += (-(2.0 * phi(m) - 1.0) + beta * e) * dg;
-                }
-            }
-            let pt = phi(m);
-            wchd += w * (p0 * (1.0 - pt) + pt * (1.0 - p0));
-            noise += w * -pt.max(1.0 - pt).log2();
-            wsum += w;
-        }
-    }
-    (wchd / wsum, noise / wsum)
-}
-
 /// Compound monthly growth rate between two values `months` apart — the
 /// paper's "monthly change" column: `(end/start)^(1/months) − 1`.
 ///
@@ -290,7 +205,93 @@ pub fn compound_monthly_rate(start: f64, end: f64, months: u32) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::accelerated::{ACCELERATION_FACTOR, PAPER_DUTY};
     use sramcell::TechnologyProfile;
+
+    /// Month-24 `(WCHD, noise entropy)` of the nominal and the accelerated
+    /// study on a 64 000 × 81-node σ grid, from
+    /// `cargo test --release -p sramaging --lib -- --ignored --nocapture sigma_grid`.
+    const SIGMA_GRID_MONTH_24: [(f64, f64); 2] = [
+        (2.969_947_220_5e-2, 3.624_982_482_5e-2),
+        (7.199_518_354_5e-2, 8.247_744_781_7e-2),
+    ];
+
+    /// Population, drift law and stress rate of the two studies.
+    fn studies() -> [(PopulationModel, BtiModel, f64); 2] {
+        [
+            (TechnologyProfile::atmega32u4(), PAPER_DUTY),
+            (
+                TechnologyProfile::cmos65nm(),
+                PAPER_DUTY * ACCELERATION_FACTOR,
+            ),
+        ]
+        .map(|(profile, rate)| (profile.population, BtiModel::from_profile(&profile), rate))
+    }
+
+    /// `(WCHD, noise entropy)` after `months` months on the grid
+    /// `analytic_series` walked before the band rule, refined: Simpson over
+    /// `m0 ∈ μ ± 8σ` in `steps` and over `eta ∈ ±4` in `eta_steps`, the same
+    /// 8 substeps a month. Each node's trajectory runs to the end on its
+    /// own, so memory does not grow with the grid.
+    fn sigma_grid_endpoint(
+        (pop, bti, rate): (PopulationModel, BtiModel, f64),
+        months: u32,
+        steps: usize,
+        eta_steps: usize,
+    ) -> (f64, f64) {
+        let simpson = |i: usize, n: usize| match i {
+            0 => 1.0,
+            _ if i == n => 1.0,
+            _ if i % 2 == 1 => 4.0,
+            _ => 2.0,
+        };
+        let dg: Vec<f64> = (0..months * 8)
+            .map(|s| {
+                bti.drift_increment(f64::from(s) / 96.0 * rate, f64::from(s + 1) / 96.0 * rate)
+            })
+            .collect();
+        let (mut wchd, mut noise, mut wsum) = (0.0, 0.0, 0.0);
+        for i in 0..=steps {
+            let z = -8.0 + 16.0 * i as f64 / steps as f64;
+            let m0 = pop.mu + pop.sigma * z;
+            let p0 = phi(m0);
+            for j in 0..=eta_steps {
+                let e = -4.0 + 8.0 * j as f64 / eta_steps as f64;
+                let w = simpson(i, steps) * pdf(z) * simpson(j, eta_steps) * pdf(e);
+                let m = dg.iter().fold(m0, |m, &d| {
+                    m + (-(2.0 * phi(m) - 1.0) + bti.bias_ratio * e) * d
+                });
+                let pt = phi(m);
+                wchd += w * (p0 * (1.0 - pt) + pt * (1.0 - p0));
+                noise += w * -pt.max(1.0 - pt).log2();
+                wsum += w;
+            }
+        }
+        (wchd / wsum, noise / wsum)
+    }
+
+    #[test]
+    #[ignore = "64 000 × 81-node reference, about 40 s; run with --ignored --release"]
+    fn sigma_grid_reference_gives_the_pinned_month_24_values() {
+        for (study, (wchd, noise)) in studies().into_iter().zip(SIGMA_GRID_MONTH_24) {
+            let (w, n) = sigma_grid_endpoint(study, 24, 64_000, 80);
+            println!("month 24: WCHD {w:.10e}, noise entropy {n:.10e}");
+            assert!((w / wchd - 1.0).abs() < 1e-9, "WCHD {w:e} vs {wchd:e}");
+            assert!((n / noise - 1.0).abs() < 1e-9, "noise {n:e} vs {noise:e}");
+        }
+    }
+
+    #[test]
+    fn month_24_matches_the_sigma_grid_reference() {
+        for (study, (wchd, noise)) in studies().into_iter().zip(SIGMA_GRID_MONTH_24) {
+            let (pop, bti, rate) = study;
+            let end = analytic_series(&pop, bti, rate, 24, 1000)[24];
+            let wchd_err = end.wchd / wchd - 1.0;
+            let noise_err = end.noise_entropy / noise - 1.0;
+            assert!(wchd_err.abs() < 5e-6, "WCHD {wchd_err:e}");
+            assert!(noise_err.abs() < 1e-4, "noise entropy {noise_err:e}");
+        }
+    }
 
     fn paper_series(months: u32) -> Vec<ExpectedMetrics> {
         let profile = TechnologyProfile::atmega32u4();
@@ -309,9 +310,10 @@ mod tests {
         let series = paper_series(1);
         let pop = &profile.population;
         // WCHD and FHW are checked against their closed forms, which the
-        // 4 001-node Simpson grid on ±8σ matches to ~1e-15 at this σ; noise
-        // entropy and stable ratio integrate over that same grid on both
-        // sides, so they agree to rounding.
+        // band rule matches to ~1e-15 at this σ. The population's band,
+        // |m| ≤ 9, is a sub-grid of the series' month-0 band with the same
+        // weights, and every integrand is flat between the two edges, so
+        // noise entropy and stable ratio agree to about 1e-13.
         assert!((series[0].wchd - pop.expected_wchd()).abs() < 1e-12);
         assert!((series[0].fhw - pop.expected_fhw()).abs() < 1e-12);
         assert!((series[0].noise_entropy - pop.expected_noise_entropy()).abs() < 1e-12);

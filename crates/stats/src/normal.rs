@@ -32,6 +32,12 @@ pub fn phi_complement(x: f64) -> f64 {
     0.5 * erfc(x / std::f64::consts::SQRT_2)
 }
 
+/// The `|x|` past which `Phi(x)` is 0 or 1 to within about 1e-19 in f64:
+/// `Phi(-9) = 1.13e-19`, and `phi(x)` rounds to exactly 1 above 8.3. Any
+/// continuous function of `Phi(x)` is therefore constant beyond `±9` to
+/// that accuracy.
+pub const PHI_SATURATION: f64 = 9.0;
+
 /// Standard-normal probability density function.
 ///
 /// # Examples

@@ -3,9 +3,10 @@
 //! The cell and aging crates calibrate their free parameters (mismatch
 //! mean/sigma, BTI prefactor) so the model's *analytic* metrics hit the
 //! paper's Table I values. Those analytic metrics are expectations over a
-//! Gaussian population, evaluated here with Gauss–Hermite-style quadrature,
-//! and inverted with the root finders below.
+//! Gaussian population, evaluated with the quadratures here, and inverted
+//! with the root finders below.
 
+use crate::normal::{pdf, phi, phi_complement};
 use std::error::Error;
 use std::fmt;
 
@@ -229,6 +230,68 @@ pub fn gaussian_expectation_with(
         den += wz;
     }
     num / den
+}
+
+/// Nodes and weights `(m, w)` with `E[g(m)] ≈ Σ w·g(m)` for
+/// `m ~ N(mu, sigma^2)`, when `g` is constant below `-band` and above
+/// `band`.
+///
+/// Composite Simpson covers the band on the lattice `k·h`,
+/// `h = min(0.05, 0.004·sigma)`, and each tail's mass, `Phi` in closed
+/// form, joins the weight of the band edge it adjoins, so the tails take
+/// `g`'s value there. The lattice is anchored at `m = 0`: a kink of `g` at 0
+/// lies on a panel edge, and for one `sigma` a narrower band's nodes are a
+/// sub-grid of a wider one's. The band is clipped to `mu ± 8·sigma`, so
+/// there are at most 4 001 nodes; `sigma == 0` gives the point mass
+/// `[(mu, 1.0)]`.
+///
+/// # Panics
+///
+/// Panics if `sigma < 0` or `band < 0`.
+///
+/// # Examples
+///
+/// ```
+/// use pufstats::normal::{phi, PHI_SATURATION};
+/// use pufstats::solve::gaussian_band_rule;
+/// // E[Phi(m)] for m ~ N(mu, sigma^2) is Phi(mu / sqrt(1 + sigma^2)).
+/// let (mu, sigma) = (5.56, 300.0);
+/// let rule = gaussian_band_rule(mu, sigma, PHI_SATURATION);
+/// let e: f64 = rule.iter().map(|&(m, w)| w * phi(m)).sum();
+/// assert!((e - phi(mu / (1.0 + sigma * sigma).sqrt())).abs() < 1e-12);
+/// assert_eq!(rule.len(), 361);
+/// ```
+pub fn gaussian_band_rule(mu: f64, sigma: f64, band: f64) -> Vec<(f64, f64)> {
+    assert!(sigma >= 0.0, "sigma must be non-negative, got {sigma}");
+    assert!(band >= 0.0, "band must be non-negative, got {band}");
+    if sigma == 0.0 {
+        return vec![(mu, 1.0)];
+    }
+    let h = (0.004 * sigma).min(0.05);
+    // Band edges in panels of 2h, so that every edge is a panel edge.
+    let edge = (band / (2.0 * h)).ceil();
+    let lo = ((mu - 8.0 * sigma) / (2.0 * h)).ceil().clamp(-edge, edge) as i64;
+    let hi = ((mu + 8.0 * sigma) / (2.0 * h)).floor().clamp(-edge, edge) as i64;
+    let steps = 2 * (hi - lo);
+    let mut nodes: Vec<(f64, f64)> = (0..=steps)
+        .map(|i| {
+            let m = (2 * lo + i) as f64 * h;
+            let simpson = if steps == 0 {
+                0.0
+            } else if i == 0 || i == steps {
+                1.0
+            } else if i % 2 == 1 {
+                4.0
+            } else {
+                2.0
+            };
+            (m, simpson * h / 3.0 * pdf((m - mu) / sigma) / sigma)
+        })
+        .collect();
+    let top = nodes.len() - 1;
+    nodes[0].1 += phi((nodes[0].0 - mu) / sigma);
+    nodes[top].1 += phi_complement((nodes[top].0 - mu) / sigma);
+    nodes
 }
 
 #[cfg(test)]
