@@ -242,8 +242,8 @@ pub fn gaussian_expectation_with(
 /// `g`'s value there. The lattice is anchored at `m = 0`: a kink of `g` at 0
 /// lies on a panel edge, and for one `sigma` a narrower band's nodes are a
 /// sub-grid of a wider one's. The band is clipped to `mu ± 8·sigma`, so
-/// there are at most 4 001 nodes; `sigma == 0` gives the point mass
-/// `[(mu, 1.0)]`.
+/// there are at most `16·sigma/h + 1` nodes, 4 001 for `sigma ≤ 12.5`;
+/// `sigma == 0` gives the point mass `[(mu, 1.0)]`.
 ///
 /// # Panics
 ///
