@@ -3,6 +3,9 @@
 //! *string-exactly*, and `repro --accel` its nominal-vs-accelerated
 //! comparison. Any drift in the cell model, aging model, campaign engine,
 //! merge order, statistics, or report formatting shows up as a diff here.
+//! Two SHA-256 digests of campaign records pin the raw read-out bits too,
+//! so a change that draws the RNG differently fails here even when every
+//! aggregate still rounds to the same text.
 //!
 //! When an intentional change moves the numbers, regenerate the files and
 //! review the diff like any other code change:
@@ -13,6 +16,8 @@
 
 use pufassess::report::{self, Series};
 use pufbench::{run_assessment_streaming, Scale};
+use pufkeygen::sha256;
+use puftestbed::{Campaign, CampaignConfig};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -56,6 +61,44 @@ fn fixed_seed_smoke_pipeline_matches_the_golden_files() {
         "fig6_wchd.txt",
         &report::fig6_text(&assessment, Series::Wchd, 40),
     );
+}
+
+/// SHA-256, as one line of lowercase hex, of the JSON lines a two-thread
+/// campaign writes.
+fn records_digest(config: CampaignConfig, seed: u64) -> String {
+    let lines: String = Campaign::new(config, seed)
+        .threads(2)
+        .run_in_memory()
+        .iter()
+        .map(|r| r.to_json_line() + "\n")
+        .collect();
+    let hex: String = sha256::digest(lines.as_bytes())
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect();
+    hex + "\n"
+}
+
+#[test]
+fn campaign_read_out_bits_match_the_golden_digests() {
+    check_golden(
+        "smoke_records.sha256",
+        &records_digest(Scale::Smoke.campaign_config(), 2017),
+    );
+    // Faults, retries and drops on every board; the odd read width leaves
+    // an odd noise block and a partial last byte in every read-out.
+    let faulted = CampaignConfig {
+        boards: 6,
+        sram_bits: 512,
+        read_bits: 301,
+        months: 2,
+        reads_per_window: 15,
+        i2c_nack_rate: 0.1,
+        i2c_corruption_rate: 0.05,
+        i2c_retries: 4,
+        ..CampaignConfig::default()
+    };
+    check_golden("faulted_records.sha256", &records_digest(faulted, 7));
 }
 
 #[test]
