@@ -308,6 +308,31 @@ mod tests {
     }
 
     #[test]
+    fn fill_standard_equals_successive_pairs_bit_for_bit() {
+        for len in [0, 1, 2, 3, 63, 64, 65, 4_095, 4_096, 4_097] {
+            let mut rng = StdRng::seed_from_u64(len as u64);
+            let mut oracle = rng.clone();
+            let mut z = vec![0.0; len];
+            fill_standard(&mut rng, &mut z);
+            let mut want = Vec::with_capacity(len);
+            while want.len() + 1 < len {
+                let (a, b) = sample_standard_pair(&mut oracle);
+                want.extend([a, b]);
+            }
+            if want.len() < len {
+                want.push(sample_standard_pair(&mut oracle).0);
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&z), bits(&want), "len {len}");
+            assert_eq!(
+                rng.gen::<u64>(),
+                oracle.gen::<u64>(),
+                "len {len}: next draw"
+            );
+        }
+    }
+
+    #[test]
     fn fill_standard_moments_match_unit_normal() {
         let mut rng = StdRng::seed_from_u64(43);
         // Odd length exercises the remainder path.

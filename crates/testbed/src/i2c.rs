@@ -321,10 +321,42 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// CRC-16/CCITT-FALSE one bit at a time: the definition `crc16` must
+    /// match.
+    fn crc16_bitwise(data: &[u8]) -> u16 {
+        let mut crc: u16 = 0xFFFF;
+        for &byte in data {
+            crc ^= u16::from(byte) << 8;
+            for _ in 0..8 {
+                crc = if crc & 0x8000 != 0 {
+                    (crc << 1) ^ 0x1021
+                } else {
+                    crc << 1
+                };
+            }
+        }
+        crc
+    }
+
     #[test]
     fn crc16_check_value() {
         assert_eq!(crc16(b"123456789"), 0x29B1);
         assert_eq!(crc16(b""), 0xFFFF);
+    }
+
+    #[test]
+    fn crc16_matches_the_bitwise_definition() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut random = |len: usize| (0..len).map(|_| rng.gen::<u8>()).collect::<Vec<_>>();
+        let short = random(64);
+        for len in 0..=short.len() {
+            let data = &short[..len];
+            assert_eq!(crc16(data), crc16_bitwise(data), "len {len}");
+        }
+        for len in [1_024, 4_097] {
+            let data = random(len);
+            assert_eq!(crc16(&data), crc16_bitwise(&data), "len {len}");
+        }
     }
 
     #[test]
