@@ -106,6 +106,12 @@ impl Error for TransferError {}
 
 /// CRC-16/CCITT-FALSE over `data` (poly 0x1021, init 0xFFFF).
 ///
+/// Computed by slicing-by-8: each step folds 8 bytes through eight
+/// independent table lookups, and the byte table finishes the remainder.
+/// A single 256-entry table gains nothing here, because each of its
+/// lookups waits on the last. The bitwise definition is kept as the test
+/// oracle.
+///
 /// # Examples
 ///
 /// ```
@@ -113,18 +119,58 @@ impl Error for TransferError {}
 /// assert_eq!(puftestbed::i2c::crc16(b"123456789"), 0x29B1);
 /// ```
 pub fn crc16(data: &[u8]) -> u16 {
+    let t = &CRC16_TABLES;
     let mut crc: u16 = 0xFFFF;
-    for &byte in data {
-        crc ^= u16::from(byte) << 8;
-        for _ in 0..8 {
+    let mut blocks = data.chunks_exact(8);
+    for b in &mut blocks {
+        let [hi, lo] = crc.to_be_bytes();
+        crc = t[7][usize::from(b[0] ^ hi)]
+            ^ t[6][usize::from(b[1] ^ lo)]
+            ^ t[5][usize::from(b[2])]
+            ^ t[4][usize::from(b[3])]
+            ^ t[3][usize::from(b[4])]
+            ^ t[2][usize::from(b[5])]
+            ^ t[1][usize::from(b[6])]
+            ^ t[0][usize::from(b[7])];
+    }
+    for &byte in blocks.remainder() {
+        crc = (crc << 8) ^ t[0][usize::from(crc.to_be_bytes()[0] ^ byte)];
+    }
+    crc
+}
+
+/// `CRC16_TABLES[k][b]`: the CRC register, started at 0, after byte `b`
+/// and then `k` zero bytes.
+static CRC16_TABLES: [[u16; 256]; 8] = crc16_tables();
+
+const fn crc16_tables() -> [[u16; 256]; 8] {
+    let mut tables = [[0u16; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = (b as u16) << 8;
+        let mut bit = 0;
+        while bit < 8 {
             crc = if crc & 0x8000 != 0 {
                 (crc << 1) ^ 0x1021
             } else {
                 crc << 1
             };
+            bit += 1;
         }
+        tables[0][b] = crc;
+        b += 1;
     }
-    crc
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev << 8) ^ tables[0][(prev >> 8) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
 }
 
 /// Splits a payload into `Wire`-sized chunks and appends a CRC trailer.
