@@ -1,7 +1,7 @@
 //! The manufacturing population of cell mismatches and its analytic metrics.
 
 use pufstats::normal::{phi, PHI_SATURATION};
-use pufstats::solve::{gaussian_band_rule, gaussian_expectation};
+use pufstats::solve::gaussian_band_rule;
 use pufstats::special::owens_t;
 
 /// Gaussian population of cell mismatches: `m ~ N(mu, sigma^2)` in
@@ -46,11 +46,6 @@ impl PopulationModel {
             "invalid population parameters mu={mu}, sigma={sigma}"
         );
         Self { mu, sigma }
-    }
-
-    /// Expectation `E[g(m)]` over the mismatch distribution.
-    pub fn expect(&self, g: impl Fn(f64) -> f64) -> f64 {
-        gaussian_expectation(self.mu, self.sigma, g)
     }
 
     /// Expectation `E[g(p)]` over the one-probability `p = Phi(m)`, by the
