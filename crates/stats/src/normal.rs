@@ -173,6 +173,7 @@ pub fn sample_standard<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// ```
 pub fn fill_standard<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
     let (pairs, tail) = out.split_at_mut(out.len() & !1);
+    // Pass 1: `k` is the first free slot; a rejected pair is overwritten.
     let mut k = 0;
     while k < pairs.len() {
         let u: f64 = rng.gen_range(-1.0..1.0);
@@ -182,6 +183,7 @@ pub fn fill_standard<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
         let s = u * u + v * v;
         k += 2 * usize::from(s > 0.0 && s < 1.0);
     }
+    // Pass 2: scale each accepted pair as `sample_standard_pair` does.
     for pair in pairs.chunks_exact_mut(2) {
         let (u, v) = (pair[0], pair[1]);
         let s = u * u + v * v;

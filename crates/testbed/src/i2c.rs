@@ -140,7 +140,8 @@ pub fn crc16(data: &[u8]) -> u16 {
 }
 
 /// `CRC16_TABLES[k][b]`: the CRC register, started at 0, after byte `b`
-/// and then `k` zero bytes.
+/// and then `k` zero bytes, i.e. after `8(k + 1)` bitwise steps from
+/// `b << 8`.
 static CRC16_TABLES: [[u16; 256]; 8] = crc16_tables();
 
 const fn crc16_tables() -> [[u16; 256]; 8] {
@@ -148,27 +149,19 @@ const fn crc16_tables() -> [[u16; 256]; 8] {
     let mut b = 0;
     while b < 256 {
         let mut crc = (b as u16) << 8;
-        let mut bit = 0;
-        while bit < 8 {
+        let mut step = 1;
+        while step <= 64 {
             crc = if crc & 0x8000 != 0 {
                 (crc << 1) ^ 0x1021
             } else {
                 crc << 1
             };
-            bit += 1;
+            if step % 8 == 0 {
+                tables[step / 8 - 1][b] = crc;
+            }
+            step += 1;
         }
-        tables[0][b] = crc;
         b += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut b = 0;
-        while b < 256 {
-            let prev = tables[k - 1][b];
-            tables[k][b] = (prev << 8) ^ tables[0][(prev >> 8) as usize];
-            b += 1;
-        }
-        k += 1;
     }
     tables
 }
