@@ -14,14 +14,18 @@
 //!   invalidates the cache;
 //! * noise is sampled in **blocks** through
 //!   [`pufstats::normal::fill_standard`], which keeps both variates of every
-//!   Box–Muller acceptance;
+//!   Box–Muller acceptance and works in two passes — candidate pairs first,
+//!   with no branch on the rejection, then every `ln`/`sqrt` scaling — so
+//!   the scalings of successive pairs overlap; it draws and returns what
+//!   one acceptance at a time would;
 //! * bits are packed 64 at a time into `u64` words and handed to
 //!   [`BitVec::from_words`], skipping per-bit pushes.
 //!
 //! The kernel produces the same per-cell one-probabilities as the scalar
 //! path (`Phi(mismatch / noise_sigma)`), but not the same bitstream: it
-//! consumes the RNG in a different order. The workspace's reproducibility
-//! contract is on metrics, not bitstreams (see DESIGN.md).
+//! consumes the RNG in a different order. Across code versions the
+//! kernel's own bits are pinned by the campaign digest goldens (DESIGN.md
+//! §6).
 //!
 //! A kernel caches thresholds for **one** logical device; give each board
 //! its own kernel rather than sharing one across devices.

@@ -1281,7 +1281,7 @@ mod tests {
     fn counter_rng_preserves_the_statistical_contract() {
         // The board streams moved from the vendored xoshiro (`StdRng`) to
         // the counter-based `PufRng`. The workspace's determinism contract
-        // is over *metrics*, not bitstreams (DESIGN.md §"Determinism"), so
+        // was then over *metrics*, not bitstreams (DESIGN.md §6), so
         // equivalence with the old path means the recorded data sits in
         // the same statistical envelope the old goldens locked: the
         // paper's ~62% one-bias, low within-class noise, ~48%
