@@ -331,29 +331,46 @@ mod tests {
         assert!((r - 1.0).abs() < 1e-2);
     }
 
+    /// `E[g(m)]` by the band rule with band `|mu| + 8·sigma`, which is plain
+    /// Simpson on `mu ± 8·sigma` plus the tails' mass.
+    fn band_expectation(mu: f64, sigma: f64, g: impl Fn(f64) -> f64) -> f64 {
+        gaussian_band_rule(mu, sigma, mu.abs() + 8.0 * sigma)
+            .iter()
+            .map(|&(m, w)| w * g(m))
+            .sum()
+    }
+
     #[test]
-    fn gaussian_expectation_of_identity_is_mu() {
-        let e = gaussian_expectation(3.2, 1.7, |m| m);
+    fn band_rule_weights_sum_to_one() {
+        for (mu, sigma) in [(3.2, 1.7), (0.4, 1.3), (-4.0, 0.01), (5.56, 17.13)] {
+            let total = band_expectation(mu, sigma, |_| 1.0);
+            assert!((total - 1.0).abs() < 1e-12, "({mu}, {sigma}): {total}");
+        }
+    }
+
+    #[test]
+    fn band_rule_of_identity_is_mu() {
+        let e = band_expectation(3.2, 1.7, |m| m);
         assert!((e - 3.2).abs() < 1e-9);
     }
 
     #[test]
-    fn gaussian_expectation_matches_closed_form_phi() {
+    fn band_rule_matches_closed_form_phi() {
         // E[Phi(m)] for m ~ N(mu, sigma^2) = Phi(mu / sqrt(1 + sigma^2)).
         let (mu, sigma) = (0.4, 1.3);
-        let e = gaussian_expectation(mu, sigma, phi);
+        let e = band_expectation(mu, sigma, phi);
         let want = phi(mu / (1.0 + sigma * sigma).sqrt());
         assert!((e - want).abs() < 1e-8, "{e} vs {want}");
     }
 
     #[test]
-    fn gaussian_expectation_degenerate_sigma() {
-        assert_eq!(gaussian_expectation(2.0, 0.0, |m| m * m), 4.0);
+    fn band_rule_degenerate_sigma() {
+        assert_eq!(gaussian_band_rule(2.0, 0.0, 10.0), vec![(2.0, 1.0)]);
     }
 
     #[test]
     #[should_panic(expected = "non-negative")]
-    fn gaussian_expectation_rejects_negative_sigma() {
-        gaussian_expectation(0.0, -1.0, |m| m);
+    fn band_rule_rejects_negative_sigma() {
+        gaussian_band_rule(0.0, -1.0, 8.0);
     }
 }

@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use pufstats::entropy::{min_entropy_bit, shannon_entropy_bit};
 use pufstats::normal::{phi, phi_complement, phi_inv};
-use pufstats::solve::{bisect, gaussian_expectation};
+use pufstats::solve::{bisect, gaussian_band_rule};
 use pufstats::special::{erf, erfc};
 use pufstats::{ci, Accumulator, Histogram, Summary};
 
@@ -83,9 +83,10 @@ proptest! {
     }
 
     #[test]
-    fn gaussian_expectation_is_linear(mu in -5.0f64..5.0, sigma in 0.01f64..10.0, a in -3.0f64..3.0, b in -3.0f64..3.0) {
-        // E[a·m + b] = a·mu + b.
-        let e = gaussian_expectation(mu, sigma, |m| a * m + b);
+    fn band_rule_is_linear(mu in -5.0f64..5.0, sigma in 0.01f64..10.0, a in -3.0f64..3.0, b in -3.0f64..3.0) {
+        // E[a·m + b] = a·mu + b; band |mu| + 8·sigma is Simpson on mu ± 8·sigma.
+        let rule = gaussian_band_rule(mu, sigma, mu.abs() + 8.0 * sigma);
+        let e: f64 = rule.iter().map(|&(m, w)| w * (a * m + b)).sum();
         prop_assert!((e - (a * mu + b)).abs() < 1e-6 * (1.0 + a.abs() * (mu.abs() + sigma)), "{e}");
     }
 
