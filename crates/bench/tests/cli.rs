@@ -513,3 +513,81 @@ fn assess_survives_read_width_changes_without_a_panic() {
         std::fs::remove_file(&input).ok();
     }
 }
+
+#[test]
+fn assess_skips_a_deeply_nested_line() {
+    let clean = temp_path("nesting_clean.jsonl");
+    let out = Command::new(env!("CARGO_BIN_EXE_campaign"))
+        .args([
+            "--out",
+            clean.to_str().unwrap(),
+            "--boards",
+            "2",
+            "--months",
+            "2",
+            "--reads",
+            "3",
+            "--read-bits",
+            "128",
+            "--seed",
+            "5",
+        ])
+        .output()
+        .expect("campaign runs");
+    assert!(out.status.success());
+    let text = std::fs::read_to_string(&clean).unwrap();
+    let (first, rest) = text.split_once('\n').unwrap();
+    let deep = temp_path("nesting_deep.jsonl");
+    std::fs::write(&deep, format!("{first}\n{}\n{rest}", "[".repeat(100_000))).unwrap();
+    let assess = |input: &std::path::Path| {
+        Command::new(env!("CARGO_BIN_EXE_assess"))
+            .args(["--in", input.to_str().unwrap(), "--reads", "3"])
+            .output()
+            .expect("assess runs")
+    };
+    let (want, got) = (assess(&clean), assess(&deep));
+    let stderr = String::from_utf8_lossy(&got.stderr);
+    assert_eq!(got.status.code(), Some(0), "{stderr}");
+    assert!(stderr.contains("skipping malformed"), "{stderr}");
+    assert!(
+        stderr.contains("nesting deeper than 128 levels"),
+        "{stderr}"
+    );
+    assert_eq!(got.stdout, want.stdout);
+    std::fs::remove_file(&clean).ok();
+    std::fs::remove_file(&deep).ok();
+}
+
+#[test]
+fn campaign_refuses_a_deeply_nested_plan() {
+    let plan = temp_path("nesting_plan.json");
+    std::fs::write(&plan, "[".repeat(200_000)).unwrap();
+    for (flag, message) in [
+        ("--faults", "cannot load fault plan"),
+        ("--io-faults", "cannot load I/O fault plan"),
+    ] {
+        let records = temp_path("nesting_plan_records.jsonl");
+        let out = Command::new(env!("CARGO_BIN_EXE_campaign"))
+            .args([
+                "--out",
+                records.to_str().unwrap(),
+                "--boards",
+                "2",
+                "--months",
+                "1",
+                "--reads",
+                "2",
+                "--read-bits",
+                "64",
+                flag,
+                plan.to_str().unwrap(),
+            ])
+            .output()
+            .expect("campaign runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{flag}: {stderr}");
+        assert!(stderr.contains(message), "{flag}: {stderr}");
+        assert!(!records.exists(), "{flag}: records written");
+    }
+    std::fs::remove_file(&plan).ok();
+}

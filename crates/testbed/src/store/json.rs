@@ -199,11 +199,13 @@ impl Error for ParseJsonError {}
 ///
 /// # Errors
 ///
-/// Returns [`ParseJsonError`] on any syntax error or trailing garbage.
+/// Returns [`ParseJsonError`] on any syntax error, on trailing garbage, and
+/// on arrays and objects nested deeper than 128 levels.
 pub fn parse(input: &str) -> Result<JsonValue, ParseJsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -214,9 +216,16 @@ pub fn parse(input: &str) -> Result<JsonValue, ParseJsonError> {
     Ok(value)
 }
 
+/// Deepest nesting of arrays and objects [`parse`] accepts. The parser
+/// recurses once per level, so without a bound a line of `[`s overflows the
+/// stack; every document the workspace writes nests a few levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -248,8 +257,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, ParseJsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -257,6 +266,20 @@ impl Parser<'_> {
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.error("expected a json value")),
         }
+    }
+
+    /// Parses one array or object with `parse`, one level deeper.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, ParseJsonError>,
+    ) -> Result<JsonValue, ParseJsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, ParseJsonError> {
@@ -532,6 +555,25 @@ mod tests {
             "\"\\u12\"",
         ] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        let parsed = parse(&nested(MAX_DEPTH)).unwrap();
+        let mut value = &parsed;
+        for _ in 1..MAX_DEPTH {
+            value = &value.as_array().unwrap()[0];
+        }
+        assert_eq!(value, &JsonValue::Array(vec![]));
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.message, "nesting deeper than 128 levels");
+        assert_eq!(err.offset, MAX_DEPTH);
+        // Unclosed and far past the cap: an error, not a stack overflow.
+        for deep in ["[".repeat(1_000_000), "{\"a\":".repeat(1_000_000)] {
+            let err = parse(&deep).unwrap_err();
+            assert!(err.to_string().contains("nesting deeper"), "{err}");
         }
     }
 
