@@ -58,19 +58,6 @@ impl StressConditions {
         Self::new(1.0, Environment::nominal(profile))
     }
 
-    /// An accelerated-aging burn-in: continuous operation at `temp_c` and
-    /// `vdd_v`.
-    pub fn burn_in(profile: &TechnologyProfile, temp_c: f64, vdd_v: f64) -> Self {
-        Self::new(
-            1.0,
-            Environment {
-                temp_c,
-                vdd_v,
-                ramp_us: profile.ramp_us,
-            },
-        )
-    }
-
     /// Effective stress-years accumulated per wall-clock year:
     /// `duty × acceleration_factor(env)`.
     pub fn stress_rate(&self, profile: &TechnologyProfile) -> f64 {
@@ -294,7 +281,13 @@ mod tests {
         sim_n.advance(&mut nominal, 2.0, 24);
 
         let mut accelerated = make();
-        let cond = StressConditions::burn_in(&profile, 85.0, profile.vdd_v);
+        let cond = StressConditions::new(
+            1.0,
+            Environment {
+                temp_c: 85.0,
+                ..Environment::nominal(&profile)
+            },
+        );
         let af = cond.stress_rate(&profile);
         let mut sim_a = AgingSimulator::new(&profile, cond);
         sim_a.advance(&mut accelerated, 2.0 / af, 24);

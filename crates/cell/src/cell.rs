@@ -105,15 +105,6 @@ impl Cell {
     pub fn preferred_state(&self) -> bool {
         self.mismatch > 0.0
     }
-
-    /// Whether the cell is *fully skewed* for practical purposes: the
-    /// probability of ever observing the non-preferred state within `reads`
-    /// power-ups is below `tolerance`.
-    pub fn is_effectively_stable(&self, noise_sigma: f64, reads: u32, tolerance: f64) -> bool {
-        let p = self.one_probability(noise_sigma);
-        let p_major = p.max(1.0 - p);
-        1.0 - p_major.powi(reads as i32) < tolerance
-    }
 }
 
 #[cfg(test)]
@@ -159,12 +150,6 @@ mod tests {
         cell.shift(-2.5);
         assert!((cell.mismatch() + 1.5).abs() < 1e-12);
         assert!(!cell.preferred_state());
-    }
-
-    #[test]
-    fn stability_classification() {
-        assert!(Cell::new(6.0).is_effectively_stable(1.0, 1000, 1e-3));
-        assert!(!Cell::new(1.0).is_effectively_stable(1.0, 1000, 1e-3));
     }
 
     #[test]

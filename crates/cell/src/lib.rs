@@ -45,7 +45,6 @@ pub mod calibrate;
 mod cell;
 mod env;
 mod population;
-pub mod ramp;
 mod tech;
 
 pub use array::{ArrayState, SramArray};

@@ -100,19 +100,6 @@ impl PopulationModel {
         self.expect_p(|p| p.powi(r) + (1.0 - p).powi(r))
     }
 
-    /// Expected average min-entropy of the *PUF* (uniqueness): with the
-    /// infinite-device estimator every location has one-probability
-    /// `E[p]` over devices, so this is `−log2 max(E[p], 1 − E[p])`.
-    ///
-    /// The paper estimates the same quantity from only 16 devices, which
-    /// biases the empirical value downward slightly (64.9 % measured vs
-    /// 67.4 % asymptotic); see `pufassess::entropy` for the finite-sample
-    /// estimator.
-    pub fn expected_puf_entropy(&self) -> f64 {
-        let f = self.expected_fhw();
-        -f.max(1.0 - f).log2()
-    }
-
     /// Probability density of the mismatch at `m`.
     pub fn density(&self, m: f64) -> f64 {
         pufstats::normal::pdf((m - self.mu) / self.sigma) / self.sigma

@@ -50,16 +50,6 @@ pub fn between_class_hds(references: &BitMatrix) -> Vec<f64> {
     references.pairwise_fhd()
 }
 
-/// Average between-class fractional Hamming distance.
-///
-/// # Panics
-///
-/// Panics if fewer than two references are given.
-pub fn between_class_hd(references: &BitMatrix) -> f64 {
-    let ds = between_class_hds(references);
-    ds.iter().sum::<f64>() / ds.len() as f64
-}
-
 /// Average fractional Hamming weight over a window of read-outs.
 ///
 /// # Panics
@@ -175,7 +165,6 @@ mod tests {
     #[test]
     fn bchd_of_complementary_references_is_one() {
         let m = BitMatrix::from_rows([BitVec::zeros(16), BitVec::ones(16)]).unwrap();
-        assert_eq!(between_class_hd(&m), 1.0);
         assert_eq!(between_class_hds(&m), vec![1.0]);
     }
 

@@ -69,39 +69,6 @@ pub fn pgm_image(pattern: &BitVec, width: usize) -> Vec<u8> {
     out
 }
 
-/// Renders the *difference* between two patterns (`'x'` where they differ),
-/// used to visualize which cells flipped after aging.
-///
-/// # Panics
-///
-/// Panics if the patterns have different lengths or `width == 0`.
-///
-/// # Examples
-///
-/// ```
-/// use pufbits::BitVec;
-/// use pufassess::visualize::diff_raster;
-///
-/// let a = BitVec::from_bits([true, false, true, false]);
-/// let b = BitVec::from_bits([true, true, true, false]);
-/// assert_eq!(diff_raster(&a, &b, 4), ".x..\n");
-/// ```
-pub fn diff_raster(a: &BitVec, b: &BitVec, width: usize) -> String {
-    assert!(width > 0, "raster width must be positive");
-    let diff = a.xor(b);
-    let mut out = String::new();
-    for (i, bit) in diff.iter().enumerate() {
-        out.push(if bit { 'x' } else { '.' });
-        if (i + 1) % width == 0 {
-            out.push('\n');
-        }
-    }
-    if !diff.len().is_multiple_of(width) {
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,12 +96,6 @@ mod tests {
         let body = &img[img.len() - 12..];
         assert_eq!(&body[..10], &[255u8; 10][..]);
         assert_eq!(&body[10..], &[0u8, 0u8][..]);
-    }
-
-    #[test]
-    fn diff_raster_is_empty_for_identical_patterns() {
-        let v = BitVec::from_bytes(&[0xAA]);
-        assert!(!diff_raster(&v, &v, 8).contains('x'));
     }
 
     #[test]

@@ -43,7 +43,6 @@ pub mod analysis;
 pub mod debias;
 pub mod ecc;
 mod extractor;
-pub mod security;
 pub mod sha256;
 
 pub use extractor::{CodeSpec, Enrollment, HelperData, KeyError, KeyGenerator, ParseCodeSpecError};

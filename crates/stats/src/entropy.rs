@@ -80,22 +80,6 @@ pub fn shannon_entropy_bit(p: f64) -> f64 {
     term(p) + term(1.0 - p)
 }
 
-/// Average Shannon entropy over independent binary sources.
-///
-/// # Panics
-///
-/// Panics if the iterator is empty or any probability is out of range.
-pub fn average_shannon_entropy<I: IntoIterator<Item = f64>>(probabilities: I) -> f64 {
-    let mut sum = 0.0;
-    let mut n = 0u64;
-    for p in probabilities {
-        sum += shannon_entropy_bit(p);
-        n += 1;
-    }
-    assert!(n > 0, "average_shannon_entropy of an empty sequence");
-    sum / n as f64
-}
-
 /// NIST SP 800-90B *most common value* min-entropy estimate for a sample of
 /// binary symbols: an upper confidence bound on the most common symbol's
 /// probability, converted to min-entropy per bit.
@@ -173,7 +157,6 @@ mod tests {
     fn shannon_entropy_known_value() {
         // H(0.25) = 0.811278...
         assert!((shannon_entropy_bit(0.25) - 0.811_278_124_459_132_8).abs() < 1e-12);
-        assert!((average_shannon_entropy([0.25, 0.25]) - 0.811_278_124_459_132_8).abs() < 1e-12);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The cell and aging crates calibrate their free parameters (mismatch
 //! mean/sigma, BTI prefactor) so the model's *analytic* metrics hit the
 //! paper's Table I values. Those analytic metrics are expectations over a
-//! Gaussian population, evaluated with the quadratures here, and inverted
-//! with the root finders below.
+//! Gaussian population, evaluated with the band rule and inverted with the
+//! root finder in this module.
 
 use crate::normal::{pdf, phi, phi_complement};
 use std::error::Error;
@@ -102,136 +102,6 @@ pub fn bisect(
     })
 }
 
-/// Newton's method with a numeric derivative, falling back to bisection
-/// within `[lo, hi]` whenever a step leaves the bracket.
-///
-/// # Errors
-///
-/// Same conditions as [`bisect`].
-///
-/// # Examples
-///
-/// ```
-/// use pufstats::solve::newton_bracketed;
-/// let root = newton_bracketed(|x| x.exp() - 3.0, 0.0, 3.0, 1e-13, 100)?;
-/// assert!((root - 3f64.ln()).abs() < 1e-11);
-/// # Ok::<(), pufstats::solve::SolveError>(())
-/// ```
-pub fn newton_bracketed(
-    mut f: impl FnMut(f64) -> f64,
-    mut lo: f64,
-    mut hi: f64,
-    tol: f64,
-    max_iter: u32,
-) -> Result<f64, SolveError> {
-    let mut f_lo = f(lo);
-    let mut f_hi = f(hi);
-    if f_lo == 0.0 {
-        return Ok(lo);
-    }
-    if f_hi == 0.0 {
-        return Ok(hi);
-    }
-    if f_lo.signum() == f_hi.signum() {
-        return Err(SolveError::NotBracketed { f_lo, f_hi });
-    }
-    let mut x = 0.5 * (lo + hi);
-    for _ in 0..max_iter {
-        let fx = f(x);
-        if fx.abs() < tol {
-            return Ok(x);
-        }
-        // Maintain the bracket.
-        if fx.signum() == f_lo.signum() {
-            lo = x;
-            f_lo = fx;
-        } else {
-            hi = x;
-            f_hi = fx;
-        }
-        let h = (hi - lo).abs().max(1e-9) * 1e-6;
-        let dfx = (f(x + h) - fx) / h;
-        let mut next = if dfx != 0.0 { x - fx / dfx } else { f64::NAN };
-        if !next.is_finite() || next <= lo || next >= hi {
-            next = 0.5 * (lo + hi);
-        }
-        if (next - x).abs() < tol * 0.01 && fx.abs() < tol.max(1e-14) {
-            return Ok(next);
-        }
-        x = next;
-        if (hi - lo).abs() < tol * 1e-3 {
-            return Ok(x);
-        }
-    }
-    let _ = f_hi;
-    Err(SolveError::NoConvergence {
-        best: x,
-        residual: f(x),
-    })
-}
-
-/// Expectation `E[g(m)]` for `m ~ N(mu, sigma^2)` via change of variables
-/// and composite Simpson quadrature with 4 000 steps over ±8 standard
-/// deviations.
-///
-/// With smooth `g`, relative error is far below the Monte Carlo noise of any
-/// simulated campaign. For `sigma == 0` the expectation collapses to `g(mu)`.
-///
-/// # Panics
-///
-/// Panics if `sigma < 0`.
-///
-/// # Examples
-///
-/// ```
-/// use pufstats::solve::gaussian_expectation;
-/// // E[m^2] for N(0,1) is 1.
-/// let e = gaussian_expectation(0.0, 1.0, |m| m * m);
-/// assert!((e - 1.0).abs() < 1e-8);
-/// ```
-pub fn gaussian_expectation(mu: f64, sigma: f64, g: impl Fn(f64) -> f64) -> f64 {
-    gaussian_expectation_with(mu, sigma, 8.0, 4000, g)
-}
-
-/// [`gaussian_expectation`] with explicit integration `range` (in standard
-/// deviations) and Simpson `steps` (rounded up to even).
-///
-/// # Panics
-///
-/// Panics if `sigma < 0`, `range <= 0`, or `steps == 0`.
-pub fn gaussian_expectation_with(
-    mu: f64,
-    sigma: f64,
-    range: f64,
-    steps: usize,
-    g: impl Fn(f64) -> f64,
-) -> f64 {
-    assert!(sigma >= 0.0, "sigma must be non-negative, got {sigma}");
-    assert!(range > 0.0 && steps > 0, "invalid quadrature parameters");
-    if sigma == 0.0 {
-        return g(mu);
-    }
-    let steps = steps + steps % 2;
-    let h = 2.0 * range / steps as f64;
-    let weight = |z: f64| (-0.5 * z * z).exp();
-    let mut num = 0.0;
-    let mut den = 0.0;
-    for i in 0..=steps {
-        let z = -range + i as f64 * h;
-        let w = if i == 0 || i == steps {
-            1.0
-        } else if i % 2 == 1 {
-            4.0
-        } else {
-            2.0
-        };
-        let wz = w * weight(z);
-        num += wz * g(mu + sigma * z);
-        den += wz;
-    }
-    num / den
-}
-
 /// Nodes and weights `(m, w)` with `E[g(m)] ≈ Σ w·g(m)` for
 /// `m ~ N(mu, sigma^2)`, when `g` is constant below `-band` and above
 /// `band`.
@@ -316,19 +186,6 @@ mod tests {
         let err = bisect(|x| x * x + 1.0, -1.0, 1.0, 1e-12, 50).unwrap_err();
         assert!(matches!(err, SolveError::NotBracketed { .. }));
         assert!(err.to_string().contains("not bracketed"));
-    }
-
-    #[test]
-    fn newton_converges_fast_on_smooth_function() {
-        let r = newton_bracketed(|x| x.powi(3) - 8.0, 0.0, 5.0, 1e-13, 60).unwrap();
-        assert!((r - 2.0).abs() < 1e-10);
-    }
-
-    #[test]
-    fn newton_survives_flat_regions() {
-        // Flat near the left end; Newton steps would overshoot.
-        let r = newton_bracketed(|x| (x - 1.0).powi(5), 0.0, 3.0, 1e-12, 300).unwrap();
-        assert!((r - 1.0).abs() < 1e-2);
     }
 
     /// `E[g(m)]` by the band rule with band `|mu| + 8·sigma`, which is plain
