@@ -516,32 +516,17 @@ fn assess_survives_read_width_changes_without_a_panic() {
 
 #[test]
 fn assess_skips_a_deeply_nested_line() {
-    let clean = temp_path("nesting_clean.jsonl");
-    let out = Command::new(env!("CARGO_BIN_EXE_campaign"))
-        .args([
-            "--out",
-            clean.to_str().unwrap(),
-            "--boards",
-            "2",
-            "--months",
-            "2",
-            "--reads",
-            "3",
-            "--read-bits",
-            "128",
-            "--seed",
-            "5",
-        ])
-        .output()
-        .expect("campaign runs");
-    assert!(out.status.success());
+    let clean = reads_file(
+        "nesting_clean.jsonl",
+        &[(0, 2, 1024), (1, 2, 1024), (0, 3, 1024), (1, 3, 1024)],
+    );
     let text = std::fs::read_to_string(&clean).unwrap();
     let (first, rest) = text.split_once('\n').unwrap();
     let deep = temp_path("nesting_deep.jsonl");
     std::fs::write(&deep, format!("{first}\n{}\n{rest}", "[".repeat(100_000))).unwrap();
     let assess = |input: &std::path::Path| {
         Command::new(env!("CARGO_BIN_EXE_assess"))
-            .args(["--in", input.to_str().unwrap(), "--reads", "3"])
+            .args(["--in", input.to_str().unwrap(), "--reads", "1"])
             .output()
             .expect("assess runs")
     };
@@ -553,6 +538,7 @@ fn assess_skips_a_deeply_nested_line() {
         stderr.contains("nesting deeper than 128 levels"),
         "{stderr}"
     );
+    assert!(String::from_utf8_lossy(&want.stdout).contains("Table I"));
     assert_eq!(got.stdout, want.stdout);
     std::fs::remove_file(&clean).ok();
     std::fs::remove_file(&deep).ok();
