@@ -302,8 +302,7 @@ fn power_up(seed: u64, iters: u32) -> SuiteTiming {
 
 /// The `normal_cdf` suite: [`special::erfc`] at `Phi`'s argument `−m/√2`
 /// against the [`special::erfc_via_gamma`] oracle, over the 4 001-node grid
-/// of `m ∈ μ ± 8σ` that `pufstats::solve::gaussian_expectation` walks for
-/// the paper's ATmega32u4 population.
+/// of `m ∈ μ ± 8σ` for the paper's ATmega32u4 population.
 fn normal_cdf(iters: u32) -> SuiteTiming {
     const STEPS: usize = 4000;
     let population = TechnologyProfile::atmega32u4().population;
