@@ -3,7 +3,7 @@
 //! *string-exactly*, and `repro --accel` its nominal-vs-accelerated
 //! comparison. Any drift in the cell model, aging model, campaign engine,
 //! merge order, statistics, or report formatting shows up as a diff here.
-//! Two SHA-256 digests of campaign records pin the raw read-out bits too,
+//! Three SHA-256 digests of campaign records pin the raw read-out bits too,
 //! so a change that draws the RNG differently fails here even when every
 //! aggregate still rounds to the same text.
 //!
@@ -17,7 +17,8 @@
 use pufassess::report::{self, Series};
 use pufbench::{run_assessment_streaming, Scale};
 use pufkeygen::sha256;
-use puftestbed::{Campaign, CampaignConfig};
+use puftestbed::faults::{Brownout, I2cBurst, LayerSkew, StuckCluster};
+use puftestbed::{Campaign, CampaignConfig, FaultPlan};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -98,7 +99,44 @@ fn campaign_read_out_bits_match_the_golden_digests() {
         i2c_retries: 4,
         ..CampaignConfig::default()
     };
-    check_golden("faulted_records.sha256", &records_digest(faulted, 7));
+    check_golden(
+        "faulted_records.sha256",
+        &records_digest(faulted.clone(), 7),
+    );
+    // 150-read windows span several of the engine's read batches, with a
+    // brownout, a burst, a stuck cluster and a skewed layer inside them.
+    let batched = CampaignConfig {
+        boards: 5,
+        reads_per_window: 150,
+        i2c_retries: 1,
+        faults: FaultPlan {
+            brownouts: vec![Brownout {
+                board: Some(3),
+                from_window: 1,
+                until_window: 1,
+            }],
+            i2c_bursts: vec![I2cBurst {
+                board: Some(1),
+                from_window: 0,
+                until_window: 2,
+                nack_rate: 0.3,
+                corruption_rate: 0.2,
+            }],
+            stuck_clusters: vec![StuckCluster {
+                board: 0,
+                cell: 64,
+                len: 32,
+                value: true,
+                from_window: 1,
+            }],
+            clock_skew: vec![LayerSkew {
+                layer: 1,
+                skew_s: 120.0,
+            }],
+        },
+        ..faulted
+    };
+    check_golden("batched_records.sha256", &records_digest(batched, 7));
 }
 
 #[test]
