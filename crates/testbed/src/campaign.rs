@@ -9,10 +9,12 @@
 //! board's I2C fault draws all come from that stream, so a board's entire
 //! measured trajectory is a pure function of `(config, campaign seed,
 //! board id)` — independent of how many worker threads execute the campaign
-//! and of what every other board does. Workers buffer records locally per
-//! evaluation window; the campaign merges the buffers deterministically by
-//! `(seq, board)` before they reach the [`RecordSink`], so sink output is
-//! byte-identical across thread counts.
+//! and of what every other board does. Workers measure each evaluation
+//! window in batches of reads and hand every batch to the calling thread,
+//! which merges it deterministically by `(seq, board)` into the
+//! [`RecordSink`] while the workers measure the next one. Sink output is
+//! byte-identical across thread counts, and the engine holds a few batches
+//! of records, never a whole window.
 //!
 //! # Checkpointable state
 //!
@@ -41,7 +43,10 @@ use pufobs::{Counter, Histogram, Instruments};
 use rand::SeedableRng;
 use sramcell::{Environment, PowerUpKernel, TechnologyProfile};
 use std::io;
+use std::ops::Range;
 use std::path::PathBuf;
+use std::sync::mpsc;
+use std::time::Duration;
 
 /// What the campaign records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,15 +197,15 @@ pub struct Campaign {
     gaps: Vec<GapRecord>,
 }
 
-/// Pre-registered handles for the campaign's instrument points. All
-/// updates happen at shard-window granularity (never per power cycle), so
-/// instrumentation costs a handful of atomic adds per board per window —
-/// invisible next to the window's thousands of kernel evaluations — and
-/// the record stream itself is untouched.
+/// Pre-registered handles for the campaign's instrument points. Counters
+/// are updated at shard-window granularity (never per power cycle), so
+/// instrumentation costs a handful of atomic adds per board per window and
+/// two clock reads per board per batch — invisible next to the batch's
+/// kernel evaluations — and the record stream itself is untouched.
 #[derive(Debug, Clone)]
 struct CampaignInstruments {
     ins: Instruments,
-    /// `campaign.records` — records delivered to the sink.
+    /// `campaign.records` — records the sink accepted, a failed run's too.
     records: Counter,
     /// `campaign.dropped` — read-outs dropped after exhausting retries.
     dropped: Counter,
@@ -214,7 +219,8 @@ struct CampaignInstruments {
     i2c_faults: Counter,
     /// `campaign.shard_windows` — per-board window executions completed.
     shard_windows: Counter,
-    /// `campaign.shard_window_ns` — wall time of one board's window.
+    /// `campaign.shard_window_ns` — wall time of one board's window: the
+    /// sum of its batches, including any time its worker was preempted.
     shard_window_ns: Histogram,
     /// `campaign.boardNN.power_cycles`, indexed by board id.
     board_cycles: Vec<Counter>,
@@ -302,6 +308,11 @@ fn board_address(index: usize) -> Address {
     Address::new(0x10 + offset).expect("0x10 + index / 2 <= 0x77")
 }
 
+/// Reads per board in one batch of a window. A worker measures a batch
+/// while the merge sinks the previous one, so the engine holds about three
+/// batches of records per worker, never a whole window.
+const BATCH_READS: u32 = 64;
+
 /// One board's independent execution unit: the device, its layer position,
 /// its own bus endpoint, RNG stream, and batched power-up kernel.
 #[derive(Debug)]
@@ -314,14 +325,15 @@ struct BoardShard {
     kernel: PowerUpKernel,
 }
 
-/// What one shard contributes to one evaluation window.
+/// What one shard contributes to one evaluation window besides its records.
 #[derive(Debug, Default)]
 struct ShardOutput {
-    records: Vec<Record>,
     dropped: u64,
     retries: u64,
     /// The whole window was lost to a brownout.
     browned_out: bool,
+    /// Power cycles executed.
+    power_cycles: u64,
     /// Power-ups that never happened (brownout).
     missed_power_ups: u64,
     /// Transfer attempts failed by an injected NACK.
@@ -332,6 +344,9 @@ struct ShardOutput {
     stuck_cells_forced: u64,
     /// Simulated retry backoff accumulated, milliseconds.
     backoff_ms: u64,
+    /// Wall time spent in this board's window, summed over its batches
+    /// (zero without instruments).
+    busy: Duration,
 }
 
 /// The per-window inputs every shard sees: the schedule position plus the
@@ -372,38 +387,51 @@ fn injected_fault(
 }
 
 impl BoardShard {
-    /// Ages the board by the wall time since the previous window, then
-    /// measures the window: `reads` power cycles shipped over the shard's
-    /// bus endpoint, with per-read retry/drop accounting and the fault
-    /// plan applied. All fault decisions are pure functions of the plan
-    /// and schedule position — they never draw from the board's RNG
-    /// stream, so an empty plan leaves the stream (and the record bytes)
-    /// untouched.
-    fn run_window(&mut self, ctx: &WindowCtx) -> ShardOutput {
+    /// Opens the board's window: ages the board by the wall time since the
+    /// previous window and marks a brownout.
+    fn begin_window(&mut self, ctx: &WindowCtx) -> ShardOutput {
         if ctx.wall_years > 0.0 {
             self.board.age(ctx.wall_years, ctx.substeps);
         }
-        let mut out = ShardOutput::default();
-        let id = self.board.id();
-        if ctx.plan.browned_out(id, ctx.window) {
+        ShardOutput {
+            browned_out: ctx.plan.browned_out(self.board.id(), ctx.window),
+            ..ShardOutput::default()
+        }
+    }
+
+    /// Measures the window's `reads`: power cycles shipped over the shard's
+    /// bus endpoint, with per-read retry/drop accounting and the fault plan
+    /// applied, the delivered records pushed onto `records`. All fault
+    /// decisions are pure functions of the plan and schedule position —
+    /// they never draw from the board's RNG stream, so an empty plan leaves
+    /// the stream (and the record bytes) untouched.
+    fn measure(
+        &mut self,
+        ctx: &WindowCtx,
+        reads: Range<u32>,
+        out: &mut ShardOutput,
+        records: &mut Vec<Record>,
+    ) {
+        let count = u64::from(reads.end.saturating_sub(reads.start));
+        if out.browned_out {
             // The board never powers up this window. Aging has already
             // advanced (wall time passes either way), the RNG stream is
             // not drawn from, and the gap is reported instead of leaving
             // the merge waiting on records that will never arrive.
-            out.browned_out = true;
-            out.missed_power_ups = u64::from(ctx.reads);
-            return out;
+            out.missed_power_ups += count;
+            return;
         }
+        out.power_cycles += count;
+        let id = self.board.id();
         let layer = u8::try_from(self.layer).expect("layer fits u8");
         let waveform = PowerWaveform::paper_layer(layer);
         let period = waveform.period_s();
         let base_cycle = (ctx.window_start.seconds_since(ctx.epoch) as f64 / period) as u64;
-        out.records = Vec::with_capacity(ctx.reads as usize);
         let burst = ctx.plan.burst_rates(id, ctx.window);
         let skew = ctx.plan.layer_skew_s(layer);
         let has_stuck = !ctx.plan.stuck_clusters.is_empty();
         let mut bytes = Vec::new();
-        for read in 0..ctx.reads {
+        for read in reads {
             let t_in_window =
                 f64::from(read) * period + waveform.offset_s() + READOUT_DELAY_S + skew;
             let timestamp = ctx.window_start.offset_by(t_in_window);
@@ -430,7 +458,7 @@ impl BoardShard {
                 match delivered {
                     Some(received) => {
                         let bits = BitVec::from_bytes_with_len(&received, readout.len());
-                        out.records.push(Record::new(id, seq, timestamp, bits));
+                        records.push(Record::new(id, seq, timestamp, bits));
                         break;
                     }
                     None if attempt < ctx.retry_budget => {
@@ -445,8 +473,69 @@ impl BoardShard {
                 }
             }
         }
-        out
     }
+}
+
+/// Runs one window on `shards` in batches of [`BATCH_READS`] reads, handing
+/// each batch's records to `deliver` until it returns `false`. With a
+/// `clock`, each board's time in the window adds up in its `busy`.
+fn measure_batches(
+    shards: &mut [BoardShard],
+    ctx: &WindowCtx,
+    clock: Option<&Instruments>,
+    mut deliver: impl FnMut(Vec<Record>) -> bool,
+) -> Vec<ShardOutput> {
+    let elapsed = |started: Option<Duration>| {
+        clock
+            .zip(started)
+            .map_or(Duration::ZERO, |(c, t0)| c.now().saturating_sub(t0))
+    };
+    let mut outputs: Vec<ShardOutput> = shards
+        .iter_mut()
+        .map(|shard| {
+            let started = clock.map(Instruments::now);
+            let mut out = shard.begin_window(ctx);
+            out.busy = elapsed(started);
+            out
+        })
+        .collect();
+    let mut start = 0;
+    while start < ctx.reads {
+        let reads = start..ctx.reads.min(start + BATCH_READS);
+        start = reads.end;
+        let mut batch = Vec::with_capacity(shards.len() * reads.len());
+        for (shard, out) in shards.iter_mut().zip(&mut outputs) {
+            let started = clock.map(Instruments::now);
+            shard.measure(ctx, reads.clone(), out, &mut batch);
+            out.busy += elapsed(started);
+        }
+        if !deliver(batch) {
+            break;
+        }
+    }
+    outputs
+}
+
+/// Feeds one batch of every shard's records to the sink in the stream's
+/// order, counting the records the sink accepts.
+fn sink_batch<S: RecordSink>(
+    sink: &mut S,
+    mut batch: Vec<Record>,
+    accepted: &mut u64,
+) -> io::Result<()> {
+    // The deterministic merge order of the record stream: cycle first,
+    // board second (the physical arrival order of the rig's sink). Both
+    // layers share one period, so every board of a window has the same
+    // base cycle and read `r` has `seq = base + r`; clock skew moves only
+    // timestamps. Every record of batch k therefore precedes every record
+    // of batch k + 1, and the sorted batches, concatenated, are the
+    // sorted window.
+    batch.sort_unstable_by_key(|r| (r.seq, r.device.0));
+    for record in &batch {
+        sink.record(record)?;
+        *accepted += 1;
+    }
+    Ok(())
 }
 
 impl Campaign {
@@ -747,7 +836,8 @@ impl Campaign {
     ///
     /// # Errors
     ///
-    /// Propagates the first sink I/O error.
+    /// Propagates the first sink I/O error. The records the sink accepted
+    /// before it are a prefix of the uninterrupted record stream.
     pub fn run<S: RecordSink>(&mut self, sink: &mut S) -> io::Result<CampaignSummary> {
         match self.config.plan {
             MeasurementPlan::Windowed => self.run_windowed(sink),
@@ -860,8 +950,13 @@ impl Campaign {
     }
 
     /// Executes one evaluation window across all shards — in parallel when
-    /// [`threads`](Self::threads) allows — then merges the worker-local
-    /// buffers deterministically by `(seq, board)` into the sink.
+    /// [`threads`](Self::threads) allows — in batches of [`BATCH_READS`]
+    /// reads: the calling thread merges batch k of every shard by
+    /// `(seq, board)` into the sink while the workers measure batch k + 1.
+    ///
+    /// A sink error stops the window. The sink then holds a prefix of the
+    /// uninterrupted stream, `campaign.records` counts it, and the shard
+    /// counters cover the reads measured so far.
     fn run_window<S: RecordSink>(
         &mut self,
         sink: &mut S,
@@ -888,54 +983,48 @@ impl Campaign {
             seed: self.seed,
             plan: &self.config.faults,
         };
-        let obs = self.obs.as_ref();
-        let worker = |shard: &mut BoardShard| {
-            let started = obs.map(|o| o.ins.now());
-            let out = shard.run_window(&ctx);
-            if let Some(o) = obs {
-                if let Some(t0) = started {
-                    o.shard_window_ns
-                        .record_duration(o.ins.now().saturating_sub(t0));
-                }
-                let cycles = u64::from(ctx.reads) - out.missed_power_ups;
-                o.power_cycles.add(cycles);
-                if let Some(board) = o.board_cycles.get(usize::from(shard.board.id().0)) {
-                    board.add(cycles);
-                }
-                o.dropped.add(out.dropped);
-                o.retries.add(out.retries);
-                o.i2c_faults.add(out.dropped + out.retries);
-                if out.browned_out {
-                    o.faults_browned_out.inc();
-                }
-                o.faults_missed_power_ups.add(out.missed_power_ups);
-                o.faults_injected_nacks.add(out.injected_nacks);
-                o.faults_injected_corruptions.add(out.injected_corruptions);
-                o.faults_stuck_cells.add(out.stuck_cells_forced);
-                o.retry_attempts.add(out.retries);
-                o.retry_exhausted.add(out.dropped);
-                o.retry_backoff_ms.add(out.backoff_ms);
-                o.shard_windows.inc();
-            }
-            out
-        };
-
+        let clock = self.obs.as_ref().map(|o| &o.ins);
+        let mut accepted = 0u64;
+        let mut sunk = Ok(());
         let threads = self.threads.min(self.shards.len()).max(1);
-        let mut outputs: Vec<ShardOutput> = if threads == 1 {
-            self.shards.iter_mut().map(worker).collect()
+        let outputs = if threads == 1 {
+            measure_batches(&mut self.shards, &ctx, clock, |batch| {
+                sunk = sink_batch(sink, batch, &mut accepted);
+                sunk.is_ok()
+            })
         } else {
             // Shard boards across scoped workers in contiguous chunks; the
             // per-board RNG streams make the outputs identical to the
             // sequential path, so only wall-clock time depends on `threads`.
+            // Each worker runs at most one batch ahead of the merge.
             let chunk_len = self.shards.len().div_ceil(threads);
             std::thread::scope(|scope| {
-                let handles: Vec<_> = self
+                let (handles, receivers): (Vec<_>, Vec<_>) = self
                     .shards
                     .chunks_mut(chunk_len)
                     .map(|chunk| {
-                        scope.spawn(move || chunk.iter_mut().map(worker).collect::<Vec<_>>())
+                        let (tx, rx) = mpsc::sync_channel(1);
+                        let ctx = &ctx;
+                        let handle = scope.spawn(move || {
+                            measure_batches(chunk, ctx, clock, |batch| tx.send(batch).is_ok())
+                        });
+                        (handle, rx)
                     })
                     .collect();
+                // Every worker sends the same number of batches, then hangs up.
+                'merge: while sunk.is_ok() {
+                    let mut batch = Vec::new();
+                    for rx in &receivers {
+                        match rx.recv() {
+                            Ok(mut part) => batch.append(&mut part),
+                            Err(mpsc::RecvError) => break 'merge,
+                        }
+                    }
+                    sunk = sink_batch(sink, batch, &mut accepted);
+                }
+                // After a sink error, hanging up fails the `send` a worker
+                // may be blocked in, so it returns and the join cannot hang.
+                drop(receivers);
                 handles
                     .into_iter()
                     .flat_map(|handle| handle.join().expect("campaign worker panicked"))
@@ -943,10 +1032,9 @@ impl Campaign {
             })
         };
 
-        let mut records: Vec<Record> =
-            Vec::with_capacity(outputs.iter().map(|o| o.records.len()).sum());
+        summary.records += accepted;
         let window_date = window_start.datetime().date;
-        for (i, output) in outputs.iter_mut().enumerate() {
+        for (shard, output) in self.shards.iter().zip(&outputs) {
             summary.dropped += output.dropped;
             summary.retries += output.retries;
             self.tally.browned_out_windows += u64::from(output.browned_out);
@@ -961,7 +1049,7 @@ impl Campaign {
             let missed = output.missed_power_ups + output.dropped;
             if missed > 0 {
                 self.gaps.push(GapRecord {
-                    device: self.shards[i].board.id(),
+                    device: shard.board.id(),
                     window,
                     year_month: (window_date.year, window_date.month),
                     missed_reads: u32::try_from(missed).unwrap_or(u32::MAX),
@@ -972,17 +1060,34 @@ impl Campaign {
                     },
                 });
             }
-            records.append(&mut output.records);
-        }
-        // The deterministic merge order of the record stream: cycle first,
-        // board second (the physical arrival order of the rig's sink).
-        records.sort_unstable_by_key(|r| (r.seq, r.device.0));
-        for record in &records {
-            sink.record(record)?;
-            summary.records += 1;
+            if let Some(o) = &self.obs {
+                o.shard_window_ns.record_duration(output.busy);
+                o.power_cycles.add(output.power_cycles);
+                if let Some(board) = o.board_cycles.get(usize::from(shard.board.id().0)) {
+                    board.add(output.power_cycles);
+                }
+                o.dropped.add(output.dropped);
+                o.retries.add(output.retries);
+                o.i2c_faults.add(output.dropped + output.retries);
+                if output.browned_out {
+                    o.faults_browned_out.inc();
+                }
+                o.faults_missed_power_ups.add(output.missed_power_ups);
+                o.faults_injected_nacks.add(output.injected_nacks);
+                o.faults_injected_corruptions
+                    .add(output.injected_corruptions);
+                o.faults_stuck_cells.add(output.stuck_cells_forced);
+                o.retry_attempts.add(output.retries);
+                o.retry_exhausted.add(output.dropped);
+                o.retry_backoff_ms.add(output.backoff_ms);
+                o.shard_windows.inc();
+            }
         }
         if let Some(o) = &self.obs {
-            o.records.add(records.len() as u64);
+            o.records.add(accepted);
+        }
+        sunk?;
+        if let Some(o) = &self.obs {
             o.windows.inc();
         }
         Ok(())

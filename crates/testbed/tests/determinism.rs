@@ -2,8 +2,10 @@
 //! `CampaignConfig` + seed twice, and any thread count, produce
 //! byte-identical records.
 
-use puftestbed::store::Record;
+use pufobs::Instruments;
+use puftestbed::store::{Record, RecordSink};
 use puftestbed::{Campaign, CampaignConfig, MeasurementPlan};
+use std::io;
 
 fn config_with_faults() -> CampaignConfig {
     // Faults exercise the per-board I2C fault draws; retries exercise the
@@ -79,4 +81,53 @@ fn different_seeds_produce_different_data() {
     let (records_a, _) = run(config_with_faults(), 1, 1);
     let (records_b, _) = run(config_with_faults(), 2, 1);
     assert_ne!(records_a, records_b);
+}
+
+/// Accepts its first `limit` records, then fails every call.
+struct FailingSink {
+    records: Vec<Record>,
+    limit: usize,
+}
+
+impl RecordSink for FailingSink {
+    fn record(&mut self, record: &Record) -> io::Result<()> {
+        if self.records.len() == self.limit {
+            return Err(io::Error::other("disk full"));
+        }
+        self.records.push(record.clone());
+        Ok(())
+    }
+}
+
+#[test]
+fn a_failing_sink_holds_a_prefix_of_the_stream_at_any_thread_count() {
+    // 150-read windows: the failure lands mid-window, past several
+    // batches, with workers still measuring.
+    const ACCEPTED: usize = 1252;
+    let config = CampaignConfig {
+        boards: 5,
+        reads_per_window: 150,
+        ..config_with_faults()
+    };
+    let (full, _) = run(config.clone(), 7, 1);
+    assert!(full.len() > ACCEPTED + 500, "{} records", full.len());
+    for threads in [1, 2, 3, 8] {
+        let ins = Instruments::new();
+        let mut sink = FailingSink {
+            records: Vec::new(),
+            limit: ACCEPTED,
+        };
+        let err = Campaign::new(config.clone(), 7)
+            .threads(threads)
+            .instruments(&ins)
+            .run(&mut sink)
+            .expect_err("the sink fails");
+        assert_eq!(err.to_string(), "disk full", "threads={threads}");
+        assert!(sink.records[..] == full[..ACCEPTED], "threads={threads}");
+        assert_eq!(
+            ins.snapshot().counter("campaign.records"),
+            ACCEPTED as u64,
+            "threads={threads}"
+        );
+    }
 }
