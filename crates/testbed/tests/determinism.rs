@@ -101,8 +101,8 @@ impl RecordSink for FailingSink {
 
 #[test]
 fn a_failing_sink_holds_a_prefix_of_the_stream_at_any_thread_count() {
-    // 150-read windows: the failure lands mid-window, past several
-    // batches, with workers still measuring.
+    // 1 252 = 750 + 502: the failure lands in the second window's second
+    // batch of reads, while the workers are still measuring.
     const ACCEPTED: usize = 1252;
     let config = CampaignConfig {
         boards: 5,
