@@ -25,22 +25,32 @@ const PLAN: &str = r#"{
     }]
 }"#;
 
-/// Runs the fixed-seed faulted campaign once per format, caching the
-/// record files for every test in the process (the lock keeps parallel
-/// tests from generating the same file twice).
-fn record_file(format: &str) -> PathBuf {
+/// Runs `campaign` into the temp file `name` once, caching the record file
+/// for every test in the process (the lock keeps parallel tests from
+/// generating the same file twice).
+fn campaign_file(name: &str, args: &[&str]) -> PathBuf {
     static GENERATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
     let _guard = GENERATE.lock().unwrap();
-    let out = temp_path(&format!("records_{format}"));
+    let out = temp_path(name);
     if out.exists() {
         return out;
     }
+    let status = Command::new(env!("CARGO_BIN_EXE_campaign"))
+        .args(["--out", out.to_str().unwrap()])
+        .args(args)
+        .status()
+        .expect("campaign binary runs");
+    assert!(status.success());
+    out
+}
+
+/// The fixed-seed faulted campaign in `format`.
+fn record_file(format: &str) -> PathBuf {
     let plan = temp_path("plan.json");
     std::fs::write(&plan, PLAN).expect("plan written");
-    let status = Command::new(env!("CARGO_BIN_EXE_campaign"))
-        .args([
-            "--out",
-            out.to_str().unwrap(),
+    campaign_file(
+        &format!("records_{format}"),
+        &[
             "--format",
             format,
             "--boards",
@@ -55,11 +65,8 @@ fn record_file(format: &str) -> PathBuf {
             "2017",
             "--faults",
             plan.to_str().unwrap(),
-        ])
-        .status()
-        .expect("campaign binary runs");
-    assert!(status.success());
-    out
+        ],
+    )
 }
 
 fn keylife(input: &Path, extra: &[&str]) -> std::process::Output {
@@ -117,6 +124,48 @@ fn fixed_seed_faulted_table_matches_the_golden_file() {
         "keylife_table.txt",
         &String::from_utf8(out.stdout).expect("utf-8 table"),
     );
+}
+
+#[test]
+fn paper_profiles_with_failures_match_the_golden_file() {
+    // The paper's 128-bit key under both profiles, where polar-512-128
+    // fails to reconstruct a few reads a month: the failure counts must
+    // merge across shards to the same table at every thread count.
+    let records = campaign_file(
+        "paper_records_binary",
+        &[
+            "--format",
+            "binary",
+            "--boards",
+            "4",
+            "--months",
+            "3",
+            "--reads",
+            "50",
+            "--read-bits",
+            "8192",
+            "--seed",
+            "2017",
+        ],
+    );
+    let mut outputs = Vec::new();
+    for threads in ["1", "2", "3"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_keylife"))
+            .args(["--in", records.to_str().unwrap()])
+            .args(["--reads", "50", "--seed", "7", "--threads", threads])
+            .args(["--profiles", "golay-r5@128,polar-512-128@128"])
+            .output()
+            .expect("keylife binary runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        outputs.push(String::from_utf8(out.stdout).expect("utf-8 table"));
+    }
+    assert_eq!(outputs[0], outputs[1], "thread count changed the table");
+    assert_eq!(outputs[0], outputs[2], "thread count changed the table");
+    check_golden("keylife_paper_profiles.txt", &outputs[0]);
 }
 
 #[test]

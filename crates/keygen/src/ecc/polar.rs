@@ -398,4 +398,193 @@ mod tests {
         let word = c.encode(&BitVec::zeros(64));
         assert_eq!(word.count_ones(), 0);
     }
+
+    /// The decoder as first written, kept verbatim (only `self` became
+    /// `code`) as the oracle for `decode`: per-position channel reads, the
+    /// `signum` product in `f`, the branch in `g`, and one recursive call
+    /// per child down to the leaves.
+    mod oracle {
+        use super::super::PolarCode;
+        use pufbits::BitVec;
+
+        fn sc_decode(
+            code: &PolarCode,
+            node: usize,
+            llr: &[f64],
+            below: &mut [f64],
+            x: &mut [u8],
+            message: &mut BitVec,
+        ) {
+            if code.frozen[node] {
+                x.fill(0);
+                return;
+            }
+            if let [llr] = llr {
+                let bit = u8::from(*llr < 0.0);
+                x[0] = bit;
+                message.push(bit == 1);
+                return;
+            }
+            let half = llr.len() / 2;
+            let (a, b) = llr.split_at(half);
+            let (below, child) = below.split_at_mut(half);
+            let (x1, x2) = x.split_at_mut(half);
+            for ((c, &a), &b) in child.iter_mut().zip(a).zip(b) {
+                *c = f(a, b);
+            }
+            sc_decode(code, 2 * node, child, below, x1, message);
+            for (((c, &a), &b), &x) in child.iter_mut().zip(a).zip(b).zip(x1.iter()) {
+                *c = g(a, b, x);
+            }
+            sc_decode(code, 2 * node + 1, child, below, x2, message);
+            for (x1, &x2) in x1.iter_mut().zip(x2.iter()) {
+                *x1 ^= x2;
+            }
+        }
+
+        fn f(a: f64, b: f64) -> f64 {
+            a.signum() * b.signum() * a.abs().min(b.abs())
+        }
+
+        fn g(a: f64, b: f64, x: u8) -> f64 {
+            if x == 1 {
+                b - a
+            } else {
+                b + a
+            }
+        }
+
+        pub(super) fn decode(code: &PolarCode, word: &BitVec) -> BitVec {
+            assert_eq!(word.len(), code.n);
+            let llr_mag = ((1.0 - code.design_p) / code.design_p).ln();
+            let channel = |i: usize| {
+                if word.get(i) == Some(true) {
+                    -llr_mag
+                } else {
+                    llr_mag
+                }
+            };
+            let half = code.n / 2;
+            let mut scratch = vec![0.0; code.n];
+            let mut x = vec![0u8; code.n];
+            let mut message = BitVec::new();
+            let (below, child) = scratch.split_at_mut(half);
+            let (x1, x2) = x.split_at_mut(half);
+            for (i, c) in child.iter_mut().enumerate() {
+                *c = f(channel(i), channel(i + half));
+            }
+            sc_decode(code, 2, child, below, x1, &mut message);
+            for (i, c) in child.iter_mut().enumerate() {
+                *c = g(channel(i), channel(i + half), x1[i]);
+            }
+            sc_decode(code, 3, child, below, x2, &mut message);
+            message
+        }
+    }
+
+    /// Words that exercise `code`: seeded codewords at bit error rates 0,
+    /// 0.03, 0.15 and 0.5, and words whose halves repeat or complement each
+    /// other. The latter make `g` cancel to exact-zero LLRs (`b − a` with
+    /// `a = b`, `b + a` with `a = −b`), which SC must decide as 0 bits.
+    fn oracle_words(code: &PolarCode, rng: &mut StdRng) -> Vec<BitVec> {
+        let n = code.codeword_bits();
+        let mut words = Vec::new();
+        for ber in [0.0, 0.03, 0.15, 0.5] {
+            for _ in 0..6 {
+                let msg = random_message(code.message_bits(), rng);
+                let mut word = code.encode(&msg);
+                for i in 0..n {
+                    if rng.gen::<f64>() < ber {
+                        word.set(i, !word.get(i).unwrap());
+                    }
+                }
+                words.push(word);
+            }
+        }
+        for _ in 0..3 {
+            let half: Vec<bool> = (0..n / 2).map(|_| rng.gen()).collect();
+            let repeat = half.iter().chain(&half).copied();
+            let complement = half.iter().copied().chain(half.iter().map(|&b| !b));
+            words.push(BitVec::from_bits(repeat));
+            words.push(BitVec::from_bits(complement));
+        }
+        words.push(BitVec::zeros(n));
+        words.push(BitVec::ones(n));
+        words.push(BitVec::from_bits((0..n).map(|i| i % 2 == 1)));
+        words.push(BitVec::from_bits((0..n).map(|i| i % 3 == 0)));
+        words
+    }
+
+    fn assert_matches_oracle(code: &PolarCode, rng: &mut StdRng) {
+        for word in oracle_words(code, rng) {
+            assert_eq!(
+                code.decode(&word).unwrap(),
+                oracle::decode(code, &word),
+                "n = {}, k = {}, p = {}, frozen {:?}, word {word:?}",
+                code.n,
+                code.k,
+                code.design_p,
+                code.frozen_mask()
+            );
+        }
+    }
+
+    /// A code of length `n` whose u-domain frozen mask is `leaves`, set
+    /// through the private field, so the oracle covers frozen sets the
+    /// construction never makes.
+    fn with_frozen(n: usize, design_p: f64, leaves: &[bool]) -> PolarCode {
+        let k = leaves.iter().filter(|&&frozen| !frozen).count();
+        let mut code = PolarCode::new(n, k, design_p).unwrap();
+        code.frozen[n..].copy_from_slice(leaves);
+        for node in (1..n).rev() {
+            code.frozen[node] = code.frozen[2 * node] && code.frozen[2 * node + 1];
+        }
+        code
+    }
+
+    #[test]
+    fn decode_matches_the_oracle_on_every_constructed_code() {
+        let mut rng = StdRng::seed_from_u64(175);
+        for m in 1..=10 {
+            let n = 1usize << m;
+            let mut ks = vec![1, n / 8, n / 4, n / 2, n - 1, n];
+            ks.retain(|&k| k > 0);
+            ks.dedup();
+            for k in ks {
+                for p in [0.01, 0.05, 0.2, 0.45] {
+                    assert_matches_oracle(&PolarCode::new(n, k, p).unwrap(), &mut rng);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn decode_matches_the_oracle_on_arbitrary_frozen_sets() {
+        let mut rng = StdRng::seed_from_u64(176);
+        for m in 1..=10 {
+            let n = 1usize << m;
+            let mut masks = Vec::new();
+            for frozen_share in [0.1, 0.5, 0.9] {
+                for _ in 0..3 {
+                    let mut mask: Vec<bool> =
+                        (0..n).map(|_| rng.gen::<f64>() < frozen_share).collect();
+                    // A code carries at least one information bit.
+                    let keep = rng.gen_range(0..n);
+                    mask[keep] = false;
+                    masks.push(mask);
+                }
+            }
+            for open in [0, n / 2, n - 1, rng.gen_range(0..n)] {
+                let mut all_but_one = vec![true; n];
+                all_but_one[open] = false;
+                masks.push(all_but_one);
+            }
+            masks.push(vec![false; n]);
+            for mask in masks {
+                for p in [0.05, 0.45] {
+                    assert_matches_oracle(&with_frozen(n, p, &mask), &mut rng);
+                }
+            }
+        }
+    }
 }

@@ -257,6 +257,74 @@ mod tests {
     }
 
     #[test]
+    fn padding_lengths_around_the_block_boundaries() {
+        // Expected digests from python3's `hashlib.sha256(b"a" * n)`. A
+        // 55-byte tail leaves room for the 0x80 byte and the length in
+        // one block; 56 to 63 push the length into a second block; 64 and
+        // 119/120 repeat both cases one block later.
+        for (n, expected) in [
+            (
+                55,
+                "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318",
+            ),
+            (
+                56,
+                "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a",
+            ),
+            (
+                63,
+                "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34",
+            ),
+            (
+                64,
+                "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb",
+            ),
+            (
+                119,
+                "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb",
+            ),
+            (
+                120,
+                "2f3d335432c70b580af0e8e1b3674a7c020d683aa5f73aaaedfdc55af904c21c",
+            ),
+        ] {
+            assert_eq!(hex(&digest(&vec![b'a'; n])), expected, "{n} bytes");
+        }
+    }
+
+    #[test]
+    fn rfc4231_hmac_cases_3_4_and_7() {
+        // Expected MACs from python3's `hmac.new(key, msg, hashlib.sha256)`,
+        // which agree with RFC 4231.
+        let case_4_key: Vec<u8> = (1..=25).collect();
+        let case_7_message = b"This is a test using a larger than block-size key and a \
+            larger than block-size data. The key needs to be hashed before being used by \
+            the HMAC algorithm.";
+        for (case, key, message, expected) in [
+            (
+                3,
+                &[0xaa; 20][..],
+                &[0xdd; 50][..],
+                "773ea91e36800e46854db8ebd09181a72959098b3ef8c122d9635514ced565fe",
+            ),
+            (
+                4,
+                &case_4_key[..],
+                &[0xcd; 50][..],
+                "82558a389a443c0ea4cc819899f2083a85f0faa3e578f8077a2e3ff46729665b",
+            ),
+            (
+                7,
+                &[0xaa; 131][..],
+                &case_7_message[..],
+                "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2",
+            ),
+        ] {
+            assert_eq!(hex(&hmac(key, message)), expected, "case {case}");
+        }
+    }
+
+    #[test]
     fn rfc4231_hmac_case_1() {
         let mac = hmac(&[0x0b; 20], b"Hi There");
         assert_eq!(
