@@ -12,10 +12,11 @@
 //! * **Encoding**: the recursive `[enc(u₁) ⊕ enc(u₂), enc(u₂)]` butterfly
 //!   (`x = u·F^{⊗log₂ n}` without bit reversal).
 //! * **Decoding**: successive cancellation over log-likelihood ratios with
-//!   the min-sum `f` and exact `g` kernels, run in one `n`-entry scratch
-//!   buffer with in-place partial sums. Sub-blocks whose every position is
-//!   frozen decode to zeros without evaluating their LLRs: a frozen
-//!   decision ignores its LLR, so the shortcut is exact. Rate-1 and
+//!   the min-sum `f` and exact `g` kernels, run in one `2n`-entry scratch
+//!   buffer (the channel, then every node's input) with in-place partial
+//!   sums. Sub-blocks whose every position is frozen decode to zeros
+//!   without evaluating their LLRs: a frozen decision ignores its LLR, so
+//!   the shortcut is exact. Rate-1 and
 //!   single-parity-check shortcuts are not: where an LLR is exactly zero
 //!   they can decide differently from SC, which resolves every zero to a 0
 //!   bit.
@@ -150,6 +151,12 @@ impl PolarCode {
     /// the node's descendants: a child's input goes in its upper half.
     /// Writes the node's re-encoded bits `x` in place and pushes its
     /// information bits onto `message`.
+    ///
+    /// Every node has at least two positions: a two-position node decides
+    /// its leaves in place. A half that is all frozen is not evaluated,
+    /// since nothing reads its LLRs: a frozen first half leaves `x1 = 0`,
+    /// so the second half's input is `g(a, b, 0) = b + a`, and a frozen
+    /// second half leaves the first half's bits as they are.
     fn sc_decode(
         &self,
         node: usize,
@@ -162,44 +169,79 @@ impl PolarCode {
             x.fill(0);
             return;
         }
-        if let [llr] = llr {
-            let bit = u8::from(*llr < 0.0);
-            x[0] = bit;
-            message.push(bit == 1);
+        let (first, second) = (2 * node, 2 * node + 1);
+        if let &[a, b] = llr {
+            let u1 = if self.frozen[first] {
+                0
+            } else {
+                decide(f(a, b), message)
+            };
+            let u2 = if self.frozen[second] {
+                0
+            } else {
+                decide(g(a, b, u1), message)
+            };
+            x[0] = u1 ^ u2;
+            x[1] = u2;
             return;
         }
         let half = llr.len() / 2;
         let (a, b) = llr.split_at(half);
         let (below, child) = below.split_at_mut(half);
         let (x1, x2) = x.split_at_mut(half);
+        if self.frozen[first] {
+            for ((c, &a), &b) in child.iter_mut().zip(a).zip(b) {
+                *c = b + a;
+            }
+            self.sc_decode(second, child, below, x2, message);
+            x1.copy_from_slice(x2);
+            return;
+        }
         for ((c, &a), &b) in child.iter_mut().zip(a).zip(b) {
             *c = f(a, b);
         }
-        self.sc_decode(2 * node, child, below, x1, message);
+        self.sc_decode(first, child, below, x1, message);
+        if self.frozen[second] {
+            x2.fill(0);
+            return;
+        }
         for (((c, &a), &b), &x) in child.iter_mut().zip(a).zip(b).zip(x1.iter()) {
             *c = g(a, b, x);
         }
-        self.sc_decode(2 * node + 1, child, below, x2, message);
+        self.sc_decode(second, child, below, x2, message);
         for (x1, &x2) in x1.iter_mut().zip(x2.iter()) {
             *x1 ^= x2;
         }
     }
 }
 
-/// The min-sum check-node combine.
+const SIGN_BIT: u64 = 1 << 63;
+
+/// The min-sum check-node combine: magnitude `min(|a|, |b|)`, sign bit
+/// `sign(a) XOR sign(b)`. This is `a.signum() * b.signum() * min(|a|, |b|)`
+/// for every non-NaN input, signed zeros included (`signum(-0.0)` is −1),
+/// without the two multiplications.
 #[inline]
 fn f(a: f64, b: f64) -> f64 {
-    a.signum() * b.signum() * a.abs().min(b.abs())
+    let sign = (a.to_bits() ^ b.to_bits()) & SIGN_BIT;
+    f64::from_bits(a.abs().min(b.abs()).to_bits() | sign)
 }
 
-/// The variable-node combine given the partial sum `x` of the first half.
+/// The variable-node combine given the partial sum `x` (0 or 1) of the
+/// first half: `b + a`, with `a`'s sign bit flipped when `x` is 1. IEEE 754
+/// defines `b − a` as `b + (−a)`, so this is the branchy `b ± a` exactly.
 #[inline]
 fn g(a: f64, b: f64, x: u8) -> f64 {
-    if x == 1 {
-        b - a
-    } else {
-        b + a
-    }
+    b + f64::from_bits(a.to_bits() ^ (u64::from(x) << 63))
+}
+
+/// The SC hard decision: a negative LLR is a 1 bit, anything else (an
+/// exact zero included) a 0 bit. Pushes the bit onto `message`.
+#[inline]
+fn decide(llr: f64, message: &mut BitVec) -> u8 {
+    let bit = u8::from(llr < 0.0);
+    message.push(bit == 1);
+    bit
 }
 
 impl BlockCode for PolarCode {
@@ -238,29 +280,19 @@ impl BlockCode for PolarCode {
             return Err(DecodeError::length_mismatch(word.len(), self.n));
         }
         let llr_mag = ((1.0 - self.design_p) / self.design_p).ln();
-        let channel = |i: usize| {
-            if word.get(i) == Some(true) {
-                -llr_mag
-            } else {
-                llr_mag
+        // The root's input is the channel: `llr_mag` (positive, as
+        // `design_p < 0.5`) with the word's bit as its sign bit. The rest
+        // of the scratch holds the inputs of every node below the root.
+        let mut scratch = vec![0.0; 2 * self.n];
+        let (below, channel) = scratch.split_at_mut(self.n);
+        for (llrs, &bits) in channel.chunks_mut(64).zip(word.as_words()) {
+            for (i, llr) in llrs.iter_mut().enumerate() {
+                *llr = f64::from_bits(llr_mag.to_bits() | (bits >> i) << 63);
             }
-        };
-        // The root's input is the channel, read straight from `word`; the
-        // scratch holds the inputs of every node below it.
-        let half = self.n / 2;
-        let mut scratch = vec![0.0; self.n];
+        }
         let mut x = vec![0u8; self.n];
         let mut message = BitVec::new();
-        let (below, child) = scratch.split_at_mut(half);
-        let (x1, x2) = x.split_at_mut(half);
-        for (i, c) in child.iter_mut().enumerate() {
-            *c = f(channel(i), channel(i + half));
-        }
-        self.sc_decode(2, child, below, x1, &mut message);
-        for (i, c) in child.iter_mut().enumerate() {
-            *c = g(channel(i), channel(i + half), x1[i]);
-        }
-        self.sc_decode(3, child, below, x2, &mut message);
+        self.sc_decode(1, channel, below, &mut x, &mut message);
         Ok(message)
     }
 }

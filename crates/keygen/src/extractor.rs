@@ -10,12 +10,13 @@ use crate::ecc::{
     decode_blocks, encode_blocks, BlockCode, Concatenated, DecodeError, DecodeErrorKind, Golay,
     PolarCode, Repetition,
 };
-use crate::sha256::{digest, hmac};
+use crate::sha256::{HmacKey, Sha256};
 use pufbits::BitVec;
 use rand::Rng;
 use std::error::Error;
 use std::fmt;
 use std::str::FromStr;
+use std::sync::OnceLock;
 
 /// Which error-correcting code a key was enrolled with — persisted in the
 /// helper data so reconstruction rebuilds the identical codec.
@@ -39,6 +40,9 @@ pub enum CodeSpec {
 /// Design crossover probability used for polar construction: covers the
 /// paper's end-of-life worst case with margin.
 const POLAR_DESIGN_P: f64 = 0.05;
+
+/// The key-derivation HMAC's constant key.
+const KDF_KEY: &[u8] = b"sram-puf-longterm/kdf/v1";
 
 /// Largest codeword block a [`CodeSpec`] may build. No simulated response
 /// can cover more: debiasing keeps at most one bit per raw pair, and the
@@ -480,17 +484,20 @@ impl KeyGenerator {
         Ok(key)
     }
 
+    /// `HMAC-SHA-256(KDF_KEY, secret bytes)`, from a state that absorbed
+    /// the constant key's pad blocks once per process.
     fn derive_key(&self, secret: &BitVec) -> [u8; 32] {
-        hmac(b"sram-puf-longterm/kdf/v1", &secret.to_bytes())
+        static KDF: OnceLock<HmacKey> = OnceLock::new();
+        KDF.get_or_init(|| HmacKey::new(KDF_KEY))
+            .mac(&secret.to_bytes())
     }
 
     fn check_value(key: &[u8; 32]) -> [u8; 8] {
-        let mut input = Vec::with_capacity(key.len() + 5);
-        input.extend_from_slice(key);
-        input.extend_from_slice(b"check");
-        let d = digest(&input);
+        let mut h = Sha256::new();
+        h.update(key);
+        h.update(b"check");
         let mut out = [0u8; 8];
-        out.copy_from_slice(&d[..8]);
+        out.copy_from_slice(&h.finalize()[..8]);
         out
     }
 }
@@ -834,5 +841,28 @@ mod tests {
             .reconstruct(&sram.power_up(&env, &mut rng), &cloned)
             .unwrap();
         assert_eq!(key, e.key);
+    }
+
+    #[test]
+    fn pre_keyed_kdf_matches_one_shot_hmac() {
+        // One pre-keyed state serves every call; each must equal a fresh
+        // HMAC under the KDF key, for messages of 0 to 200 bytes.
+        let gen = KeyGenerator::paper_default();
+        let bytes: Vec<u8> = (0..200u8).map(|i| i.wrapping_mul(151) ^ 0x5a).collect();
+        for len in 0..=200 {
+            let message = &bytes[..len];
+            assert_eq!(
+                gen.derive_key(&BitVec::from_bytes(message)),
+                crate::sha256::hmac(KDF_KEY, message),
+                "{len} bytes"
+            );
+        }
+    }
+
+    #[test]
+    fn check_value_hashes_key_then_label() {
+        let key: [u8; 32] = std::array::from_fn(|i| i as u8);
+        let expected = crate::sha256::digest(&[&key[..], b"check"].concat());
+        assert_eq!(KeyGenerator::check_value(&key), expected[..8]);
     }
 }

@@ -90,13 +90,20 @@ impl Sha256 {
 
     /// Finishes and returns the digest.
     pub fn finalize(mut self) -> [u8; DIGEST_BYTES] {
-        let length = self.length_bits;
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
+        // Padding: 0x80, zeros up to byte 56 of a block, then the message
+        // length in bits. With more than 55 bytes buffered, the 0x80 byte
+        // and its zero fill end this block and the length needs another.
+        let mut end = self.buffered;
+        self.buffer[end] = 0x80;
+        end += 1;
+        if end > 56 {
+            self.buffer[end..].fill(0);
+            let block = self.buffer;
+            self.compress(&block);
+            end = 0;
         }
-        // Length is appended manually (update would recount it).
-        self.buffer[56..64].copy_from_slice(&length.to_be_bytes());
+        self.buffer[end..56].fill(0);
+        self.buffer[56..].copy_from_slice(&self.length_bits.to_be_bytes());
         let block = self.buffer;
         self.compress(&block);
         let mut out = [0u8; DIGEST_BYTES];
@@ -180,22 +187,41 @@ pub fn digest(data: &[u8]) -> [u8; DIGEST_BYTES] {
 /// assert_eq!(mac[..4], [0x5b, 0xdc, 0xc1, 0x46]);
 /// ```
 pub fn hmac(key: &[u8], message: &[u8]) -> [u8; DIGEST_BYTES] {
-    let mut key_block = [0u8; 64];
-    if key.len() > 64 {
-        key_block[..32].copy_from_slice(&digest(key));
-    } else {
-        key_block[..key.len()].copy_from_slice(key);
+    HmacKey::new(key).mac(message)
+}
+
+/// An HMAC-SHA-256 key with its two pad blocks already absorbed: a MAC
+/// under a fixed key then costs the compressions of the message and of the
+/// inner digest only.
+#[derive(Debug, Clone)]
+pub(crate) struct HmacKey {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl HmacKey {
+    pub(crate) fn new(key: &[u8]) -> Self {
+        let mut key_block = [0u8; 64];
+        if key.len() > 64 {
+            key_block[..32].copy_from_slice(&digest(key));
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
+        }
+        let mut inner = Sha256::new();
+        inner.update(&key_block.map(|b| b ^ 0x36));
+        let mut outer = Sha256::new();
+        outer.update(&key_block.map(|b| b ^ 0x5c));
+        Self { inner, outer }
     }
-    let mut inner = Sha256::new();
-    let ipad: Vec<u8> = key_block.iter().map(|b| b ^ 0x36).collect();
-    inner.update(&ipad);
-    inner.update(message);
-    let inner_digest = inner.finalize();
-    let mut outer = Sha256::new();
-    let opad: Vec<u8> = key_block.iter().map(|b| b ^ 0x5c).collect();
-    outer.update(&opad);
-    outer.update(&inner_digest);
-    outer.finalize()
+
+    /// The MAC of `message`.
+    pub(crate) fn mac(&self, message: &[u8]) -> [u8; DIGEST_BYTES] {
+        let mut inner = self.inner.clone();
+        inner.update(message);
+        let mut outer = self.outer.clone();
+        outer.update(&inner.finalize());
+        outer.finalize()
+    }
 }
 
 #[cfg(test)]
@@ -321,6 +347,27 @@ mod tests {
             ),
         ] {
             assert_eq!(hex(&hmac(key, message)), expected, "case {case}");
+        }
+    }
+
+    #[test]
+    fn hmac_matches_its_definition() {
+        // H((K ⊕ opad) ‖ H((K ⊕ ipad) ‖ m)), spelled out with `digest`, for
+        // a short and a hashed long key and messages of 0 to 200 bytes.
+        for key in [&b"sram-puf-longterm/kdf/v1"[..], &[0xaa; 131][..]] {
+            let mut block = [0u8; 64];
+            if key.len() > 64 {
+                block[..32].copy_from_slice(&digest(key));
+            } else {
+                block[..key.len()].copy_from_slice(key);
+            }
+            let pad = |byte: u8| block.map(|b| b ^ byte).to_vec();
+            let message: Vec<u8> = (0..=200u8).map(|i| i.wrapping_mul(37)).collect();
+            for len in 0..=200 {
+                let inner = digest(&[pad(0x36), message[..len].to_vec()].concat());
+                let expected = digest(&[pad(0x5c), inner.to_vec()].concat());
+                assert_eq!(hmac(key, &message[..len]), expected, "{len} bytes");
+            }
         }
     }
 
