@@ -195,6 +195,10 @@ pub struct Campaign {
     tally: FaultTally,
     /// Gaps opened in the record stream (brownouts, exhausted retries).
     gaps: Vec<GapRecord>,
+    /// Whether a `run` returned an error. The boards may then have aged
+    /// into the failing window and drawn from their streams while
+    /// `next_window` still names it, so no later `run` may continue.
+    failed: bool,
 }
 
 /// Pre-registered handles for the campaign's instrument points. Counters
@@ -597,6 +601,7 @@ impl Campaign {
             halt_after: None,
             tally: FaultTally::default(),
             gaps: Vec::new(),
+            failed: false,
         }
     }
 
@@ -695,14 +700,20 @@ impl Campaign {
             halt_after: None,
             tally: FaultTally::default(),
             gaps: Vec::new(),
+            failed: false,
         })
     }
 
     /// Captures the complete evolving state of the campaign as one explicit
     /// value, suitable for [`resume`](Self::resume) or a
     /// [`pufchk/1`](crate::store::checkpoint) file. Valid at window
-    /// boundaries — i.e. before [`run`](Self::run), after it returns, or
-    /// after a [`halt_after_windows`](Self::halt_after_windows) stop.
+    /// boundaries — i.e. before [`run`](Self::run), after it returns `Ok`,
+    /// or after a [`halt_after_windows`](Self::halt_after_windows) stop.
+    ///
+    /// Not after `run` returns an error: the boards may have aged into the
+    /// failing window and measured part of it while the state still names
+    /// that window as the next one, so a campaign resumed from it would
+    /// emit a different stream. Resume from the last checkpoint instead.
     pub fn export_state(&self) -> CampaignState {
         CampaignState {
             config_hash: checkpoint::config_hash(&self.config, self.seed),
@@ -836,13 +847,23 @@ impl Campaign {
     ///
     /// # Errors
     ///
-    /// Propagates the first sink I/O error. The records the sink accepted
-    /// before it are a prefix of the uninterrupted record stream.
+    /// Propagates the first sink or checkpoint I/O error. The records the
+    /// sink accepted before it are a prefix of the uninterrupted record
+    /// stream. An error leaves the campaign partway through a window: every
+    /// later `run` fails at once, writing nothing, and the stream continues
+    /// only from the last checkpoint, through [`resume`](Self::resume).
     pub fn run<S: RecordSink>(&mut self, sink: &mut S) -> io::Result<CampaignSummary> {
-        match self.config.plan {
+        if self.failed {
+            return Err(io::Error::other(
+                "the campaign stopped at an earlier error; resume it from its last checkpoint",
+            ));
+        }
+        let result = match self.config.plan {
             MeasurementPlan::Windowed => self.run_windowed(sink),
             MeasurementPlan::Continuous => self.run_continuous(sink),
-        }
+        };
+        self.failed = result.is_err();
+        result
     }
 
     /// Runs the campaign, collecting its records in arrival order. The

@@ -131,3 +131,26 @@ fn a_failing_sink_holds_a_prefix_of_the_stream_at_any_thread_count() {
         );
     }
 }
+
+#[test]
+fn a_campaign_stopped_by_a_sink_error_does_not_run_again() {
+    // The boards have aged into the failing window and drawn from their
+    // streams; running on would age and measure that window a second time.
+    let config = CampaignConfig {
+        boards: 5,
+        reads_per_window: 150,
+        ..config_with_faults()
+    };
+    let mut campaign = Campaign::new(config, 7);
+    let mut sink = FailingSink {
+        records: Vec::new(),
+        limit: 1252,
+    };
+    campaign.run(&mut sink).expect_err("the sink fails");
+    let mut again = Vec::new();
+    let err = campaign
+        .run(&mut again)
+        .expect_err("a second run must not continue the stream");
+    assert!(err.to_string().contains("last checkpoint"), "{err}");
+    assert!(again.is_empty(), "{} records written", again.len());
+}
