@@ -16,10 +16,9 @@
 //!   buffer (the channel, then every node's input) with in-place partial
 //!   sums. Sub-blocks whose every position is frozen decode to zeros
 //!   without evaluating their LLRs: a frozen decision ignores its LLR, so
-//!   the shortcut is exact. Rate-1 and
-//!   single-parity-check shortcuts are not: where an LLR is exactly zero
-//!   they can decide differently from SC, which resolves every zero to a 0
-//!   bit.
+//!   the shortcut is exact. Rate-1 and single-parity-check shortcuts are
+//!   not: where an LLR is exactly zero they can decide differently from
+//!   SC, which resolves every zero to a 0 bit.
 
 use crate::ecc::{BlockCode, DecodeError};
 use pufbits::BitVec;
@@ -194,6 +193,7 @@ impl PolarCode {
                 *c = b + a;
             }
             self.sc_decode(second, child, below, x2, message);
+            // x1 ^ x2 with x1 = 0.
             x1.copy_from_slice(x2);
             return;
         }
@@ -431,10 +431,10 @@ mod tests {
         assert_eq!(word.count_ones(), 0);
     }
 
-    /// The decoder as first written, kept verbatim (only `self` became
-    /// `code`) as the oracle for `decode`: per-position channel reads, the
-    /// `signum` product in `f`, the branch in `g`, and one recursive call
-    /// per child down to the leaves.
+    /// The plain SC decoder, kept verbatim from before `decode` was tuned
+    /// (only `self` became `code`), as the oracle for `decode`:
+    /// per-position channel reads, the `signum` product in `f`, the branch
+    /// in `g`, and one recursive call per child down to the leaves.
     mod oracle {
         use super::super::PolarCode;
         use pufbits::BitVec;

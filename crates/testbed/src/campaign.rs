@@ -849,9 +849,10 @@ impl Campaign {
     ///
     /// Propagates the first sink or checkpoint I/O error. The records the
     /// sink accepted before it are a prefix of the uninterrupted record
-    /// stream. An error leaves the campaign partway through a window: every
-    /// later `run` fails at once, writing nothing, and the stream continues
-    /// only from the last checkpoint, through [`resume`](Self::resume).
+    /// stream. An error may leave the campaign partway through a window, so
+    /// every later `run` fails at once, writing nothing; the stream
+    /// continues only from the last checkpoint, through
+    /// [`resume`](Self::resume).
     pub fn run<S: RecordSink>(&mut self, sink: &mut S) -> io::Result<CampaignSummary> {
         if self.failed {
             return Err(io::Error::other(
