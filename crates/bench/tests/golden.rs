@@ -3,7 +3,7 @@
 //! *string-exactly*, and `repro --accel` its nominal-vs-accelerated
 //! comparison. Any drift in the cell model, aging model, campaign engine,
 //! merge order, statistics, or report formatting shows up as a diff here.
-//! Three SHA-256 digests of campaign records pin the raw read-out bits too,
+//! Four SHA-256 digests of campaign records pin the raw read-out bits too,
 //! so a change that draws the RNG differently fails here even when every
 //! aggregate still rounds to the same text.
 //!
@@ -137,6 +137,17 @@ fn campaign_read_out_bits_match_the_golden_digests() {
         ..faulted
     };
     check_golden("batched_records.sha256", &records_digest(batched, 7));
+    // The paper's geometry: 8 192-bit reads of 20 480-cell arrays, two
+    // noise blocks per read, on all 16 boards.
+    let paper_width = CampaignConfig {
+        months: 1,
+        reads_per_window: 20,
+        ..CampaignConfig::default()
+    };
+    check_golden(
+        "paper_width_records.sha256",
+        &records_digest(paper_width, 2017),
+    );
 }
 
 #[test]

@@ -221,6 +221,119 @@ mod tests {
         }
     }
 
+    /// The kernel's read before the preferred-state mask, verbatim: every
+    /// pair is scaled by `fill_standard` and every cell compared with its
+    /// threshold.
+    fn reference_prefix<R: Rng + ?Sized>(
+        sram: &SramArray,
+        env: &Environment,
+        bits: usize,
+        rng: &mut R,
+    ) -> BitVec {
+        let noise_sigma = env.noise_sigma(sram.profile());
+        let thresholds: Vec<f64> = sram.cells()[..bits]
+            .iter()
+            .map(|c| -c.mismatch() / noise_sigma)
+            .collect();
+        let mut noise = vec![0.0; BLOCK_BITS.min(sram.len())];
+        let mut words = vec![0u64; bits.div_ceil(64)];
+        let mut next_word = 0;
+        for block in thresholds.chunks(BLOCK_BITS) {
+            let z = &mut noise[..block.len()];
+            fill_standard(rng, z);
+            for (ts, zs) in block.chunks(64).zip(z.chunks(64)) {
+                let mut word = 0u64;
+                for (bit, (&t, &z)) in ts.iter().zip(zs).enumerate() {
+                    word |= u64::from(z > t) << bit;
+                }
+                words[next_word] = word;
+                next_word += 1;
+            }
+        }
+        BitVec::from_words(words, bits)
+    }
+
+    /// Reads the first `bits` cells of `sram` through one kernel and the
+    /// reference, at nominal and at 105 °C, before and after aging through
+    /// `cells_mut`. The aging negates every mismatch, so a stale cache
+    /// would flip every preferred state. Bits and the RNG state must match
+    /// after every read.
+    fn assert_matches_reference(mut sram: SramArray, bits: usize, seed: u64) {
+        let nominal = Environment::nominal(sram.profile());
+        let hot = Environment {
+            temp_c: 105.0,
+            ..nominal
+        };
+        let mut kernel = PowerUpKernel::new();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut reference_rng = rng.clone();
+        for aged in [false, true] {
+            if aged {
+                for cell in sram.cells_mut() {
+                    *cell = crate::Cell::new(-cell.mismatch());
+                }
+            }
+            for env in [nominal, hot, nominal] {
+                for read in 0..3 {
+                    let got = kernel.power_up_prefix(&sram, &env, bits, &mut rng);
+                    let want = reference_prefix(&sram, &env, bits, &mut reference_rng);
+                    let at = format!(
+                        "{bits} of {} cells, {} °C, aged {aged}, read {read}",
+                        sram.len(),
+                        env.temp_c
+                    );
+                    assert_eq!(got, want, "bits differ: {at}");
+                    assert_eq!(rng, reference_rng, "RNG state differs: {at}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_matches_the_reference_at_every_width() {
+        let widths = [1, 2, 63, 64, 65, 127, 128, 129, 4095, 4096, 4097];
+        for bits in widths.into_iter().chain(8191..=8193) {
+            let (sram, _) = fixture(bits, 11);
+            assert_matches_reference(sram, bits, 12);
+        }
+        for (bits, cells) in [(1234, 5000), (8192, 20 * 1024)] {
+            let (sram, _) = fixture(cells, 13);
+            assert_matches_reference(sram, bits, 14);
+        }
+    }
+
+    #[test]
+    fn kernel_matches_the_reference_for_narrow_and_wide_populations() {
+        // Narrow populations put nearly every cell next to its threshold,
+        // so nearly every pair needs its scaling; wide ones almost none.
+        let profile = TechnologyProfile::atmega32u4();
+        let mut rng = StdRng::seed_from_u64(15);
+        for sigma in [0.01, 0.5, 3.0, 1000.0] {
+            let cells = (0..4097)
+                .map(|_| crate::Cell::new(pufstats::normal::sample(&mut rng, 0.0, sigma)))
+                .collect();
+            let sram = SramArray::from_cells(&profile, cells);
+            assert_matches_reference(sram, 4097, 16);
+        }
+    }
+
+    #[test]
+    fn kernel_matches_the_reference_at_edge_mismatches() {
+        // Signed zeros, a subnormal, the |z| < 12.02 bound and the
+        // sqrt(2 ln 2) bound of pairs with s in [0.5, 1).
+        let edges = [0.0, 1e-300, 5e-324, 11.99, 12.02, 1.1774];
+        let cells = edges
+            .iter()
+            .flat_map(|&m| [m, -m])
+            .cycle()
+            .take(8193)
+            .map(crate::Cell::new)
+            .collect();
+        let sram = SramArray::from_cells(&TechnologyProfile::atmega32u4(), cells);
+        assert_matches_reference(sram.clone(), 8193, 17);
+        assert_matches_reference(sram, 129, 18);
+    }
+
     #[test]
     #[should_panic(expected = "exceeds")]
     fn oversized_window_is_rejected() {
