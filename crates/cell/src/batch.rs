@@ -7,19 +7,39 @@
 //! through a `BitVec` collect. [`PowerUpKernel`] restructures the same model
 //! for throughput:
 //!
-//! * the decision is rewritten as `z > −mismatch / noise_sigma`, and those
-//!   per-cell **thresholds** are precomputed once per `(aging epoch,
-//!   noise sigma)` and reused across reads — the aging simulator bumps the
-//!   array's [`epoch`](SramArray::epoch) whenever it touches cells, which
+//! * the decision is rewritten as `z > t` with the per-cell **threshold**
+//!   `t = −mismatch / noise_sigma`; the thresholds of the whole array, and
+//!   a word-packed mask of each cell's **preferred** bit `t < 0` (its read
+//!   with no noise), are computed once per `(aging epoch, noise sigma)` and
+//!   reused across reads — the aging simulator bumps the array's
+//!   [`epoch`](SramArray::epoch) whenever it touches cells, which
 //!   invalidates the cache;
-//! * noise is sampled in **blocks** through
-//!   [`pufstats::normal::fill_standard`], which keeps both variates of every
-//!   Box–Muller acceptance and works in two passes — candidate pairs first,
-//!   with no branch on the rejection, then every `ln`/`sqrt` scaling — so
-//!   the scalings of successive pairs overlap; it draws and returns what
-//!   one acceptance at a time would;
+//! * noise is sampled in **blocks** of the read window: both variates of
+//!   every polar Box–Muller acceptance are kept, and
+//!   [`pufstats::normal::fill_polar_pairs`] draws a block's accepted
+//!   uniform pairs `(u, v)` with no branch on the rejection, exactly as
+//!   [`pufstats::normal::fill_standard`] does;
+//! * a pair's two normals are `u · r` and `v · r` with
+//!   `r = sqrt(−2 ln s / s)` and `s = u² + v²`, but `r` is computed only
+//!   for the pairs that can move a cell off its preferred bit: a
+//!   branch-free test marks those among 64 pairs at a time in a `u64`, and
+//!   only the marked pairs are scaled and compared, as `fill_standard`
+//!   would scale them; every other cell keeps its bit from the mask;
 //! * bits are packed 64 at a time into `u64` words and handed to
 //!   [`BitVec::from_words`], skipping per-bit pushes.
+//!
+//! **Why the test is exact.** `r > 0`, so a cell's normal `z = w · r` has
+//! the sign of its uniform `w`, or is `+0.0` when `w` is. If `w` points
+//! towards the preferred bit (`w > 0` and `t < 0`, or `w <= 0` and
+//! `t >= 0`), then `z > t` equals `t < 0`. Otherwise let `m` be 1023 minus
+//! the biased exponent of `s`:
+//! `s >= 2^−m`, so `z² = w²(−2 ln s)/s <= −2 ln s <= 2m ln 2`, and the
+//! rounding of `s`, `ln`, the divide, `sqrt` and the product adds about
+//! 10 ulps. A cell with `t² >= B(m) = 2m ln 2 (1 + 1e−9) + 1e−9` therefore
+//! keeps its preferred bit too. A pair is scaled if either of its cells
+//! passes neither test, which leaves about 7 % of the pairs of the paper's
+//! ATmega32u4 population. Each read therefore returns the bits, and leaves
+//! the RNG in the state, of scaling every pair.
 //!
 //! The kernel produces the same per-cell one-probabilities as the scalar
 //! path (`Phi(mismatch / noise_sigma)`), but not the same bitstream: it
@@ -32,15 +52,16 @@
 
 use crate::{Environment, SramArray};
 use pufbits::BitVec;
-use pufstats::normal::fill_standard;
+use pufstats::normal::{fill_polar_pairs, fill_standard};
 use rand::Rng;
+use std::f64::consts::LN_2;
 
-/// Noise samples drawn per block: multiple of 64 so packing stays
-/// word-aligned, small enough (32 KiB) to live in L1/L2.
+/// Noise samples drawn per block: multiple of 128 so the 64-pair groups
+/// stay word-aligned, small enough (32 KiB) to live in L1/L2.
 const BLOCK_BITS: usize = 4096;
 
-/// Reusable batched power-up state: cached per-cell thresholds plus a noise
-/// scratch block.
+/// Reusable batched power-up state: cached per-cell thresholds and
+/// preferred bits plus a noise scratch block.
 ///
 /// # Examples
 ///
@@ -61,6 +82,8 @@ const BLOCK_BITS: usize = 4096;
 #[derive(Debug, Clone, Default)]
 pub struct PowerUpKernel {
     thresholds: Vec<f64>,
+    /// Bit `i % 64` of word `i / 64` is `thresholds[i] < 0`.
+    preferred: Vec<u64>,
     cache_key: Option<(u64, u64)>,
     noise: Vec<f64>,
 }
@@ -103,27 +126,46 @@ impl PowerUpKernel {
         let noise_sigma = env.noise_sigma(sram.profile());
         self.refresh(sram, noise_sigma);
 
-        let thresholds = &self.thresholds[..bits];
-        let noise = &mut self.noise;
-        let mut words = vec![0u64; bits.div_ceil(64)];
-        let mut next_word = 0;
-        for block in thresholds.chunks(BLOCK_BITS) {
-            let z = &mut noise[..block.len()];
-            fill_standard(rng, z);
-            for (ts, zs) in block.chunks(64).zip(z.chunks(64)) {
-                let mut word = 0u64;
-                for (bit, (&t, &z)) in ts.iter().zip(zs).enumerate() {
-                    word |= u64::from(z > t) << bit;
+        // `from_words` clears the preferred bits past the window.
+        let mut words = self.preferred[..bits.div_ceil(64)].to_vec();
+        let blocks = self.thresholds[..bits].chunks(BLOCK_BITS);
+        for (block, words) in blocks.zip(words.chunks_mut(BLOCK_BITS / 64)) {
+            let (pairs, tail) = self.noise[..block.len()].split_at_mut(block.len() & !1);
+            fill_polar_pairs(rng, pairs);
+            // An odd last cell takes the first normal of one more
+            // acceptance, as in `fill_standard`.
+            fill_standard(rng, tail);
+            for ((uv, ts), words) in pairs
+                .chunks(128)
+                .zip(block.chunks(128))
+                .zip(words.chunks_mut(2))
+            {
+                let mut marked = scaling_mask(uv, ts);
+                while marked != 0 {
+                    let j = marked.trailing_zeros() as usize;
+                    marked &= marked - 1;
+                    let (u, v) = (uv[2 * j], uv[2 * j + 1]);
+                    let s = u * u + v * v;
+                    let r = (-2.0 * s.ln() / s).sqrt();
+                    let bit = 2 * j % 64;
+                    let word = &mut words[j / 32];
+                    *word = *word & !(0b11 << bit)
+                        | u64::from(u * r > ts[2 * j]) << bit
+                        | u64::from(v * r > ts[2 * j + 1]) << (bit + 1);
                 }
-                words[next_word] = word;
-                next_word += 1;
+            }
+            if let [z] = tail {
+                let i = block.len() - 1;
+                let word = &mut words[i / 64];
+                *word = *word & !(1 << (i % 64)) | u64::from(*z > block[i]) << (i % 64);
             }
         }
         BitVec::from_words(words, bits)
     }
 
-    /// Recomputes thresholds if the cache does not match this
-    /// `(epoch, noise sigma)` — e.g. after aging or an environment change.
+    /// Recomputes thresholds and preferred bits if the cache does not match
+    /// this `(epoch, noise sigma)` — e.g. after aging or an environment
+    /// change.
     fn refresh(&mut self, sram: &SramArray, noise_sigma: f64) {
         let key = (sram.epoch(), noise_sigma.to_bits());
         if self.cache_key == Some(key) && self.thresholds.len() == sram.len() {
@@ -132,9 +174,43 @@ impl PowerUpKernel {
         self.thresholds.clear();
         self.thresholds
             .extend(sram.cells().iter().map(|c| -c.mismatch() / noise_sigma));
+        self.preferred.clear();
+        self.preferred.extend(self.thresholds.chunks(64).map(|ts| {
+            ts.iter()
+                .enumerate()
+                .fold(0, |word, (bit, &t)| word | u64::from(t < 0.0) << bit)
+        }));
         self.noise.resize(BLOCK_BITS.min(sram.len()), 0.0);
         self.cache_key = Some(key);
     }
+}
+
+/// Bit `j` set when pair `j` of the polar uniforms `uv` may move one of
+/// its two cells, with thresholds `ts[2j]` and `ts[2j + 1]`, off its
+/// preferred bit. Reads at most 64 pairs.
+fn scaling_mask(uv: &[f64], ts: &[f64]) -> u64 {
+    uv.chunks_exact(2)
+        .zip(ts.chunks_exact(2))
+        .enumerate()
+        .fold(0, |mask, (j, (uv, ts))| {
+            mask | u64::from(may_flip(uv[0], uv[1], ts[0], ts[1])) << j
+        })
+}
+
+/// Whether scaling the accepted polar pair `(u, v)` may move the cell with
+/// threshold `tu` or the one with `tv` off its preferred bit `t < 0`.
+/// `false` proves that neither moves (module docs); `true` leaves it to
+/// the exact comparison.
+#[inline(always)]
+fn may_flip(u: f64, v: f64, tu: f64, tv: f64) -> bool {
+    let s = u * u + v * v;
+    // 2^-104 <= s < 1, so the sign bit is clear and 1 <= m <= 104.
+    let m = 1023 - (s.to_bits() >> 52) as i32;
+    let bound = f64::from(m) * (2.0 * LN_2 * (1.0 + 1e-9)) + 1e-9;
+    // Compared, not multiplied or read off the sign bit: `w * t` rounds
+    // to zero for tiny `t`, and `t = -0.0` has preferred bit 0.
+    let keeps = |w: f64, t: f64| ((w > 0.0) == (t < 0.0)) | (t * t >= bound);
+    !(keeps(u, tu) & keeps(v, tv))
 }
 
 #[cfg(test)]
@@ -332,6 +408,24 @@ mod tests {
         let sram = SramArray::from_cells(&TechnologyProfile::atmega32u4(), cells);
         assert_matches_reference(sram.clone(), 8193, 17);
         assert_matches_reference(sram, 129, 18);
+    }
+
+    #[test]
+    fn the_bound_marks_every_cell_the_largest_normal_can_flip() {
+        // u = ±2^-k and v = 0 give s = 2^-2k exactly, so z² = −2 ln s is
+        // 2m ln 2 with m = 2k: the bound without its margin. A threshold on
+        // u's side, one ulp closer to zero than z, flips the cell.
+        for k in 1..=52 {
+            for sign in [1.0, -1.0] {
+                let w = sign * 0.5f64.powi(k);
+                let s = w * w;
+                let z = w * (-2.0 * s.ln() / s).sqrt();
+                let t = sign * f64::from_bits(z.abs().to_bits() - 1);
+                assert_ne!(z > t, t < 0.0, "k {k}, sign {sign}: no flip");
+                assert!(may_flip(w, 0.0, t, 0.0), "k {k}, u {w}, t {t}");
+                assert!(may_flip(0.0, w, 0.0, t), "k {k}, v {w}, t {t}");
+            }
+        }
     }
 
     #[test]

@@ -156,9 +156,8 @@ pub fn sample_standard<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// The result, and every RNG draw behind it, equals taking one polar
 /// acceptance at a time and storing both variates, with an odd last slot
 /// taking the first variate of one more acceptance. The pairs run in two
-/// passes over `out`. The first draws candidate `(u, v)` pairs into the
-/// next free pair of slots and moves on only past an accepted one, so the
-/// 21.5 % rejection costs no branch. The second scales each stored pair by
+/// passes over `out`. The first, [`fill_polar_pairs`], stores the accepted
+/// `(u, v)` pairs. The second scales each stored pair by
 /// `sqrt(-2 ln s / s)`; with no branch in between, the `ln`, divide and
 /// `sqrt` of successive pairs can overlap.
 ///
@@ -173,16 +172,7 @@ pub fn sample_standard<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// ```
 pub fn fill_standard<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
     let (pairs, tail) = out.split_at_mut(out.len() & !1);
-    // Pass 1: `k` is the first free slot; a rejected pair is overwritten.
-    let mut k = 0;
-    while k < pairs.len() {
-        let u: f64 = rng.gen_range(-1.0..1.0);
-        let v: f64 = rng.gen_range(-1.0..1.0);
-        pairs[k] = u;
-        pairs[k + 1] = v;
-        let s = u * u + v * v;
-        k += 2 * usize::from(s > 0.0 && s < 1.0);
-    }
+    fill_polar_pairs(rng, pairs);
     // Pass 2: scale each accepted pair as `sample_standard_pair` does.
     for pair in pairs.chunks_exact_mut(2) {
         let (u, v) = (pair[0], pair[1]);
@@ -193,6 +183,48 @@ pub fn fill_standard<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
     }
     if let [last] = tail {
         *last = sample_standard_pair(rng).0;
+    }
+}
+
+/// Fills `pairs` with the uniforms `(u, v)` of successive polar Box–Muller
+/// acceptances, unscaled: pass 1 of [`fill_standard`], which scales slots
+/// `2i` and `2i + 1` by `sqrt(-2 ln s / s)`, `s = u² + v²`, to give its
+/// `i`th pair of normals.
+///
+/// Each candidate pair is drawn into the next free pair of slots, and the
+/// next free pair moves on only past an accepted one (`0 < s < 1`), so the
+/// 21.5 % rejection costs no branch. Every stored `u` and `v` is a
+/// multiple of `2^-52` in `[-1, 1)`, so every stored pair has
+/// `2^-104 <= s < 1`.
+///
+/// # Panics
+///
+/// Panics if `pairs` has odd length.
+///
+/// # Examples
+///
+/// ```
+/// use rand::SeedableRng;
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+/// let mut pairs = [0.0; 8];
+/// pufstats::normal::fill_polar_pairs(&mut rng, &mut pairs);
+/// assert!(pairs.chunks(2).all(|p| p[0] * p[0] + p[1] * p[1] < 1.0));
+/// ```
+pub fn fill_polar_pairs<R: Rng + ?Sized>(rng: &mut R, pairs: &mut [f64]) {
+    assert!(
+        pairs.len().is_multiple_of(2),
+        "polar pairs need an even number of slots, got {}",
+        pairs.len()
+    );
+    // `k` is the first free slot; a rejected pair is overwritten.
+    let mut k = 0;
+    while k < pairs.len() {
+        let u: f64 = rng.gen_range(-1.0..1.0);
+        let v: f64 = rng.gen_range(-1.0..1.0);
+        pairs[k] = u;
+        pairs[k + 1] = v;
+        let s = u * u + v * v;
+        k += 2 * usize::from(s > 0.0 && s < 1.0);
     }
 }
 
