@@ -277,6 +277,11 @@ impl I2cBus {
     /// Transfers `payload` from the slave at `address` to the master,
     /// through chunking, optional fault injection, and CRC verification.
     ///
+    /// The message travels in one buffer, the payload followed by its CRC
+    /// trailer; corruption picks a frame and a bit of it exactly as it
+    /// would in the frames of [`encode_message`], whose last frame is the
+    /// trailer.
+    ///
     /// # Errors
     ///
     /// Returns a [`TransferError`] if the (simulated) slave NAKs or the CRC
@@ -294,21 +299,32 @@ impl I2cBus {
                 address: address.value(),
             });
         }
-        let mut frames = encode_message(payload);
+        let len = payload.len();
+        let mut message = Vec::with_capacity(len + 2);
+        message.extend_from_slice(payload);
+        message.extend_from_slice(&crc16(payload).to_be_bytes());
         if self.corruption_rate > 0.0 && rng.gen::<f64>() < self.corruption_rate {
-            // Flip one random bit in a random payload frame.
-            let fi = rng.gen_range(0..frames.len().saturating_sub(1).max(1));
-            if !frames[fi].is_empty() {
-                let bi = rng.gen_range(0..frames[fi].len() * 8);
-                frames[fi][bi / 8] ^= 1 << (bi % 8);
-            }
+            // Flip one random bit in a random payload frame, or in the
+            // trailer when there is no payload.
+            let fi = rng.gen_range(0..len.div_ceil(CHUNK_BYTES).max(1));
+            let start = fi * CHUNK_BYTES;
+            let frame_len = if len == 0 {
+                2
+            } else {
+                CHUNK_BYTES.min(len - start)
+            };
+            let bi = rng.gen_range(0..frame_len * 8);
+            message[start + bi / 8] ^= 1 << (bi % 8);
         }
-        let result = decode_message(&frames);
-        match &result {
-            Ok(bytes) => self.bytes_moved += bytes.len() as u64,
-            Err(_) => self.failures += 1,
+        let expected = u16::from_be_bytes([message[len], message[len + 1]]);
+        let computed = crc16(&message[..len]);
+        if expected != computed {
+            self.failures += 1;
+            return Err(TransferError::CrcMismatch { expected, computed });
         }
-        result
+        message.truncate(len);
+        self.bytes_moved += len as u64;
+        Ok(message)
     }
 
     /// Books a transfer attempt that was failed by the deterministic fault
@@ -476,6 +492,73 @@ mod tests {
         let addr = Address::new(0x22).unwrap();
         let err = bus.transfer(addr, &[9u8; 64], &mut rng).unwrap_err();
         assert!(matches!(err, TransferError::CrcMismatch { .. }));
+    }
+
+    /// `I2cBus::transfer` through the frames of `encode_message` and
+    /// `decode_message`, as it ran before it kept the message in one
+    /// buffer.
+    fn transfer_via_frames<R: Rng + ?Sized>(
+        bus: &mut I2cBus,
+        address: Address,
+        payload: &[u8],
+        rng: &mut R,
+    ) -> Result<Vec<u8>, TransferError> {
+        bus.transactions += 1;
+        if bus.nack_rate > 0.0 && rng.gen::<f64>() < bus.nack_rate {
+            bus.failures += 1;
+            return Err(TransferError::Nack {
+                address: address.value(),
+            });
+        }
+        let mut frames = encode_message(payload);
+        if bus.corruption_rate > 0.0 && rng.gen::<f64>() < bus.corruption_rate {
+            let fi = rng.gen_range(0..frames.len().saturating_sub(1).max(1));
+            if !frames[fi].is_empty() {
+                let bi = rng.gen_range(0..frames[fi].len() * 8);
+                frames[fi][bi / 8] ^= 1 << (bi % 8);
+            }
+        }
+        let result = decode_message(&frames);
+        match &result {
+            Ok(bytes) => bus.bytes_moved += bytes.len() as u64,
+            Err(_) => bus.failures += 1,
+        }
+        result
+    }
+
+    #[test]
+    fn transfer_matches_the_framed_message_path() {
+        let mut data_rng = StdRng::seed_from_u64(6);
+        let payloads: Vec<Vec<u8>> = (0..=100)
+            .chain([1_024])
+            .map(|len| (0..len).map(|_| data_rng.gen::<u8>()).collect())
+            .collect();
+        let addr = Address::new(0x24).unwrap();
+        for (nack_rate, corruption_rate) in [(0.0, 1.0), (0.0, 0.5), (0.3, 1.0), (0.3, 0.5)] {
+            let mut bus = I2cBus::with_faults(nack_rate, corruption_rate);
+            let mut framed = bus.clone();
+            let mut rng = StdRng::seed_from_u64(7);
+            let mut framed_rng = rng.clone();
+            for round in 0..4 {
+                for payload in &payloads {
+                    let at = format!(
+                        "nack {nack_rate}, corruption {corruption_rate}, \
+                         {} bytes, round {round}",
+                        payload.len()
+                    );
+                    assert_eq!(
+                        bus.transfer(addr, payload, &mut rng),
+                        transfer_via_frames(&mut framed, addr, payload, &mut framed_rng),
+                        "{at}"
+                    );
+                    assert_eq!(rng, framed_rng, "RNG state differs: {at}");
+                }
+            }
+            assert_eq!(bus, framed);
+            // Every single-bit flip fails the CRC.
+            assert!(bus.failures() > 0);
+            assert_eq!(bus.bytes_moved() > 0, corruption_rate < 1.0);
+        }
     }
 
     #[test]
