@@ -10,6 +10,7 @@ use pufbits::BitVec;
 use puftestbed::{BoardId, CalendarDate, Record, Timestamp};
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::{Mutex, PoisonError};
 
 fn temp_path(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("pufkeylife_cli_{}_{name}", std::process::id()))
@@ -25,29 +26,38 @@ const PLAN: &str = r#"{
     }]
 }"#;
 
-/// Runs `campaign` into the temp file `name` once, caching the record file
-/// for every test in the process (the lock keeps parallel tests from
-/// generating the same file twice).
-fn campaign_file(name: &str, args: &[&str]) -> PathBuf {
-    static GENERATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let _guard = GENERATE.lock().unwrap();
-    let out = temp_path(name);
-    if out.exists() {
-        return out;
+/// Returns the temp file `name`, running `make` to write it the first time
+/// this process asks for it. The lock keeps a parallel test from reading
+/// the file while another writes it, and a file left under the same name
+/// by an earlier process with the same PID is rewritten, never read.
+fn generated(name: &str, make: impl FnOnce(&Path)) -> PathBuf {
+    static MADE: Mutex<Vec<String>> = Mutex::new(Vec::new());
+    let mut made = MADE.lock().unwrap_or_else(PoisonError::into_inner);
+    let path = temp_path(name);
+    if !made.iter().any(|m| m == name) {
+        make(&path);
+        made.push(name.to_string());
     }
-    let status = Command::new(env!("CARGO_BIN_EXE_campaign"))
-        .args(["--out", out.to_str().unwrap()])
-        .args(args)
-        .status()
-        .expect("campaign binary runs");
-    assert!(status.success());
-    out
+    path
+}
+
+/// Runs `campaign` into the temp file `name`, once per process.
+fn campaign_file(name: &str, args: &[&str]) -> PathBuf {
+    generated(name, |out| {
+        let status = Command::new(env!("CARGO_BIN_EXE_campaign"))
+            .args(["--out", out.to_str().unwrap()])
+            .args(args)
+            .status()
+            .expect("campaign binary runs");
+        assert!(status.success());
+    })
 }
 
 /// The fixed-seed faulted campaign in `format`.
 fn record_file(format: &str) -> PathBuf {
-    let plan = temp_path("plan.json");
-    std::fs::write(&plan, PLAN).expect("plan written");
+    let plan = generated("plan.json", |plan| {
+        std::fs::write(plan, PLAN).expect("plan written");
+    });
     campaign_file(
         &format!("records_{format}"),
         &[
