@@ -32,14 +32,14 @@
 //! the sign of its uniform `w`, or is `+0.0` when `w` is. If `w` points
 //! towards the preferred bit (`w > 0` and `t < 0`, or `w <= 0` and
 //! `t >= 0`), then `z > t` equals `t < 0`. Otherwise let `m` be 1023 minus
-//! the biased exponent of `s`:
-//! `s >= 2^−m`, so `z² = w²(−2 ln s)/s <= −2 ln s <= 2m ln 2`, and the
-//! rounding of `s`, `ln`, the divide, `sqrt` and the product adds about
-//! 10 ulps. A cell with `t² >= B(m) = 2m ln 2 (1 + 1e−9) + 1e−9` therefore
-//! keeps its preferred bit too. A pair is scaled if either of its cells
-//! passes neither test, which leaves about 7 % of the pairs of the paper's
-//! ATmega32u4 population. Each read therefore returns the bits, and leaves
-//! the RNG in the state, of scaling every pair.
+//! the biased exponent of `s`. Then `s >= 2^−m`, so
+//! `z² = w²(−2 ln s)/s <= −2 ln s <= 2m ln 2`, and the rounding of `s`,
+//! `ln`, the divide, `sqrt` and the product adds about 10 ulps. A cell
+//! with `t² >= B(m) = 2m ln 2 (1 + 1e−9) + 1e−9` therefore keeps its
+//! preferred bit too. A pair is scaled if either of its cells passes
+//! neither test: about 7 % of the pairs of the paper's ATmega32u4
+//! population. Each read therefore returns the bits, and leaves the RNG in
+//! the state, of scaling every pair.
 //!
 //! The kernel produces the same per-cell one-probabilities as the scalar
 //! path (`Phi(mismatch / noise_sigma)`), but not the same bitstream: it
