@@ -122,10 +122,13 @@ impl SlaveBoard {
     }
 
     /// Performs one power cycle through a batched [`PowerUpKernel`] — the
-    /// campaign engine's fast path. Samples noise only for the read window
-    /// instead of the whole array, and reuses the kernel's cached
-    /// thresholds across cycles (aging invalidates them via the array's
-    /// epoch). The kernel must be dedicated to this board.
+    /// campaign engine's fast path. Draws only for the read window's cells
+    /// that can read either way, instead of a Gaussian for every cell of
+    /// the array, and reuses the kernel's cached always-1 mask and draw
+    /// list across cycles (aging invalidates them via the array's epoch).
+    /// The same cells read 1 with the same probabilities as
+    /// [`power_cycle`](Self::power_cycle), from other RNG draws. The kernel
+    /// must be dedicated to this board.
     pub fn power_cycle_with<R: Rng + ?Sized>(
         &mut self,
         kernel: &mut PowerUpKernel,
