@@ -146,101 +146,6 @@ pub fn sample_standard<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     }
 }
 
-/// Fills `out` with independent standard-normal samples.
-///
-/// Unlike [`sample_standard`], which discards the second variate each polar
-/// Box–Muller acceptance produces, this block sampler keeps both — halving
-/// the uniform draws and `ln`/`sqrt` evaluations per normal. It is the
-/// sampling core of the batched power-up kernel.
-///
-/// The result, and every RNG draw behind it, equals taking one polar
-/// acceptance at a time and storing both variates, with an odd last slot
-/// taking the first variate of one more acceptance. The pairs run in two
-/// passes over `out`. The first, [`fill_polar_pairs`], stores the accepted
-/// `(u, v)` pairs. The second scales each stored pair by
-/// `sqrt(-2 ln s / s)`; with no branch in between, the `ln`, divide and
-/// `sqrt` of successive pairs can overlap.
-///
-/// # Examples
-///
-/// ```
-/// use rand::SeedableRng;
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-/// let mut z = [0.0; 9];
-/// pufstats::normal::fill_standard(&mut rng, &mut z);
-/// assert!(z.iter().all(|x| x.is_finite()));
-/// ```
-pub fn fill_standard<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
-    let (pairs, tail) = out.split_at_mut(out.len() & !1);
-    fill_polar_pairs(rng, pairs);
-    // Pass 2: scale each accepted pair as `sample_standard_pair` does.
-    for pair in pairs.chunks_exact_mut(2) {
-        let (u, v) = (pair[0], pair[1]);
-        let s = u * u + v * v;
-        let r = (-2.0 * s.ln() / s).sqrt();
-        pair[0] = u * r;
-        pair[1] = v * r;
-    }
-    if let [last] = tail {
-        *last = sample_standard_pair(rng).0;
-    }
-}
-
-/// Fills `pairs` with the uniforms `(u, v)` of successive polar Box–Muller
-/// acceptances, unscaled: pass 1 of [`fill_standard`], which scales slots
-/// `2i` and `2i + 1` by `sqrt(-2 ln s / s)`, `s = u² + v²`, to give its
-/// `i`th pair of normals.
-///
-/// Each candidate pair is drawn into the next free pair of slots, and the
-/// next free pair moves on only past an accepted one (`0 < s < 1`), so the
-/// 21.5 % rejection costs no branch. Every stored `u` and `v` is a
-/// multiple of `2^-52` in `[-1, 1)`, so every stored pair has
-/// `2^-104 <= s < 1`.
-///
-/// # Panics
-///
-/// Panics if `pairs` has odd length.
-///
-/// # Examples
-///
-/// ```
-/// use rand::SeedableRng;
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-/// let mut pairs = [0.0; 8];
-/// pufstats::normal::fill_polar_pairs(&mut rng, &mut pairs);
-/// assert!(pairs.chunks(2).all(|p| p[0] * p[0] + p[1] * p[1] < 1.0));
-/// ```
-pub fn fill_polar_pairs<R: Rng + ?Sized>(rng: &mut R, pairs: &mut [f64]) {
-    assert!(
-        pairs.len().is_multiple_of(2),
-        "polar pairs need an even number of slots, got {}",
-        pairs.len()
-    );
-    // `k` is the first free slot; a rejected pair is overwritten.
-    let mut k = 0;
-    while k < pairs.len() {
-        let u: f64 = rng.gen_range(-1.0..1.0);
-        let v: f64 = rng.gen_range(-1.0..1.0);
-        pairs[k] = u;
-        pairs[k + 1] = v;
-        let s = u * u + v * v;
-        k += 2 * usize::from(s > 0.0 && s < 1.0);
-    }
-}
-
-/// One polar Box–Muller acceptance: two independent standard normals.
-fn sample_standard_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
-    loop {
-        let u: f64 = rng.gen_range(-1.0..1.0);
-        let v: f64 = rng.gen_range(-1.0..1.0);
-        let s = u * u + v * v;
-        if s > 0.0 && s < 1.0 {
-            let r = (-2.0 * s.ln() / s).sqrt();
-            return (u * r, v * r);
-        }
-    }
-}
-
 /// Draws one `N(mean, sd^2)` sample.
 ///
 /// # Panics
@@ -359,47 +264,5 @@ mod tests {
     fn pdf_is_symmetric_and_normalized_at_zero() {
         assert!((pdf(1.3) - pdf(-1.3)).abs() < 1e-16);
         assert!(pdf(0.0) > pdf(0.1));
-    }
-
-    #[test]
-    fn fill_standard_equals_successive_pairs_bit_for_bit() {
-        for len in [0, 1, 2, 3, 63, 64, 65, 4_095, 4_096, 4_097] {
-            let mut rng = StdRng::seed_from_u64(len as u64);
-            let mut oracle = rng.clone();
-            let mut z = vec![0.0; len];
-            fill_standard(&mut rng, &mut z);
-            let mut want = Vec::with_capacity(len);
-            while want.len() + 1 < len {
-                let (a, b) = sample_standard_pair(&mut oracle);
-                want.extend([a, b]);
-            }
-            if want.len() < len {
-                want.push(sample_standard_pair(&mut oracle).0);
-            }
-            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&z), bits(&want), "len {len}");
-            assert_eq!(
-                rng.gen::<u64>(),
-                oracle.gen::<u64>(),
-                "len {len}: next draw"
-            );
-        }
-    }
-
-    #[test]
-    fn fill_standard_moments_match_unit_normal() {
-        let mut rng = StdRng::seed_from_u64(43);
-        // Odd length exercises the remainder path.
-        let mut z = vec![0.0; 200_001];
-        fill_standard(&mut rng, &mut z);
-        let n = z.len() as f64;
-        let mean = z.iter().sum::<f64>() / n;
-        let var = z.iter().map(|x| x * x).sum::<f64>() / n - mean * mean;
-        // Both halves of each Box–Muller pair must be kept *and* be
-        // independent: check the lag-1 autocorrelation too.
-        let lag1 = z.windows(2).map(|w| w[0] * w[1]).sum::<f64>() / (n - 1.0);
-        assert!(mean.abs() < 0.01, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.02, "var {var}");
-        assert!(lag1.abs() < 0.01, "lag-1 autocovariance {lag1}");
     }
 }
