@@ -6,9 +6,8 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-fn temp_path(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("pufchk_cli_{}_{name}", std::process::id()))
-}
+mod common;
+use common::Scratch;
 
 fn campaign_args(out: &Path, format: &str, seed: &str, threads: &str) -> Vec<String> {
     [
@@ -46,8 +45,9 @@ fn run_campaign(extra: &[&str], base: Vec<String>) -> std::process::Output {
 
 #[test]
 fn interrupted_then_resumed_run_is_byte_identical() {
+    let dir = Scratch::new("interrupted_then_resumed_run_is_byte_identical");
     for format in ["json", "binary"] {
-        let reference = temp_path(&format!("ref.{format}"));
+        let reference = dir.join(&format!("ref.{format}"));
         let out = run_campaign(&[], campaign_args(&reference, format, "77", "2"));
         assert!(
             out.status.success(),
@@ -57,8 +57,8 @@ fn interrupted_then_resumed_run_is_byte_identical() {
         let reference_bytes = std::fs::read(&reference).expect("reference written");
 
         for (threads_before, threads_after) in [("1", "4"), ("4", "1")] {
-            let resumed = temp_path(&format!("res_{threads_before}{threads_after}.{format}"));
-            let ckpt = temp_path(&format!("ckpt_{threads_before}{threads_after}.{format}"));
+            let resumed = dir.join(&format!("res_{threads_before}{threads_after}.{format}"));
+            let ckpt = dir.join(&format!("ckpt_{threads_before}{threads_after}.{format}"));
             // Run 2 of the 4 windows, checkpointing every window, then halt.
             let out = run_campaign(
                 &[
@@ -95,22 +95,20 @@ fn interrupted_then_resumed_run_is_byte_identical() {
                 resumed_bytes, reference_bytes,
                 "resume diverged ({format}, {threads_before}→{threads_after} threads)"
             );
-            std::fs::remove_file(&resumed).ok();
-            std::fs::remove_file(&ckpt).ok();
         }
-        std::fs::remove_file(&reference).ok();
     }
 }
 
 #[test]
 fn resume_salvages_a_torn_tmp_like_a_killed_process_leaves() {
-    let reference = temp_path("kill_ref.jsonl");
+    let dir = Scratch::new("resume_salvages_a_torn_tmp_like_a_killed_process_leaves");
+    let reference = dir.join("kill_ref.jsonl");
     let out = run_campaign(&[], campaign_args(&reference, "json", "31", "2"));
     assert!(out.status.success());
     let reference_bytes = std::fs::read(&reference).expect("reference written");
 
-    let resumed = temp_path("kill_res.jsonl");
-    let ckpt = temp_path("kill_ckpt");
+    let resumed = dir.join("kill_res.jsonl");
+    let ckpt = dir.join("kill_ckpt");
     let out = run_campaign(
         &[
             "--checkpoint-out",
@@ -137,15 +135,13 @@ fn resume_salvages_a_torn_tmp_like_a_killed_process_leaves() {
     );
     assert_eq!(std::fs::read(&resumed).unwrap(), reference_bytes);
     assert!(!tmp.exists(), "salvaged tmp must be consumed");
-    std::fs::remove_file(&reference).ok();
-    std::fs::remove_file(&resumed).ok();
-    std::fs::remove_file(&ckpt).ok();
 }
 
 #[test]
 fn resume_with_wrong_seed_is_refused() {
-    let out_file = temp_path("wrong_seed.jsonl");
-    let ckpt = temp_path("wrong_seed_ckpt");
+    let dir = Scratch::new("resume_with_wrong_seed_is_refused");
+    let out_file = dir.join("wrong_seed.jsonl");
+    let ckpt = dir.join("wrong_seed_ckpt");
     let out = run_campaign(
         &[
             "--checkpoint-out",
@@ -166,14 +162,13 @@ fn resume_with_wrong_seed_is_refused() {
         stderr.contains("config mismatch"),
         "typed refusal expected, got: {stderr}"
     );
-    std::fs::remove_file(&out_file).ok();
-    std::fs::remove_file(&ckpt).ok();
 }
 
 #[test]
 fn resume_with_changed_config_is_refused() {
-    let out_file = temp_path("wrong_cfg.jsonl");
-    let ckpt = temp_path("wrong_cfg_ckpt");
+    let dir = Scratch::new("resume_with_changed_config_is_refused");
+    let out_file = dir.join("wrong_cfg.jsonl");
+    let ckpt = dir.join("wrong_cfg_ckpt");
     let out = run_campaign(
         &[
             "--checkpoint-out",
@@ -190,14 +185,13 @@ fn resume_with_changed_config_is_refused() {
     let out = run_campaign(&["--resume-from", ckpt.to_str().unwrap()], changed);
     assert!(!out.status.success(), "changed config must be refused");
     assert!(String::from_utf8_lossy(&out.stderr).contains("config mismatch"));
-    std::fs::remove_file(&out_file).ok();
-    std::fs::remove_file(&ckpt).ok();
 }
 
 #[test]
 fn corrupt_checkpoint_is_refused() {
-    let out_file = temp_path("corrupt.jsonl");
-    let ckpt = temp_path("corrupt_ckpt");
+    let dir = Scratch::new("corrupt_checkpoint_is_refused");
+    let out_file = dir.join("corrupt.jsonl");
+    let ckpt = dir.join("corrupt_ckpt");
     let out = run_campaign(
         &[
             "--checkpoint-out",
@@ -218,13 +212,12 @@ fn corrupt_checkpoint_is_refused() {
     );
     assert!(!out.status.success(), "corrupt checkpoint must be refused");
     assert!(String::from_utf8_lossy(&out.stderr).contains("corrupt checkpoint"));
-    std::fs::remove_file(&out_file).ok();
-    std::fs::remove_file(&ckpt).ok();
 }
 
 #[test]
 fn checkpoint_every_without_out_is_an_error() {
-    let out_file = temp_path("lonely_every.jsonl");
+    let dir = Scratch::new("checkpoint_every_without_out_is_an_error");
+    let out_file = dir.join("lonely_every.jsonl");
     let out = run_campaign(
         &["--checkpoint-every", "2"],
         campaign_args(&out_file, "json", "42", "1"),
@@ -235,6 +228,7 @@ fn checkpoint_every_without_out_is_an_error() {
 
 #[test]
 fn repro_halt_and_resume_reproduces_the_reference_tables() {
+    let dir = Scratch::new("repro_halt_and_resume_reproduces_the_reference_tables");
     let reference = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args([
             "--scale",
@@ -249,8 +243,8 @@ fn repro_halt_and_resume_reproduces_the_reference_tables() {
         .expect("repro runs");
     assert!(reference.status.success());
 
-    let records = temp_path("repro.jsonl");
-    let ckpt = temp_path("repro_ckpt");
+    let records = dir.join("repro.jsonl");
+    let ckpt = dir.join("repro_ckpt");
     let halted = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args([
             "--scale",
@@ -300,6 +294,4 @@ fn repro_halt_and_resume_reproduces_the_reference_tables() {
             .map(|(_, t)| t.to_string()),
         "resumed assessment diverged from the uninterrupted run"
     );
-    std::fs::remove_file(&records).ok();
-    std::fs::remove_file(&ckpt).ok();
 }

@@ -5,13 +5,13 @@ use pufbits::BitVec;
 use puftestbed::{BoardId, CalendarDate, Record, Timestamp};
 use std::process::Command;
 
-fn temp_path(name: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("pufbench_cli_{}_{name}", std::process::id()))
-}
+mod common;
+use common::Scratch;
 
 #[test]
 fn campaign_then_assess_round_trip() {
-    let records = temp_path("records.jsonl");
+    let dir = Scratch::new("campaign_then_assess_round_trip");
+    let records = dir.join("records.jsonl");
     let out = Command::new(env!("CARGO_BIN_EXE_campaign"))
         .args([
             "--out",
@@ -50,13 +50,13 @@ fn campaign_then_assess_round_trip() {
     assert!(stdout.contains("Table I"), "{stdout}");
     assert!(stdout.contains("WCHD"));
     assert!(stdout.contains("fitted hidden-variable model"));
-    std::fs::remove_file(&records).ok();
 }
 
 #[test]
 fn assess_writes_csv_artifacts() {
-    let records = temp_path("csv_records.jsonl");
-    let prefix = temp_path("csv_out");
+    let dir = Scratch::new("assess_writes_csv_artifacts");
+    let records = dir.join("csv_records.jsonl");
+    let prefix = dir.join("csv_out");
     Command::new(env!("CARGO_BIN_EXE_campaign"))
         .args([
             "--out",
@@ -87,14 +87,12 @@ fn assess_writes_csv_artifacts() {
     let devices_csv = format!("{}_devices.csv", prefix.display());
     let contents = std::fs::read_to_string(&devices_csv).expect("csv written");
     assert!(contents.starts_with("device,month"));
-    std::fs::remove_file(&records).ok();
-    std::fs::remove_file(devices_csv).ok();
-    std::fs::remove_file(format!("{}_aggregates.csv", prefix.display())).ok();
 }
 
 #[test]
 fn repro_smoke_produces_all_artifacts() {
-    let out_dir = temp_path("repro_out");
+    let dir = Scratch::new("repro_smoke_produces_all_artifacts");
+    let out_dir = dir.join("repro_out");
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(["--scale", "smoke", "--all", "--seed", "5"])
         .args(["--out-dir", out_dir.to_str().unwrap()])
@@ -122,11 +120,11 @@ fn repro_smoke_produces_all_artifacts() {
     assert!(!std::env::temp_dir()
         .join("fig4_startup_pattern.pgm")
         .exists());
-    std::fs::remove_dir_all(&out_dir).ok();
 }
 
 #[test]
 fn campaign_threads_flag_is_record_identical() {
+    let dir = Scratch::new("campaign_threads_flag_is_record_identical");
     let common = [
         "--boards",
         "5",
@@ -143,7 +141,7 @@ fn campaign_threads_flag_is_record_identical() {
     ];
     let mut files = Vec::new();
     for threads in ["1", "4"] {
-        let records = temp_path(&format!("threads{threads}.jsonl"));
+        let records = dir.join(&format!("threads{threads}.jsonl"));
         let out = Command::new(env!("CARGO_BIN_EXE_campaign"))
             .args(["--out", records.to_str().unwrap(), "--threads", threads])
             .args(common)
@@ -155,7 +153,6 @@ fn campaign_threads_flag_is_record_identical() {
             String::from_utf8_lossy(&out.stderr)
         );
         files.push(std::fs::read(&records).expect("records written"));
-        std::fs::remove_file(&records).ok();
     }
     assert!(!files[0].is_empty());
     assert_eq!(files[0], files[1], "thread count changed the record bytes");
@@ -163,7 +160,8 @@ fn campaign_threads_flag_is_record_identical() {
 
 #[test]
 fn assess_accepts_threads_flag() {
-    let records = temp_path("assess_threads.jsonl");
+    let dir = Scratch::new("assess_accepts_threads_flag");
+    let records = dir.join("assess_threads.jsonl");
     Command::new(env!("CARGO_BIN_EXE_campaign"))
         .args([
             "--out",
@@ -196,7 +194,6 @@ fn assess_accepts_threads_flag() {
         String::from_utf8_lossy(&out.stderr)
     );
     assert!(String::from_utf8_lossy(&out.stdout).contains("Table I"));
-    std::fs::remove_file(&records).ok();
 }
 
 #[test]
@@ -224,6 +221,7 @@ fn binaries_reject_bad_arguments() {
 
 #[test]
 fn every_binary_exits_2_without_a_panic_on_bad_flags() {
+    let dir = Scratch::new("every_binary_exits_2_without_a_panic_on_bad_flags");
     // Each binary, the flags that take a value, and the numeric ones.
     let binaries: [(&str, &[&str], &[&str]); 7] = [
         (
@@ -269,7 +267,7 @@ fn every_binary_exits_2_without_a_panic_on_bad_flags() {
     // reads per window, a halt before the first window; and flags that act
     // only through a checkpoint, given without one (on a small rig, so a
     // run that ignored them would end quickly).
-    let records = temp_path("bad_rig.jsonl");
+    let records = dir.join("bad_rig.jsonl");
     let small_rig = [
         "--boards",
         "2",
@@ -321,7 +319,7 @@ fn every_binary_exits_2_without_a_panic_on_bad_flags() {
         assert!(!records.exists(), "campaign {args:?} wrote its output file");
         assert!(out.stdout.is_empty(), "campaign {args:?} printed to stdout");
     }
-    let checkpoint = temp_path("halt_zero.pufchk");
+    let checkpoint = dir.join("halt_zero.pufchk");
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args(["--scale", "smoke", "--table1", "--halt-after-windows", "0"])
         .arg("--checkpoint-out")
@@ -350,7 +348,7 @@ fn every_binary_exits_2_without_a_panic_on_bad_flags() {
     );
     assert!(out.stdout.is_empty(), "repro printed artifacts");
     // A window of no reads is a usage error, not an input without windows.
-    let input = reads_file("zero_reads.jsonl", &[(0, 2, 64), (1, 2, 64)]);
+    let input = reads_file(&dir, "zero_reads.jsonl", &[(0, 2, 64), (1, 2, 64)]);
     for binary in [env!("CARGO_BIN_EXE_assess"), env!("CARGO_BIN_EXE_keylife")] {
         let out = Command::new(binary)
             .args(["--in", input.to_str().unwrap(), "--reads", "0"])
@@ -361,15 +359,15 @@ fn every_binary_exits_2_without_a_panic_on_bad_flags() {
         assert!(!stderr.contains("panicked"), "{binary} --reads 0: {stderr}");
         assert!(stderr.contains("--reads must be positive"), "{stderr}");
     }
-    std::fs::remove_file(&input).ok();
 }
 
 #[test]
 fn repro_refuses_campaign_flags_without_a_campaign_artifact() {
+    let dir = Scratch::new("repro_refuses_campaign_flags_without_a_campaign_artifact");
     // Only --fig5, --fig6 and --table1 run the campaign these flags act on;
     // with none of them selected the flags would be silently dropped.
-    let records = temp_path("no_campaign.jsonl");
-    let checkpoint = temp_path("no_campaign.pufchk");
+    let records = dir.join("no_campaign.jsonl");
+    let checkpoint = dir.join("no_campaign.pufchk");
     let (records_arg, checkpoint_arg) = (records.to_str().unwrap(), checkpoint.to_str().unwrap());
     for args in [
         &["--fig3", "--records-out", records_arg][..],
@@ -402,9 +400,10 @@ fn repro_refuses_campaign_flags_without_a_campaign_artifact() {
 
 #[test]
 fn repro_refuses_record_flags_without_records_out() {
+    let dir = Scratch::new("repro_refuses_record_flags_without_records_out");
     // `--format` only shapes the --records-out file, and a checkpoint can
     // only be resumed together with the records file it accounts for.
-    let checkpoint = temp_path("no_records.pufchk");
+    let checkpoint = dir.join("no_records.pufchk");
     let checkpoint_arg = checkpoint.to_str().unwrap();
     for (args, message) in [
         (
@@ -441,7 +440,7 @@ fn repro_refuses_record_flags_without_records_out() {
 
 /// Writes one JSON-lines file of `(device, month, bits)` reads, each at
 /// midnight of 2017-`month`-08.
-fn reads_file(name: &str, reads: &[(u8, u8, usize)]) -> std::path::PathBuf {
+fn reads_file(dir: &Scratch, name: &str, reads: &[(u8, u8, usize)]) -> std::path::PathBuf {
     let lines: String = reads
         .iter()
         .enumerate()
@@ -455,16 +454,17 @@ fn reads_file(name: &str, reads: &[(u8, u8, usize)]) -> std::path::PathBuf {
             record.to_json_line() + "\n"
         })
         .collect();
-    let path = temp_path(name);
+    let path = dir.join(name);
     std::fs::write(&path, lines).expect("records written");
     path
 }
 
 #[test]
 fn assess_reports_a_single_month_without_table1() {
+    let dir = Scratch::new("assess_reports_a_single_month_without_table1");
     // One evaluated month has no aging interval for Table I; the rest of the
     // report still prints.
-    let input = reads_file("one_month.jsonl", &[(0, 2, 1024), (1, 2, 1024)]);
+    let input = reads_file(&dir, "one_month.jsonl", &[(0, 2, 1024), (1, 2, 1024)]);
     let out = Command::new(env!("CARGO_BIN_EXE_assess"))
         .args(["--in", input.to_str().unwrap(), "--reads", "1"])
         .output()
@@ -483,11 +483,11 @@ fn assess_reports_a_single_month_without_table1() {
         stdout.contains("=== fitted hidden-variable model per device (month 0) ==="),
         "{stdout}"
     );
-    std::fs::remove_file(&input).ok();
 }
 
 #[test]
 fn assess_survives_read_width_changes_without_a_panic() {
+    let dir = Scratch::new("assess_survives_read_width_changes_without_a_panic");
     // Device 0 changes width in March: that read is skipped, exit 0.
     // Devices of different widths: a typed assessment error, exit 1.
     let cases = [
@@ -499,7 +499,7 @@ fn assess_survives_read_width_changes_without_a_panic() {
         ("mixed_widths.jsonl", &[(0, 2, 1024), (1, 2, 2048)][..], 1),
     ];
     for (name, reads, code) in cases {
-        let input = reads_file(name, reads);
+        let input = reads_file(&dir, name, reads);
         let out = Command::new(env!("CARGO_BIN_EXE_assess"))
             .args(["--in", input.to_str().unwrap(), "--reads", "1"])
             .output()
@@ -510,19 +510,20 @@ fn assess_survives_read_width_changes_without_a_panic() {
         if code == 1 {
             assert!(stderr.contains("assessment failed"), "{name}: {stderr}");
         }
-        std::fs::remove_file(&input).ok();
     }
 }
 
 #[test]
 fn assess_skips_a_deeply_nested_line() {
+    let dir = Scratch::new("assess_skips_a_deeply_nested_line");
     let clean = reads_file(
+        &dir,
         "nesting_clean.jsonl",
         &[(0, 2, 1024), (1, 2, 1024), (0, 3, 1024), (1, 3, 1024)],
     );
     let text = std::fs::read_to_string(&clean).unwrap();
     let (first, rest) = text.split_once('\n').unwrap();
-    let deep = temp_path("nesting_deep.jsonl");
+    let deep = dir.join("nesting_deep.jsonl");
     std::fs::write(&deep, format!("{first}\n{}\n{rest}", "[".repeat(100_000))).unwrap();
     let assess = |input: &std::path::Path| {
         Command::new(env!("CARGO_BIN_EXE_assess"))
@@ -540,19 +541,18 @@ fn assess_skips_a_deeply_nested_line() {
     );
     assert!(String::from_utf8_lossy(&want.stdout).contains("Table I"));
     assert_eq!(got.stdout, want.stdout);
-    std::fs::remove_file(&clean).ok();
-    std::fs::remove_file(&deep).ok();
 }
 
 #[test]
 fn campaign_refuses_a_deeply_nested_plan() {
-    let plan = temp_path("nesting_plan.json");
+    let dir = Scratch::new("campaign_refuses_a_deeply_nested_plan");
+    let plan = dir.join("nesting_plan.json");
     std::fs::write(&plan, "[".repeat(200_000)).unwrap();
     for (flag, message) in [
         ("--faults", "cannot load fault plan"),
         ("--io-faults", "cannot load I/O fault plan"),
     ] {
-        let records = temp_path("nesting_plan_records.jsonl");
+        let records = dir.join("nesting_plan_records.jsonl");
         let out = Command::new(env!("CARGO_BIN_EXE_campaign"))
             .args([
                 "--out",
@@ -575,5 +575,4 @@ fn campaign_refuses_a_deeply_nested_plan() {
         assert!(stderr.contains(message), "{flag}: {stderr}");
         assert!(!records.exists(), "{flag}: records written");
     }
-    std::fs::remove_file(&plan).ok();
 }

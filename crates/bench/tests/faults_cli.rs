@@ -6,9 +6,8 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-fn temp_path(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("puffaults_cli_{}_{name}", std::process::id()))
-}
+mod common;
+use common::Scratch;
 
 fn campaign_args(out: &Path, seed: &str, threads: &str) -> Vec<String> {
     [
@@ -42,8 +41,8 @@ fn run_campaign(extra: &[&str], base: Vec<String>) -> std::process::Output {
         .expect("campaign binary runs")
 }
 
-fn write_plan(name: &str, json: &str) -> PathBuf {
-    let path = temp_path(name);
+fn write_plan(dir: &Scratch, name: &str, json: &str) -> PathBuf {
+    let path = dir.join(name);
     std::fs::write(&path, json).expect("plan written");
     path
 }
@@ -60,10 +59,11 @@ const PLAN: &str = r#"{
 
 #[test]
 fn faulted_run_is_deterministic_across_thread_counts() {
-    let plan = write_plan("det_plan.json", PLAN);
+    let dir = Scratch::new("faulted_run_is_deterministic_across_thread_counts");
+    let plan = write_plan(&dir, "det_plan.json", PLAN);
     let mut outputs = Vec::new();
     for threads in ["1", "2", "4"] {
-        let out_file = temp_path(&format!("det_{threads}.pufrec"));
+        let out_file = dir.join(&format!("det_{threads}.pufrec"));
         let out = run_campaign(
             &["--faults", plan.to_str().unwrap()],
             campaign_args(&out_file, "55", threads),
@@ -78,22 +78,21 @@ fn faulted_run_is_deterministic_across_thread_counts() {
             "fault tally missing from stderr"
         );
         outputs.push(std::fs::read(&out_file).expect("output written"));
-        std::fs::remove_file(&out_file).ok();
     }
     assert_eq!(outputs[0], outputs[1], "1 vs 2 threads diverged");
     assert_eq!(outputs[0], outputs[2], "1 vs 4 threads diverged");
-    std::fs::remove_file(&plan).ok();
 }
 
 #[test]
 fn empty_fault_plan_changes_nothing() {
-    let clean = temp_path("clean.pufrec");
+    let dir = Scratch::new("empty_fault_plan_changes_nothing");
+    let clean = dir.join("clean.pufrec");
     let out = run_campaign(&[], campaign_args(&clean, "56", "2"));
     assert!(out.status.success());
     let clean_bytes = std::fs::read(&clean).unwrap();
 
-    let plan = write_plan("empty_plan.json", "{}");
-    let faulted = temp_path("empty_faulted.pufrec");
+    let plan = write_plan(&dir, "empty_plan.json", "{}");
+    let faulted = dir.join("empty_faulted.pufrec");
     let out = run_campaign(
         &["--faults", plan.to_str().unwrap()],
         campaign_args(&faulted, "56", "2"),
@@ -104,15 +103,13 @@ fn empty_fault_plan_changes_nothing() {
         clean_bytes,
         "an empty plan must be byte-identical to no plan"
     );
-    std::fs::remove_file(&clean).ok();
-    std::fs::remove_file(&faulted).ok();
-    std::fs::remove_file(&plan).ok();
 }
 
 #[test]
 fn faulted_resume_is_byte_identical_to_the_uninterrupted_run() {
-    let plan = write_plan("resume_plan.json", PLAN);
-    let reference = temp_path("resume_ref.pufrec");
+    let dir = Scratch::new("faulted_resume_is_byte_identical_to_the_uninterrupted_run");
+    let plan = write_plan(&dir, "resume_plan.json", PLAN);
+    let reference = dir.join("resume_ref.pufrec");
     let out = run_campaign(
         &["--faults", plan.to_str().unwrap()],
         campaign_args(&reference, "57", "2"),
@@ -120,8 +117,8 @@ fn faulted_resume_is_byte_identical_to_the_uninterrupted_run() {
     assert!(out.status.success());
     let reference_bytes = std::fs::read(&reference).unwrap();
 
-    let resumed = temp_path("resume_res.pufrec");
-    let ckpt = temp_path("resume_ckpt");
+    let resumed = dir.join("resume_res.pufrec");
+    let ckpt = dir.join("resume_ckpt");
     let out = run_campaign(
         &[
             "--faults",
@@ -153,17 +150,14 @@ fn faulted_resume_is_byte_identical_to_the_uninterrupted_run() {
         reference_bytes,
         "faulted resume diverged from the uninterrupted faulted run"
     );
-    std::fs::remove_file(&reference).ok();
-    std::fs::remove_file(&resumed).ok();
-    std::fs::remove_file(&ckpt).ok();
-    std::fs::remove_file(&plan).ok();
 }
 
 #[test]
 fn resume_under_a_different_plan_is_refused() {
-    let plan = write_plan("swap_plan.json", PLAN);
-    let out_file = temp_path("swap.pufrec");
-    let ckpt = temp_path("swap_ckpt");
+    let dir = Scratch::new("resume_under_a_different_plan_is_refused");
+    let plan = write_plan(&dir, "swap_plan.json", PLAN);
+    let out_file = dir.join("swap.pufrec");
+    let ckpt = dir.join("swap_ckpt");
     let out = run_campaign(
         &[
             "--faults",
@@ -184,15 +178,13 @@ fn resume_under_a_different_plan_is_refused() {
     );
     assert!(!out.status.success(), "plan change must refuse the resume");
     assert!(String::from_utf8_lossy(&out.stderr).contains("config mismatch"));
-    std::fs::remove_file(&out_file).ok();
-    std::fs::remove_file(&ckpt).ok();
-    std::fs::remove_file(&plan).ok();
 }
 
 #[test]
 fn malformed_plan_is_a_clean_cli_error() {
-    let plan = write_plan("bad_plan.json", r#"{"brownouts": [{"board": 1}]"#);
-    let out_file = temp_path("bad.pufrec");
+    let dir = Scratch::new("malformed_plan_is_a_clean_cli_error");
+    let plan = write_plan(&dir, "bad_plan.json", r#"{"brownouts": [{"board": 1}]"#);
+    let out_file = dir.join("bad.pufrec");
     let out = run_campaign(
         &["--faults", plan.to_str().unwrap()],
         campaign_args(&out_file, "59", "1"),
@@ -203,16 +195,16 @@ fn malformed_plan_is_a_clean_cli_error() {
         !out_file.exists(),
         "no output may be created for a bad plan"
     );
-    std::fs::remove_file(&plan).ok();
 }
 
 #[test]
 fn malformed_io_fault_plan_is_a_clean_cli_error() {
+    let dir = Scratch::new("malformed_io_fault_plan_is_a_clean_cli_error");
     // `max_faults` must be a non-negative integer; both binaries that take
     // `--io-faults` refuse the plan before creating any output.
-    let plan = write_plan("bad_io_plan.json", r#"{"seed": 1, "max_faults": -1}"#);
-    let campaign_out = temp_path("bad_io.pufrec");
-    let repro_out = temp_path("bad_io_repro.jsonl");
+    let plan = write_plan(&dir, "bad_io_plan.json", r#"{"seed": 1, "max_faults": -1}"#);
+    let campaign_out = dir.join("bad_io.pufrec");
+    let repro_out = dir.join("bad_io_repro.jsonl");
     let runs = [
         run_campaign(
             &["--io-faults", plan.to_str().unwrap()],
@@ -237,5 +229,4 @@ fn malformed_io_fault_plan_is_a_clean_cli_error() {
         "campaign created output for a bad plan"
     );
     assert!(!repro_out.exists(), "repro created output for a bad plan");
-    std::fs::remove_file(&plan).ok();
 }

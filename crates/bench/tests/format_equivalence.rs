@@ -2,12 +2,11 @@
 //! and as `pufrec/1` binary — plus a `convert`ed copy — must assess to
 //! byte-identical output, and the binary file must actually be smaller.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::Command;
 
-fn temp_path(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("pufbench_fmt_{}_{name}", std::process::id()))
-}
+mod common;
+use common::Scratch;
 
 const CAMPAIGN_ARGS: [&str; 10] = [
     "--boards",
@@ -55,21 +54,19 @@ fn assess(input: &Path, csv_prefix: &Path) -> (Vec<u8>, String, String) {
     );
     let devices = format!("{}_devices.csv", csv_prefix.display());
     let aggregates = format!("{}_aggregates.csv", csv_prefix.display());
-    let result = (
+    (
         output.stdout,
         std::fs::read_to_string(&devices).expect("devices csv written"),
         std::fs::read_to_string(&aggregates).expect("aggregates csv written"),
-    );
-    std::fs::remove_file(devices).ok();
-    std::fs::remove_file(aggregates).ok();
-    result
+    )
 }
 
 #[test]
 fn both_formats_and_the_converted_file_assess_byte_identically() {
-    let json = temp_path("records.jsonl");
-    let binary = temp_path("records.pufrec");
-    let converted = temp_path("converted.pufrec");
+    let dir = Scratch::new("both_formats_and_the_converted_file_assess_byte_identically");
+    let json = dir.join("records.jsonl");
+    let binary = dir.join("records.pufrec");
+    let converted = dir.join("converted.pufrec");
 
     run_campaign(&json, "json");
     run_campaign(&binary, "binary");
@@ -95,9 +92,9 @@ fn both_formats_and_the_converted_file_assess_byte_identically() {
     // header's advisory declared-bits field (campaign knows the width,
     // convert does not), so equivalence is checked where it matters: the
     // assessment output.
-    let from_json = assess(&json, &temp_path("csv_json"));
-    let from_binary = assess(&binary, &temp_path("csv_binary"));
-    let from_converted = assess(&converted, &temp_path("csv_converted"));
+    let from_json = assess(&json, &dir.join("csv_json"));
+    let from_binary = assess(&binary, &dir.join("csv_binary"));
+    let from_converted = assess(&converted, &dir.join("csv_converted"));
     assert_eq!(
         from_json, from_binary,
         "assessment differs between storage formats"
@@ -117,25 +114,22 @@ fn both_formats_and_the_converted_file_assess_byte_identically() {
         json_len > binary_len * 19 / 10,
         "expected the binary store to be ~2x smaller: json {json_len}, binary {binary_len}"
     );
-
-    for f in [&json, &binary, &converted] {
-        std::fs::remove_file(f).ok();
-    }
 }
 
 #[test]
 fn converted_output_is_byte_identical_across_threads_and_batch_sizes() {
+    let dir = Scratch::new("converted_output_is_byte_identical_across_threads_and_batch_sizes");
     // The parallel JSON reader reuses per-worker scratch across batches;
     // this must never leak state between records. Converting the same
     // corpus under extreme threading/batching choices has to produce the
     // same bytes — including batch size 1, where every record crosses a
     // scratch-reset boundary.
-    let json = temp_path("reconv.jsonl");
+    let json = dir.join("reconv.jsonl");
     run_campaign(&json, "json");
 
     let mut outputs = Vec::new();
     for (threads, batch) in [("1", "1"), ("4", "64"), ("2", "3")] {
-        let out = temp_path(&format!("reconv_t{threads}_b{batch}.pufrec"));
+        let out = dir.join(&format!("reconv_t{threads}_b{batch}.pufrec"));
         let output = Command::new(env!("CARGO_BIN_EXE_convert"))
             .args([
                 "--in",
@@ -157,7 +151,6 @@ fn converted_output_is_byte_identical_across_threads_and_batch_sizes() {
             String::from_utf8_lossy(&output.stderr)
         );
         outputs.push(std::fs::read(&out).expect("converted file"));
-        std::fs::remove_file(&out).ok();
     }
     assert_eq!(
         outputs[0], outputs[1],
@@ -167,16 +160,15 @@ fn converted_output_is_byte_identical_across_threads_and_batch_sizes() {
         outputs[0], outputs[2],
         "thread/batch choice changed the converted bytes"
     );
-
-    std::fs::remove_file(&json).ok();
 }
 
 #[test]
 fn forcing_the_format_flag_matches_auto_detection() {
-    let binary = temp_path("forced.pufrec");
+    let dir = Scratch::new("forcing_the_format_flag_matches_auto_detection");
+    let binary = dir.join("forced.pufrec");
     run_campaign(&binary, "binary");
 
-    let auto = assess(&binary, &temp_path("csv_auto"));
+    let auto = assess(&binary, &dir.join("csv_auto"));
     let output = Command::new(env!("CARGO_BIN_EXE_assess"))
         .args([
             "--in",
@@ -194,14 +186,13 @@ fn forcing_the_format_flag_matches_auto_detection() {
         String::from_utf8_lossy(&output.stderr)
     );
     assert_eq!(auto.0, output.stdout);
-
-    std::fs::remove_file(&binary).ok();
 }
 
 #[test]
 fn convert_refuses_corrupt_input_instead_of_writing_a_prefix() {
-    let binary = temp_path("damaged.pufrec");
-    let out = temp_path("damaged_out.jsonl");
+    let dir = Scratch::new("convert_refuses_corrupt_input_instead_of_writing_a_prefix");
+    let binary = dir.join("damaged.pufrec");
+    let out = dir.join("damaged_out.jsonl");
     run_campaign(&binary, "binary");
 
     // Flip one byte in the middle of the record region.
@@ -231,7 +222,4 @@ fn convert_refuses_corrupt_input_instead_of_writing_a_prefix() {
         !out.exists(),
         "an aborted conversion must delete its partial output"
     );
-
-    std::fs::remove_file(&binary).ok();
-    std::fs::remove_file(&out).ok();
 }

@@ -8,13 +8,13 @@
 
 use pufbits::BitVec;
 use puftestbed::{BoardId, CalendarDate, Record, Timestamp};
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::{Mutex, PoisonError};
 
-fn temp_path(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("pufkeylife_cli_{}_{name}", std::process::id()))
-}
+mod common;
+use common::Scratch;
 
 /// Board 1 loses window 2 whole; board 2 suffers an I2C burst. The golden
 /// table therefore locks the erasure accounting, not just the happy path.
@@ -26,24 +26,27 @@ const PLAN: &str = r#"{
     }]
 }"#;
 
-/// Returns the temp file `name`, running `make` to write it the first time
-/// this process asks for it. The lock keeps a parallel test from reading
-/// the file while another writes it, and a file left under the same name
-/// by an earlier process with the same PID is rewritten, never read.
-fn generated(name: &str, make: impl FnOnce(&Path)) -> PathBuf {
-    static MADE: Mutex<Vec<String>> = Mutex::new(Vec::new());
+/// Writes the fixture `name` into `dir` and returns its path. The first
+/// time this process asks for it, `make` writes it into a scratch
+/// directory of its own, and its bytes are kept for the later tests. The
+/// lock keeps parallel tests from making a fixture twice.
+fn generated(dir: &Scratch, name: &str, make: impl FnOnce(&Path)) -> PathBuf {
+    static MADE: Mutex<BTreeMap<String, Vec<u8>>> = Mutex::new(BTreeMap::new());
     let mut made = MADE.lock().unwrap_or_else(PoisonError::into_inner);
-    let path = temp_path(name);
-    if !made.iter().any(|m| m == name) {
+    let bytes = made.entry(name.to_string()).or_insert_with(|| {
+        let scratch = Scratch::new(&format!("fixture_{name}"));
+        let path = scratch.join(name);
         make(&path);
-        made.push(name.to_string());
-    }
+        std::fs::read(&path).expect("fixture written")
+    });
+    let path = dir.join(name);
+    std::fs::write(&path, bytes).expect("fixture copied");
     path
 }
 
-/// Runs `campaign` into the temp file `name`, once per process.
-fn campaign_file(name: &str, args: &[&str]) -> PathBuf {
-    generated(name, |out| {
+/// Runs `campaign` into the fixture `name` in `dir`.
+fn campaign_file(dir: &Scratch, name: &str, args: &[&str]) -> PathBuf {
+    generated(dir, name, |out| {
         let status = Command::new(env!("CARGO_BIN_EXE_campaign"))
             .args(["--out", out.to_str().unwrap()])
             .args(args)
@@ -53,12 +56,13 @@ fn campaign_file(name: &str, args: &[&str]) -> PathBuf {
     })
 }
 
-/// The fixed-seed faulted campaign in `format`.
-fn record_file(format: &str) -> PathBuf {
-    let plan = generated("plan.json", |plan| {
+/// The fixed-seed faulted campaign in `format`, in `dir`.
+fn record_file(dir: &Scratch, format: &str) -> PathBuf {
+    let plan = generated(dir, "plan.json", |plan| {
         std::fs::write(plan, PLAN).expect("plan written");
     });
     campaign_file(
+        dir,
         &format!("records_{format}"),
         &[
             "--format",
@@ -124,7 +128,8 @@ fn check_golden(name: &str, actual: &str) {
 
 #[test]
 fn fixed_seed_faulted_table_matches_the_golden_file() {
-    let out = keylife(&record_file("json"), &["--threads", "2"]);
+    let dir = Scratch::new("fixed_seed_faulted_table_matches_the_golden_file");
+    let out = keylife(&record_file(&dir, "json"), &["--threads", "2"]);
     assert!(
         out.status.success(),
         "{}",
@@ -138,10 +143,12 @@ fn fixed_seed_faulted_table_matches_the_golden_file() {
 
 #[test]
 fn paper_profiles_with_failures_match_the_golden_file() {
+    let dir = Scratch::new("paper_profiles_with_failures_match_the_golden_file");
     // The paper's 128-bit key under both profiles, where polar-512-128
     // fails to reconstruct a few reads a month: the failure counts must
     // merge across shards to the same table at every thread count.
     let records = campaign_file(
+        &dir,
         "paper_records_binary",
         &[
             "--format",
@@ -180,11 +187,12 @@ fn paper_profiles_with_failures_match_the_golden_file() {
 
 #[test]
 fn output_is_byte_identical_across_threads_and_formats() {
+    let dir = Scratch::new("output_is_byte_identical_across_threads_and_formats");
     let mut outputs = Vec::new();
     for threads in ["1", "3", "7"] {
-        let csv = temp_path(&format!("inv_{threads}.csv"));
+        let csv = dir.join(&format!("inv_{threads}.csv"));
         let out = keylife(
-            &record_file("json"),
+            &record_file(&dir, "json"),
             &["--threads", threads, "--csv", csv.to_str().unwrap()],
         );
         assert!(
@@ -194,7 +202,7 @@ fn output_is_byte_identical_across_threads_and_formats() {
         );
         outputs.push((out.stdout, std::fs::read(&csv).expect("csv written")));
     }
-    let binary = keylife(&record_file("binary"), &["--threads", "2"]);
+    let binary = keylife(&record_file(&dir, "binary"), &["--threads", "2"]);
     assert!(binary.status.success());
     for (stdout, csv) in &outputs {
         assert_eq!(stdout, &outputs[0].0, "thread count changed the table");
@@ -208,6 +216,7 @@ fn output_is_byte_identical_across_threads_and_formats() {
 
 #[test]
 fn output_is_byte_identical_across_batch_sizes() {
+    let dir = Scratch::new("output_is_byte_identical_across_batch_sizes");
     // `--batch-lines` only changes how many lines each decode worker takes
     // per lock acquisition — and therefore where the scratch-reusing fast
     // parser's buffers reset. Batch size 1 forces a reset per record; the
@@ -215,7 +224,7 @@ fn output_is_byte_identical_across_batch_sizes() {
     let mut outputs = Vec::new();
     for batch in ["1", "5", "256"] {
         let out = keylife(
-            &record_file("json"),
+            &record_file(&dir, "json"),
             &["--threads", "3", "--batch-lines", batch],
         );
         assert!(
@@ -231,8 +240,12 @@ fn output_is_byte_identical_across_batch_sizes() {
 
 #[test]
 fn observed_rates_are_consistent_with_the_analytic_bound() {
-    let csv = temp_path("bound.csv");
-    let out = keylife(&record_file("json"), &["--csv", csv.to_str().unwrap()]);
+    let dir = Scratch::new("observed_rates_are_consistent_with_the_analytic_bound");
+    let csv = dir.join("bound.csv");
+    let out = keylife(
+        &record_file(&dir, "json"),
+        &["--csv", csv.to_str().unwrap()],
+    );
     assert!(out.status.success());
     let csv = std::fs::read_to_string(&csv).expect("csv written");
     let mut golay_rows = 0;
@@ -262,13 +275,14 @@ fn observed_rates_are_consistent_with_the_analytic_bound() {
 
 #[test]
 fn corrupt_input_is_refused_not_truncated() {
+    let dir = Scratch::new("corrupt_input_is_refused_not_truncated");
     // A record file with a torn line in the middle: statistics over the
     // readable prefix would silently understate the failure rate.
-    let source = std::fs::read_to_string(record_file("json")).expect("records readable");
+    let source = std::fs::read_to_string(record_file(&dir, "json")).expect("records readable");
     let mut lines: Vec<&str> = source.lines().collect();
     let mid = lines.len() / 2;
     lines[mid] = "{\"torn\": tru";
-    let corrupt = temp_path("corrupt.jsonl");
+    let corrupt = dir.join("corrupt.jsonl");
     std::fs::write(&corrupt, lines.join("\n")).expect("corrupt file written");
 
     let out = keylife(&corrupt, &[]);
@@ -282,7 +296,8 @@ fn corrupt_input_is_refused_not_truncated() {
 
 #[test]
 fn bad_arguments_are_rejected() {
-    let out = keylife(&record_file("json"), &["--profiles", "bch-63"]);
+    let dir = Scratch::new("bad_arguments_are_rejected");
+    let out = keylife(&record_file(&dir, "json"), &["--profiles", "bch-63"]);
     assert!(!out.status.success());
     assert!(
         String::from_utf8_lossy(&out.stderr).contains("invalid key profile"),
@@ -298,10 +313,11 @@ fn bad_arguments_are_rejected() {
 
 #[test]
 fn oversized_code_profiles_exit_2_instead_of_allocating() {
+    let dir = Scratch::new("oversized_code_profiles_exit_2_instead_of_allocating");
     // A 2^30-bit polar block is refused by the codeword cap while the
     // profile list is parsed, with the ordinary invalid-profile message.
     let out = keylife(
-        &record_file("json"),
+        &record_file(&dir, "json"),
         &["--profiles", "polar-1073741824-1@1"],
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -309,7 +325,7 @@ fn oversized_code_profiles_exit_2_instead_of_allocating() {
     assert!(stderr.contains("invalid key profile"), "{stderr}");
     // So is a secret whose codeword length overflows usize.
     let out = keylife(
-        &record_file("json"),
+        &record_file(&dir, "json"),
         &["--profiles", "golay-r5@18446744073709551615"],
     );
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -319,6 +335,7 @@ fn oversized_code_profiles_exit_2_instead_of_allocating() {
 
 #[test]
 fn a_device_whose_read_width_changes_is_skipped_not_a_panic() {
+    let dir = Scratch::new("a_device_whose_read_width_changes_is_skipped_not_a_panic");
     // Device 0 enrolls from a 1 024-bit read on 2017-02-08; its 2 048-bit
     // read on 2017-03-08 cannot be compared with that reference.
     let lines: String = [(2u8, 1024usize), (3, 2048)]
@@ -334,7 +351,7 @@ fn a_device_whose_read_width_changes_is_skipped_not_a_panic() {
             record.to_json_line() + "\n"
         })
         .collect();
-    let input = temp_path("width_change.jsonl");
+    let input = dir.join("width_change.jsonl");
     std::fs::write(&input, lines).expect("records written");
     let out = Command::new(env!("CARGO_BIN_EXE_keylife"))
         .args(["--in", input.to_str().unwrap()])

@@ -7,9 +7,8 @@ use puftestbed::store::json::{parse, JsonValue};
 use std::collections::BTreeMap;
 use std::process::Command;
 
-fn temp_path(name: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("pufbench_metrics_{}_{name}", std::process::id()))
-}
+mod common;
+use common::Scratch;
 
 /// A metrics snapshot decoded from the `pufobs/1` JSON schema via the
 /// workspace's own parser — proving the snapshot format round-trips
@@ -68,7 +67,8 @@ impl Snapshot {
 
 #[test]
 fn repro_metrics_satisfy_the_conservation_invariants() {
-    let metrics = temp_path("repro.json");
+    let dir = Scratch::new("repro_metrics_satisfy_the_conservation_invariants");
+    let metrics = dir.join("repro.json");
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
         .args([
             "--scale",
@@ -90,7 +90,6 @@ fn repro_metrics_satisfy_the_conservation_invariants() {
     );
 
     let snap = Snapshot::load(&metrics);
-    std::fs::remove_file(&metrics).ok();
 
     // Every record the campaign emitted reached the accumulator, and every
     // record the accumulator saw was either folded or skipped.
@@ -126,8 +125,9 @@ fn repro_metrics_satisfy_the_conservation_invariants() {
 
 #[test]
 fn assess_metrics_balance_the_reader_ledger() {
-    let records = temp_path("ledger.jsonl");
-    let metrics = temp_path("assess.json");
+    let dir = Scratch::new("assess_metrics_balance_the_reader_ledger");
+    let records = dir.join("ledger.jsonl");
+    let metrics = dir.join("assess.json");
     let out = Command::new(env!("CARGO_BIN_EXE_campaign"))
         .args([
             "--out",
@@ -169,8 +169,6 @@ fn assess_metrics_balance_the_reader_ledger() {
     );
 
     let snap = Snapshot::load(&metrics);
-    std::fs::remove_file(&records).ok();
-    std::fs::remove_file(&metrics).ok();
 
     // The reader ledger balances: every line was parsed or flagged, every
     // dispatched batch was drained, and every parsed record reached the
@@ -199,6 +197,7 @@ fn assess_metrics_balance_the_reader_ledger() {
 
 #[test]
 fn instrumentation_does_not_change_a_byte_of_output() {
+    let dir = Scratch::new("instrumentation_does_not_change_a_byte_of_output");
     // The same campaign with and without `--metrics-out --verbose` must
     // write identical record files, and the same repro invocation must
     // print identical artifacts.
@@ -218,8 +217,8 @@ fn instrumentation_does_not_change_a_byte_of_output() {
     ];
     let mut files = Vec::new();
     for instrumented in [false, true] {
-        let records = temp_path(&format!("bytes_{instrumented}.jsonl"));
-        let metrics = temp_path(&format!("bytes_{instrumented}.json"));
+        let records = dir.join(&format!("bytes_{instrumented}.jsonl"));
+        let metrics = dir.join(&format!("bytes_{instrumented}.json"));
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_campaign"));
         cmd.args(["--out", records.to_str().unwrap()]).args(common);
         if instrumented {
@@ -232,8 +231,6 @@ fn instrumentation_does_not_change_a_byte_of_output() {
             String::from_utf8_lossy(&out.stderr)
         );
         files.push(std::fs::read(&records).expect("records written"));
-        std::fs::remove_file(&records).ok();
-        std::fs::remove_file(&metrics).ok();
     }
     assert!(!files[0].is_empty());
     assert_eq!(
@@ -243,7 +240,7 @@ fn instrumentation_does_not_change_a_byte_of_output() {
 
     let mut stdouts = Vec::new();
     for instrumented in [false, true] {
-        let metrics = temp_path(&format!("repro_bytes_{instrumented}.json"));
+        let metrics = dir.join(&format!("repro_bytes_{instrumented}.json"));
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_repro"));
         cmd.args(["--scale", "smoke", "--seed", "23", "--table1", "--fig6"]);
         if instrumented {
@@ -256,7 +253,6 @@ fn instrumentation_does_not_change_a_byte_of_output() {
             String::from_utf8_lossy(&out.stderr)
         );
         stdouts.push(out.stdout);
-        std::fs::remove_file(&metrics).ok();
     }
     assert!(!stdouts[0].is_empty());
     assert_eq!(

@@ -11,12 +11,11 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-fn temp_path(name: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("pufsup_cli_{}_{name}", std::process::id()))
-}
+mod common;
+use common::Scratch;
 
-fn write_plan(name: &str, body: &str) -> PathBuf {
-    let path = temp_path(name);
+fn write_plan(dir: &Scratch, name: &str, body: &str) -> PathBuf {
+    let path = dir.join(name);
     std::fs::write(&path, body).expect("plan written");
     path
 }
@@ -71,7 +70,8 @@ fn counters(path: &Path) -> BTreeMap<String, u64> {
 
 #[test]
 fn supervised_faulted_campaign_is_byte_identical_to_a_clean_run() {
-    let reference = temp_path("sup_ref.pufrec");
+    let dir = Scratch::new("supervised_faulted_campaign_is_byte_identical_to_a_clean_run");
+    let reference = dir.join("sup_ref.pufrec");
     let out = run(env!("CARGO_BIN_EXE_campaign"), &campaign_args(&reference));
     assert!(
         out.status.success(),
@@ -83,13 +83,14 @@ fn supervised_faulted_campaign_is_byte_identical_to_a_clean_run() {
     // An aggressive plan that disarms itself at incarnation 4, so the
     // supervised run provably terminates within the restart budget.
     let plan = write_plan(
+        &dir,
         "sup_plan.json",
         r#"{"seed": 9, "torn_write_rate": 0.2, "fsync_failure_rate": 0.1,
             "rename_failure_rate": 0.1, "max_incarnations": 4}"#,
     );
-    let faulted = temp_path("sup_faulted.pufrec");
-    let ckpt = temp_path("sup_ck.pufchk");
-    let metrics = temp_path("sup_metrics.json");
+    let faulted = dir.join("sup_faulted.pufrec");
+    let ckpt = dir.join("sup_ck.pufchk");
+    let metrics = dir.join("sup_metrics.json");
     let mut args = strs(&[
         "--max-restarts",
         "8",
@@ -133,9 +134,10 @@ fn supervised_faulted_campaign_is_byte_identical_to_a_clean_run() {
 
 #[test]
 fn quarantined_checkpoint_falls_back_a_generation() {
+    let dir = Scratch::new("quarantined_checkpoint_falls_back_a_generation");
     // Interrupt a campaign so real checkpoint generations exist.
-    let out_path = temp_path("quar.pufrec");
-    let ckpt = temp_path("quar_ck.pufchk");
+    let out_path = dir.join("quar.pufrec");
+    let ckpt = dir.join("quar_ck.pufchk");
     let mut args = campaign_args(&out_path);
     args.extend(strs(&[
         "--checkpoint-out",
@@ -161,7 +163,7 @@ fn quarantined_checkpoint_falls_back_a_generation() {
     newest[mid] ^= 0xFF;
     std::fs::write(&ckpt, &newest).unwrap();
 
-    let metrics = temp_path("quar_metrics.json");
+    let metrics = dir.join("quar_metrics.json");
     let mut args = strs(&[
         "--max-restarts",
         "3",
@@ -195,7 +197,7 @@ fn quarantined_checkpoint_falls_back_a_generation() {
     );
 
     // And the final output still matches a clean, uninterrupted run.
-    let reference = temp_path("quar_ref.pufrec");
+    let reference = dir.join("quar_ref.pufrec");
     let out = run(env!("CARGO_BIN_EXE_campaign"), &campaign_args(&reference));
     assert!(out.status.success());
     assert_eq!(
@@ -206,8 +208,9 @@ fn quarantined_checkpoint_falls_back_a_generation() {
 
 #[test]
 fn fsck_exit_codes_are_honest() {
+    let dir = Scratch::new("fsck_exit_codes_are_honest");
     // A clean file verifies clean: exit 0.
-    let clean = temp_path("fsck_clean.pufrec");
+    let clean = dir.join("fsck_clean.pufrec");
     let out = run(env!("CARGO_BIN_EXE_campaign"), &campaign_args(&clean));
     assert!(out.status.success());
     let out = run(
@@ -222,7 +225,7 @@ fn fsck_exit_codes_are_honest() {
     );
 
     // Mangled, verify-only: damage detected, nothing repaired — exit 4.
-    let mangled = temp_path("fsck_mangled.pufrec");
+    let mangled = dir.join("fsck_mangled.pufrec");
     let mut bytes = std::fs::read(&clean).unwrap();
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0xFF;
@@ -240,7 +243,7 @@ fn fsck_exit_codes_are_honest() {
 
     // Mangled with --repair: damaged but salvaged — exit 1, and the
     // journal accounts for every byte of the damaged input.
-    let repaired = temp_path("fsck_repaired.pufrec");
+    let repaired = dir.join("fsck_repaired.pufrec");
     let out = run(
         env!("CARGO_BIN_EXE_convert"),
         &strs(&[
@@ -307,6 +310,7 @@ fn fsck_exit_codes_are_honest() {
 
 #[test]
 fn io_counters_conserve_on_real_snapshots() {
+    let dir = Scratch::new("io_counters_conserve_on_real_snapshots");
     // Absorption: max_faults 0 absorbs every draw, so the run completes
     // with a byte-identical output while the ledger records the faults
     // that would have fired.
@@ -314,17 +318,18 @@ fn io_counters_conserve_on_real_snapshots() {
     // halves of this test independent of the pid-salted temp-file name
     // that the fault schedule is keyed on.
     let plan = write_plan(
+        &dir,
         "absorb_plan.json",
         r#"{"seed": 5, "torn_write_rate": 1.0, "enospc_rate": 1.0,
             "fsync_failure_rate": 1.0, "rename_failure_rate": 1.0,
             "short_read_rate": 1.0, "max_faults": 0}"#,
     );
-    let reference = temp_path("cons_ref.pufrec");
+    let reference = dir.join("cons_ref.pufrec");
     let out = run(env!("CARGO_BIN_EXE_campaign"), &campaign_args(&reference));
     assert!(out.status.success());
 
-    let absorbed_out = temp_path("cons_absorbed.pufrec");
-    let metrics = temp_path("cons_metrics.json");
+    let absorbed_out = dir.join("cons_absorbed.pufrec");
+    let metrics = dir.join("cons_metrics.json");
     let mut args = campaign_args(&absorbed_out);
     args.extend(strs(&[
         "--io-faults",
@@ -353,9 +358,13 @@ fn io_counters_conserve_on_real_snapshots() {
 
     // Injection: an uncapped aggressive plan fails the run, and the
     // failure-path snapshot still balances the ledger by mechanism.
-    let plan = write_plan("inject_plan.json", r#"{"seed": 5, "torn_write_rate": 1.0}"#);
-    let injected_out = temp_path("cons_injected.pufrec");
-    let metrics = temp_path("cons_inject_metrics.json");
+    let plan = write_plan(
+        &dir,
+        "inject_plan.json",
+        r#"{"seed": 5, "torn_write_rate": 1.0}"#,
+    );
+    let injected_out = dir.join("cons_injected.pufrec");
+    let metrics = dir.join("cons_inject_metrics.json");
     let mut args = campaign_args(&injected_out);
     args.extend(strs(&[
         "--io-faults",

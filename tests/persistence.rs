@@ -7,6 +7,16 @@ use sram_puf_longterm::puftestbed::store::{read_json_lines, JsonLinesSink};
 use sram_puf_longterm::puftestbed::{Campaign, CampaignConfig};
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
+use std::path::PathBuf;
+
+/// Removes its file when dropped, also when an assertion fails first.
+struct RemovedOnDrop(PathBuf);
+
+impl Drop for RemovedOnDrop {
+    fn drop(&mut self) {
+        std::fs::remove_file(&self.0).ok();
+    }
+}
 
 #[test]
 fn campaign_streams_to_disk_and_replays_identically() {
@@ -27,6 +37,7 @@ fn campaign_streams_to_disk_and_replays_identically() {
         "sram_puf_longterm_records_{}.jsonl",
         std::process::id()
     ));
+    let _cleanup = RemovedOnDrop(path.clone());
 
     // Stream the campaign straight to disk.
     let mut campaign = Campaign::new(config.clone(), 9001);
@@ -52,8 +63,6 @@ fn campaign_streams_to_disk_and_replays_identically() {
     let direct_records = Campaign::new(config, 9001).run_in_memory();
     let direct = Assessment::from_records(&direct_records, &protocol).unwrap();
     assert_eq!(replayed, direct);
-
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
