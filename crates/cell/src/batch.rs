@@ -137,30 +137,44 @@ impl PowerUpKernel {
         self.ones.resize(sram.len().div_ceil(64), 0);
         self.listed.clear();
         self.thresholds.clear();
+        // Room for every cell at once: grown by doubling on a campaign's
+        // worker threads, the list left freed blocks among the records,
+        // and a later key-lifetime fold in the same process peaked 5 MB
+        // higher in about a third of runs.
+        self.listed.reserve_exact(sram.len());
+        self.thresholds.reserve_exact(sram.len());
         for (i, cell) in sram.cells().iter().enumerate() {
-            match threshold(cell.mismatch() / noise_sigma) {
-                Ok(q) => {
+            match Read::of(cell.mismatch() / noise_sigma) {
+                Read::Below(q) => {
                     let i = u32::try_from(i).expect("an array has fewer than 2^32 cells");
                     self.listed.push(i);
                     self.thresholds.push(q);
                 }
-                Err(bit) => self.ones[i / 64] |= u64::from(bit) << (i % 64),
+                Read::Always(bit) => self.ones[i / 64] |= u64::from(bit) << (i % 64),
             }
         }
         self.cache_key = Some(key);
     }
 }
 
-/// The draw threshold `q` of a cell at `x = mismatch / noise_sigma` (module
-/// docs): `Ok(q)` with `0 < q < 2⁶⁴`, or `Err(bit)` for a cell that always
-/// reads `bit`.
-fn threshold(x: f64) -> Result<u64, bool> {
-    // The probability of the less likely bit, rounded down; NaN gives 0.
-    let tail = (phi_complement(x.abs()) * TWO_POW_64) as u64;
-    match (tail, x > 0.0) {
-        (0, above) => Err(above),
-        (tail, false) => Ok(tail),
-        (tail, true) => Ok(tail.wrapping_neg()),
+/// How a cell at `x = mismatch / noise_sigma` reads (module docs).
+#[derive(Debug, PartialEq)]
+enum Read {
+    /// Always this bit: the other one's probability rounds down to 0.
+    Always(bool),
+    /// 1 when a raw RNG word is below `q`, with `0 < q < 2⁶⁴`.
+    Below(u64),
+}
+
+impl Read {
+    fn of(x: f64) -> Self {
+        // The probability of the less likely bit, rounded down; NaN gives 0.
+        let tail = (phi_complement(x.abs()) * TWO_POW_64) as u64;
+        match (tail, x > 0.0) {
+            (0, above) => Read::Always(above),
+            (tail, false) => Read::Below(tail),
+            (tail, true) => Read::Below(tail.wrapping_neg()),
+        }
     }
 }
 
@@ -360,16 +374,17 @@ mod tests {
         let (mut lo, mut hi) = (9.0f64.to_bits(), 9.5f64.to_bits());
         while hi - lo > 1 {
             let mid = lo + (hi - lo) / 2;
-            if threshold(f64::from_bits(mid)).is_ok() {
+            if let Read::Below(_) = Read::of(f64::from_bits(mid)) {
                 lo = mid;
             } else {
                 hi = mid;
             }
         }
         let edge = f64::from_bits(lo);
-        assert_eq!(threshold(edge.next_up()), Err(true));
-        assert_eq!(threshold(-edge.next_up()), Err(false));
-        assert!(threshold(edge).is_ok() && threshold(-edge).is_ok());
+        assert_eq!(Read::of(edge.next_up()), Read::Always(true));
+        assert_eq!(Read::of(-edge.next_up()), Read::Always(false));
+        assert_eq!(Read::of(edge), Read::Below(u64::MAX));
+        assert_eq!(Read::of(-edge), Read::Below(1));
 
         // Signed zeros, subnormals, the cells either side of both
         // saturation edges, and tails that underflow.
