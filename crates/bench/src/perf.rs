@@ -270,11 +270,11 @@ pub fn run_quick(seed: u64) -> PerfReport {
 }
 
 /// The `power_up` suite: 64 read-outs of the paper's 8 192-bit ATmega32u4
-/// array through the campaign engine's [`PowerUpKernel`] (cached
-/// thresholds and preferred bits, block noise scaled only where a cell
-/// can flip, word packing) against the per-cell
-/// [`SramArray::power_up`] reference. The kernel's threshold cache is warm,
-/// as it is for every read of a measurement window after the first.
+/// array through the campaign engine's [`PowerUpKernel`] (a cached mask of
+/// the always-1 cells and one raw RNG word per cell that can read either
+/// way, word packing) against the per-cell [`SramArray::power_up`]
+/// reference, one polar Box–Muller normal per cell. The kernel's cache is
+/// warm, as it is for every read of a measurement window after the first.
 fn power_up(seed: u64, iters: u32) -> SuiteTiming {
     const READS: u64 = 64;
     let profile = TechnologyProfile::atmega32u4();
