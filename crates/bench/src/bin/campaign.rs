@@ -47,10 +47,10 @@
 //! older intact generation to fall back to. Without `--io-faults` every
 //! byte written is identical to a build without the fault layer.
 
-use pufbench::{campaign_total_cycles, cli, metrics, reopen_for_resume_with, FormatSink};
+use pufbench::{campaign_total_cycles, cli, metrics, reopen_for_resume_with, start_campaign};
 use pufobs::Instruments;
-use puftestbed::store::{checkpoint, IoFaultPlan, IoPolicy, RecordFormat};
-use puftestbed::{Campaign, CampaignConfig, FaultPlan, MAX_BOARDS};
+use puftestbed::store::{IoFaultPlan, IoPolicy, RecordFormat};
+use puftestbed::{CampaignConfig, FaultPlan, MAX_BOARDS};
 use std::path::Path;
 use std::process::exit;
 
@@ -174,43 +174,18 @@ fn main() {
     let declared_bits = u32::try_from(config.read_bits).unwrap_or(0);
     let total_cycles = campaign_total_cycles(&config);
 
-    // Validate the resume (config hash, state consistency) BEFORE touching
-    // the output file, so a refused resume leaves the partial output alone.
-    let resume_state = resume_from.as_ref().map(|ckpt| {
-        checkpoint::read_file(Path::new(ckpt)).unwrap_or_else(|e| {
-            eprintln!("cannot resume from {ckpt}: {e}");
-            exit(1);
-        })
-    });
-    let mut campaign = match &resume_state {
-        Some(state) => {
-            let campaign = Campaign::resume(config, seed, state).unwrap_or_else(|e| {
-                eprintln!(
-                    "cannot resume from {}: {e}",
-                    resume_from.as_deref().unwrap_or_default()
-                );
-                exit(1);
-            });
-            eprintln!(
-                "resuming at window {} with {} records already on disk",
-                state.next_window, state.summary.records
-            );
-            campaign
-        }
-        None => Campaign::new(config, seed),
-    }
-    .threads(threads);
-    let mut sink = match &resume_state {
-        Some(state) => reopen_for_resume_with(
-            &out,
-            format,
-            declared_bits,
-            state.summary.records,
-            None,
-            io_policy.clone(),
-        ),
-        None => FormatSink::create_with(&out, format, declared_bits, io_policy.clone()),
-    }
+    // The resume is validated (config hash, state consistency) BEFORE the
+    // output file is touched, so a refused resume leaves it alone.
+    let (campaign, on_disk) = start_campaign(config, seed, resume_from.as_deref());
+    let mut campaign = campaign.threads(threads);
+    let mut sink = reopen_for_resume_with(
+        &out,
+        format,
+        declared_bits,
+        on_disk,
+        None,
+        io_policy.clone(),
+    )
     .unwrap_or_else(|e| {
         eprintln!("cannot open {out}: {e}");
         write_metrics_snapshot(&metrics_out, &obs);

@@ -13,9 +13,12 @@
 //!
 //! Artifacts are printed to stdout; `--fig4` additionally writes
 //! `fig4_startup_pattern.pgm` under `--out-dir` (default `examples/out`,
-//! created on demand). `--records-out` tees the campaign's records to a
-//! file in the chosen `--format` (default json) while the same pass feeds
-//! the assessment — re-assessing that file reproduces the printed tables.
+//! created on demand). The campaign runs once and feeds every selected
+//! artifact: one pass streams into the assessment (`--fig5`, `--fig6`,
+//! `--table1`) and the key-lifetime workload (`--keylife`), each only when
+//! selected. `--records-out` tees the same pass's records to a file in the
+//! chosen `--format` (default json) — re-assessing that file reproduces
+//! the printed tables.
 //! `--metrics-out` dumps the `pufobs` pipeline snapshot (campaign and
 //! accumulator counters) as JSON after the run; `--verbose` prints a
 //! once-per-second progress heartbeat to stderr. None of these change the
@@ -42,14 +45,14 @@
 
 use pufassess::report::{self, Series};
 use pufassess::streaming::WindowAccumulator;
-use pufassess::visualize;
+use pufassess::{visualize, KeyLifeAccumulator};
 use pufbench::{
-    campaign_total_cycles, cli, default_threads, metrics, reopen_for_resume_with,
-    run_keylife_streaming_with, FormatSink, Scale,
+    campaign_total_cycles, cli, default_threads, metrics, reopen_for_resume_with, start_campaign,
+    Scale,
 };
 use pufobs::Instruments;
-use puftestbed::store::{checkpoint, IoFaultPlan, IoPolicy, RecordFormat, TeeSink};
-use puftestbed::{Campaign, PowerWaveform};
+use puftestbed::store::{IoFaultPlan, IoPolicy, RecordFormat, TeeSink};
+use puftestbed::PowerWaveform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sramaging::accelerated;
@@ -122,10 +125,10 @@ fn main() {
         );
         std::process::exit(2);
     }
-    let runs_campaign = ["fig5", "fig6", "table1"]
+    let assesses = ["fig5", "fig6", "table1"]
         .iter()
         .any(|a| artifacts.contains(a));
-    if !runs_campaign
+    if !assesses
         && (records_out.is_some()
             || checkpoint_out.is_some()
             || resume_from.is_some()
@@ -181,7 +184,8 @@ fn main() {
         }
     });
 
-    if runs_campaign {
+    let keylife = artifacts.contains("keylife");
+    if assesses || keylife {
         eprintln!("running campaign at {scale:?} scale (seed {seed}, {threads} threads)…");
         let heartbeat = if verbose {
             obs.as_ref().map(|ins| {
@@ -191,114 +195,68 @@ fn main() {
         } else {
             None
         };
-        // Streamed: records fold into the assessment as the campaign emits
-        // them, so even paper scale never holds the dataset in memory.
-        // Validate a resume (config hash, state consistency) BEFORE
-        // touching the output file, so a refused resume leaves the partial
-        // output alone.
-        let resume_state = resume_from.as_ref().map(|ckpt| {
-            checkpoint::read_file(Path::new(ckpt)).unwrap_or_else(|e| {
-                eprintln!("cannot resume from {ckpt}: {e}");
-                std::process::exit(1);
-            })
+        let (campaign, on_disk) =
+            start_campaign(scale.campaign_config(), seed, resume_from.as_deref());
+        let mut campaign = campaign.threads(threads);
+        if let Some(ins) = &obs {
+            campaign = campaign.instruments(ins);
+        }
+        if let Some(ckpt) = &checkpoint_out {
+            campaign = campaign.checkpoints(checkpoint_every.unwrap_or(1), ckpt);
+        }
+        if let Some(policy) = &io_policy {
+            campaign = campaign.io_policy(policy.clone());
+        }
+        if let Some(n) = halt_after {
+            campaign = campaign.halt_after_windows(n);
+        }
+        // One pass, streamed: records fold into the selected accumulators
+        // as the campaign emits them, so even paper scale never holds the
+        // dataset in memory.
+        let mut assessment = assesses.then(|| WindowAccumulator::new(scale.protocol()));
+        let mut life = keylife.then(|| KeyLifeAccumulator::new(scale.keylife_config(seed)));
+        if let (Some(ins), Some(accumulator)) = (&obs, &mut assessment) {
+            accumulator.attach_instruments(ins);
+        }
+        if let (Some(ins), Some(accumulator)) = (&obs, &mut life) {
+            accumulator.attach_instruments(ins);
+        }
+        let mut folds = TeeSink::new(&mut assessment, &mut life);
+        // On resume, the salvage replays the head of the stream into the
+        // folds, so they see the complete campaign despite the interruption.
+        let mut records = records_out.as_deref().map(|path| {
+            let declared = u32::try_from(scale.campaign_config().read_bits).unwrap_or(0);
+            let policy = io_policy.clone();
+            reopen_for_resume_with(path, format, declared, on_disk, Some(&mut folds), policy)
+                .unwrap_or_else(|e| {
+                    eprintln!("cannot open {path}: {e}");
+                    std::process::exit(1);
+                })
         });
-        let assessment = {
-            let mut campaign = match &resume_state {
-                Some(state) => {
-                    let campaign = Campaign::resume(scale.campaign_config(), seed, state)
-                        .unwrap_or_else(|e| {
-                            eprintln!(
-                                "cannot resume from {}: {e}",
-                                resume_from.as_deref().unwrap_or_default()
-                            );
-                            std::process::exit(1);
-                        });
-                    eprintln!(
-                        "resuming at window {} with {} records already on disk",
-                        state.next_window, state.summary.records
-                    );
-                    campaign
-                }
-                None => Campaign::new(scale.campaign_config(), seed),
-            }
-            .threads(threads);
-            if let Some(ins) = &obs {
-                campaign = campaign.instruments(ins);
-            }
-            if let Some(ckpt) = &checkpoint_out {
-                campaign = campaign.checkpoints(checkpoint_every.unwrap_or(1), ckpt);
-            }
-            if let Some(policy) = &io_policy {
-                campaign = campaign.io_policy(policy.clone());
-            }
-            if let Some(n) = halt_after {
-                campaign = campaign.halt_after_windows(n);
-            }
-            let mut accumulator = WindowAccumulator::new(scale.protocol());
-            if let Some(ins) = &obs {
-                accumulator.attach_instruments(ins);
-            }
-            match records_out.as_deref() {
-                Some(path) => {
-                    let declared = u32::try_from(scale.campaign_config().read_bits).unwrap_or(0);
-                    // On resume, the salvage pass replays the head of the
-                    // stream into the accumulator, so the assessment sees
-                    // the complete campaign despite the interruption.
-                    let mut sink = match &resume_state {
-                        Some(state) => reopen_for_resume_with(
-                            path,
-                            format,
-                            declared,
-                            state.summary.records,
-                            Some(&mut accumulator),
-                            io_policy.clone(),
-                        ),
-                        None => FormatSink::create_with(path, format, declared, io_policy.clone()),
-                    }
-                    .unwrap_or_else(|e| {
-                        eprintln!("cannot open {path}: {e}");
-                        std::process::exit(1);
-                    });
-                    {
-                        let mut tee = TeeSink::new(&mut accumulator, &mut sink);
-                        campaign.run(&mut tee).unwrap_or_else(|e| {
-                            eprintln!("recording records to {path} failed: {e}");
-                            std::process::exit(1);
-                        });
-                    }
-                    let written = sink.written();
-                    if let Err(e) = sink.finish() {
-                        eprintln!("flush of {path} failed: {e}");
-                        std::process::exit(1);
-                    }
-                    eprintln!("wrote {written} records to {path} ({format} format)");
-                }
-                None => {
-                    campaign
-                        .run(&mut accumulator)
-                        .expect("accumulator sink cannot fail");
-                }
-            }
-            if campaign.completed() {
-                Some(
-                    accumulator
-                        .finish()
-                        .expect("built-in scales produce assessable datasets"),
-                )
-            } else {
-                if let Some(ckpt) = &checkpoint_out {
-                    let summary = campaign.summary_so_far();
-                    eprintln!(
-                        "halted after {} windows ({} records so far); continue with \
-                         --resume-from {ckpt} to finish and print the tables",
-                        summary.windows, summary.records
-                    );
-                }
-                None
-            }
-        };
+        if let Err(e) = campaign.run(&mut TeeSink::new(&mut folds, &mut records)) {
+            // Only the records file can fail; the accumulators take any record.
+            let path = records_out.as_deref().unwrap_or_default();
+            eprintln!("recording records to {path} failed: {e}");
+            std::process::exit(1);
+        }
         drop(heartbeat);
-        let Some(assessment) = assessment else {
+        if let (Some(sink), Some(path)) = (records, &records_out) {
+            let written = sink.written();
+            if let Err(e) = sink.finish() {
+                eprintln!("flush of {path} failed: {e}");
+                std::process::exit(1);
+            }
+            eprintln!("wrote {written} records to {path} ({format} format)");
+        }
+        if !campaign.completed() {
+            if let Some(ckpt) = &checkpoint_out {
+                let summary = campaign.summary_so_far();
+                eprintln!(
+                    "halted after {} windows ({} records so far); continue with \
+                     --resume-from {ckpt} to finish and print the tables",
+                    summary.windows, summary.records
+                );
+            }
             if let (Some(path), Some(ins)) = (&metrics_out, &obs) {
                 if let Err(e) = metrics::write_metrics(path, ins) {
                     eprintln!("cannot write {path}: {e}");
@@ -306,36 +264,38 @@ fn main() {
                 }
             }
             return;
-        };
-        if artifacts.contains("fig5") {
-            println!("\n=== Fig. 5: fractional HD / HW distributions at the start ===\n");
-            println!("{}", report::fig5_text(assessment.initial_quality(), 48));
         }
-        if artifacts.contains("fig6") {
-            println!("\n=== Fig. 6: development of qualities over the aging test ===\n");
-            for series in [
-                Series::Wchd,
-                Series::Fhw,
-                Series::NoiseEntropy,
-                Series::PufEntropy,
-            ] {
-                println!("{}", report::fig6_text(&assessment, series, 40));
+        if let Some(accumulator) = assessment {
+            let assessment = accumulator
+                .finish()
+                .expect("built-in scales produce assessable datasets");
+            if artifacts.contains("fig5") {
+                println!("\n=== Fig. 5: fractional HD / HW distributions at the start ===\n");
+                println!("{}", report::fig5_text(assessment.initial_quality(), 48));
+            }
+            if artifacts.contains("fig6") {
+                println!("\n=== Fig. 6: development of qualities over the aging test ===\n");
+                for series in [
+                    Series::Wchd,
+                    Series::Fhw,
+                    Series::NoiseEntropy,
+                    Series::PufEntropy,
+                ] {
+                    println!("{}", report::fig6_text(&assessment, series, 40));
+                }
+            }
+            if artifacts.contains("table1") {
+                println!("\n=== Table I ===\n");
+                println!("{}", assessment.table1().render());
             }
         }
-        if artifacts.contains("table1") {
-            println!("\n=== Table I ===\n");
-            println!("{}", assessment.table1().render());
+        if let Some(accumulator) = life {
+            let life = accumulator
+                .finish()
+                .expect("built-in scales produce evaluable datasets");
+            println!("\n=== key-lifetime workload (enroll month 0, replay the rest) ===\n");
+            print!("{}", life.render_table());
         }
-    }
-
-    if artifacts.contains("keylife") {
-        // A second deterministic pass over the same campaign (same seed →
-        // identical records), streamed into the key-lifetime workload: the
-        // enrolled keys must survive every later month.
-        eprintln!("replaying campaign through the key-lifetime workload…");
-        let life = run_keylife_streaming_with(scale, seed, threads, seed, obs.as_ref());
-        println!("\n=== key-lifetime workload (enroll month 0, replay the rest) ===\n");
-        print!("{}", life.render_table());
     }
 
     if let (Some(path), Some(ins)) = (&metrics_out, &obs) {

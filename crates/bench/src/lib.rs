@@ -2,11 +2,11 @@
 //!
 //! The `repro` binary regenerates the paper's tables and figures from the
 //! scenarios here; `campaign`, `assess`, `keylife`, `convert` and
-//! `supervise` share its record-file sink, resume salvage, metrics and flag
-//! parsing ([`cli`]). Performance is measured in two places: [`perf`] (the
-//! `benchperf` binary) times each hot kernel against its reference, and the
-//! `pipebench` package (`BENCHMARK.json`) times the whole pipeline end to
-//! end, layer by layer. Scales:
+//! `supervise` share its record-file sink, campaign start and resume
+//! salvage, metrics and flag parsing ([`cli`]). Performance is measured in
+//! two places: [`perf`] (the `benchperf` binary) times each hot kernel
+//! against its reference, and the `pipebench` package (`BENCHMARK.json`)
+//! times the whole pipeline end to end, layer by layer. Scales:
 //!
 //! * [`Scale::Smoke`] — seconds; CI-sized sanity run.
 //! * [`Scale::Small`] — tens of seconds; trends clearly visible.
@@ -20,7 +20,8 @@ use pufobs::Instruments;
 use puftestbed::store::atomic::tmp_path;
 use puftestbed::store::iofault::FaultyReader;
 use puftestbed::store::{
-    AnyRecordReader, AtomicFile, BinarySink, IoPolicy, JsonLinesSink, RecordFormat, RecordSink,
+    checkpoint, AnyRecordReader, AtomicFile, BinarySink, IoPolicy, JsonLinesSink, RecordFormat,
+    RecordSink,
 };
 use puftestbed::{Campaign, CampaignConfig, Record};
 use std::fs;
@@ -122,7 +123,7 @@ pub fn default_threads() -> usize {
 
 /// Runs the campaign and the full in-memory assessment pipeline at `scale`
 /// sequentially: the collected-records reference the streaming
-/// [`run_assessment_streaming`] is checked against.
+/// [`run_assessment_streaming_with`] is checked against.
 ///
 /// # Panics
 ///
@@ -137,19 +138,13 @@ pub fn run_assessment(scale: Scale, seed: u64) -> Assessment {
 /// the streaming [`WindowAccumulator`] — no dataset is materialised, so
 /// peak memory is bounded by the per-window state regardless of how many
 /// records the campaign emits. The result is identical to
-/// [`run_assessment`] at the same scale and seed.
+/// [`run_assessment`] at the same scale and seed. With `instruments`, the
+/// campaign maintains `campaign.*` metrics and the accumulator `assess.*`
+/// metrics; the assessment is identical with or without them.
 ///
-/// # Panics
-///
-/// Panics if the assessment fails (cannot happen for the built-in scales).
-pub fn run_assessment_streaming(scale: Scale, seed: u64, threads: usize) -> Assessment {
-    run_assessment_streaming_with(scale, seed, threads, None)
-}
-
-/// [`run_assessment_streaming`] with an optional instrument registry wired
-/// through the whole pipe: the campaign maintains `campaign.*` metrics and
-/// the accumulator `assess.*` metrics. The assessment is identical with or
-/// without instruments.
+/// Pipebench's `repro` workload and the golden test call this; the `repro`
+/// binary feeds this accumulator and the key-lifetime one from a single
+/// campaign instead.
 ///
 /// # Panics
 ///
@@ -179,6 +174,9 @@ pub fn run_assessment_streaming_with(
 /// profile from its first eligible read and every later device-month
 /// replays through reconstruction. The report is identical for every
 /// thread count, and identical with or without `instruments`.
+///
+/// Like [`run_assessment_streaming_with`], pipebench's `repro` workload
+/// calls this; the `repro` binary folds keys in its one campaign pass.
 ///
 /// # Panics
 ///
@@ -365,6 +363,36 @@ impl RecordSink for FormatSink {
             Self::Binary(s) => RecordSink::flush(s),
         }
     }
+}
+
+/// Starts the campaign of `config` and `seed`: a new one, or, with
+/// `resume_from`, the one that `pufchk/1` checkpoint left off, announced on
+/// stderr. Returns it with the number of records the checkpoint says are
+/// already on disk (0 for a new campaign), the count
+/// [`reopen_for_resume_with`] salvages.
+///
+/// A checkpoint that cannot be read or belongs to another campaign exits
+/// the process with status 1 before any output is touched, so a refused
+/// resume leaves the partial output alone.
+pub fn start_campaign(
+    config: CampaignConfig,
+    seed: u64,
+    resume_from: Option<&str>,
+) -> (Campaign, u64) {
+    let Some(ckpt) = resume_from else {
+        return (Campaign::new(config, seed), 0);
+    };
+    let (campaign, state) = checkpoint::read_file(Path::new(ckpt))
+        .and_then(|state| Ok((Campaign::resume(config, seed, &state)?, state)))
+        .unwrap_or_else(|e| {
+            eprintln!("cannot resume from {ckpt}: {e}");
+            std::process::exit(1);
+        });
+    eprintln!(
+        "resuming at window {} with {} records already on disk",
+        state.next_window, state.summary.records
+    );
+    (campaign, state.summary.records)
 }
 
 /// Reopens a campaign output file for a checkpoint resume.
@@ -631,7 +659,7 @@ mod tests {
 
     #[test]
     fn streaming_assessment_matches_in_memory() {
-        let streamed = run_assessment_streaming(Scale::Smoke, 1, 2);
+        let streamed = run_assessment_streaming_with(Scale::Smoke, 1, 2, None);
         let in_memory = run_assessment(Scale::Smoke, 1);
         assert_eq!(streamed, in_memory);
     }

@@ -15,7 +15,7 @@
 //! ```
 
 use pufassess::report::{self, Series};
-use pufbench::{run_assessment_streaming, Scale};
+use pufbench::{run_assessment_streaming_with, Scale};
 use pufkeygen::sha256;
 use puftestbed::faults::{Brownout, I2cBurst, LayerSkew, StuckCluster};
 use puftestbed::{Campaign, CampaignConfig, FaultPlan};
@@ -54,7 +54,7 @@ fn check_golden(name: &str, actual: &str) {
 fn fixed_seed_smoke_pipeline_matches_the_golden_files() {
     // Two threads on purpose: the goldens also lock in that the sharded
     // campaign and the deterministic merge stay thread-count invariant.
-    let assessment = run_assessment_streaming(Scale::Smoke, 2017, 2);
+    let assessment = run_assessment_streaming_with(Scale::Smoke, 2017, 2, None);
 
     check_golden("table1.txt", &assessment.table1().render());
     check_golden("aggregates.csv", &report::aggregate_csv(&assessment));

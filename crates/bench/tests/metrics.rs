@@ -78,6 +78,7 @@ fn repro_metrics_satisfy_the_conservation_invariants() {
             "--threads",
             "3",
             "--table1",
+            "--keylife",
             "--metrics-out",
             metrics.to_str().unwrap(),
         ])
@@ -91,11 +92,16 @@ fn repro_metrics_satisfy_the_conservation_invariants() {
 
     let snap = Snapshot::load(&metrics);
 
-    // Every record the campaign emitted reached the accumulator, and every
-    // record the accumulator saw was either folded or skipped.
+    // One campaign pass feeds both accumulators: every record it emitted
+    // reached each of them once, and every record the assessment saw was
+    // either folded or skipped.
     assert_eq!(
         snap.counter("campaign.records"),
         snap.counter("assess.records_seen")
+    );
+    assert_eq!(
+        snap.counter("keylife.records_seen"),
+        snap.counter("campaign.records")
     );
     assert_eq!(
         snap.counter("assess.records_seen"),
@@ -121,6 +127,39 @@ fn repro_metrics_satisfy_the_conservation_invariants() {
     // No transport faults were injected, so none may be counted.
     assert_eq!(snap.counter("campaign.dropped"), 0);
     assert_eq!(snap.counter("campaign.i2c_faults"), 0);
+}
+
+#[test]
+fn repro_folds_only_what_its_artifacts_need() {
+    let dir = Scratch::new("repro_folds_only_what_its_artifacts_need");
+    for (artifact, folded, left_out) in [
+        ("--table1", "assess", "keylife"),
+        ("--keylife", "keylife", "assess"),
+    ] {
+        let metrics = dir.join(&format!("{folded}.json"));
+        let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["--scale", "smoke", "--seed", "7", artifact])
+            .args(["--metrics-out", metrics.to_str().unwrap()])
+            .output()
+            .expect("repro runs");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let snap = Snapshot::load(&metrics);
+        assert_eq!(
+            snap.counter(&format!("{folded}.records_seen")),
+            snap.counter("campaign.records")
+        );
+        assert!(
+            !snap
+                .counters
+                .keys()
+                .any(|name| name.starts_with(&format!("{left_out}."))),
+            "{artifact} alone fed the {left_out} accumulator"
+        );
+    }
 }
 
 #[test]

@@ -447,6 +447,18 @@ impl<S: RecordSink + ?Sized> RecordSink for &mut S {
     }
 }
 
+/// A sink that may be absent: `None` accepts and drops every record, so one
+/// [`TeeSink`] of `Option`s stands for any choice of optional consumers.
+impl<S: RecordSink> RecordSink for Option<S> {
+    fn record(&mut self, record: &Record) -> io::Result<()> {
+        self.as_mut().map_or(Ok(()), |sink| sink.record(record))
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.as_mut().map_or(Ok(()), RecordSink::flush)
+    }
+}
+
 /// Sink duplicating every record to two sinks, in order (e.g. feed the
 /// streaming assessor while also persisting the raw records to disk).
 #[derive(Debug)]
@@ -1003,6 +1015,17 @@ mod tests {
             .collect::<Result<_, _>>()
             .unwrap();
         assert_eq!(back, records);
+    }
+
+    #[test]
+    fn option_sink_forwards_when_present_and_drops_when_absent() {
+        let records: Vec<Record> = (0..3).map(|i| sample(i % 2, u64::from(i))).collect();
+        let mut tee = TeeSink::new(Some(Vec::<Record>::new()), None::<Vec<Record>>);
+        for r in &records {
+            tee.record(r).unwrap();
+        }
+        tee.flush().unwrap();
+        assert_eq!(tee.into_inner(), (Some(records), None));
     }
 
     #[test]
