@@ -4,12 +4,14 @@
 //! against its per-bit scalar oracle (`pufbits::kernel::scalar`) on the same
 //! fixed-seed data, except `power_up`, which times the campaign engine's
 //! batched power-up kernel against the per-cell `SramArray::power_up`
-//! reference, and `normal_cdf`, which times the rational `erfc` kernel under
-//! `Phi` against its incomplete-gamma oracle. The end-to-end
-//! suite times the production decode + fold pipeline (canonical-layout JSON
-//! scanner, block-transpose counters, popcount Hamming kernels) against the
-//! reference pipeline (tree-parsing decoder, per-set-bit counter, per-bit
-//! distance scans) over the same record stream. Results render as a
+//! reference, `normal_cdf`, which times the rational `erfc` kernel under
+//! `Phi` against its incomplete-gamma oracle, and `json_encode`, which times
+//! the record writer's word-wise hex against per-byte formatting. The
+//! end-to-end suite times the production decode + fold pipeline
+//! (canonical-layout JSON scanner, block-transpose counters, popcount
+//! Hamming kernels) against the reference pipeline (tree-parsing decoder,
+//! per-set-bit counter, per-bit distance scans) over the same record
+//! stream. Results render as a
 //! `bench-perf/1` JSON document; the repository commits one as
 //! `BENCH_kernels.json` and CI fails when any suite's speedup ratio
 //! collapses by more than 2× against it.
@@ -23,7 +25,7 @@ use pufassess::Assessment;
 use pufbits::{kernel, BitVec, BlockCounter, OnesCounter, PufRng};
 use pufstats::special;
 use puftestbed::store::JsonLinesSink;
-use puftestbed::{Campaign, Record};
+use puftestbed::{BoardId, Campaign, Record, Timestamp};
 use rand::SeedableRng;
 use sramcell::{Environment, PowerUpKernel, SramArray, TechnologyProfile};
 use std::time::Instant;
@@ -256,6 +258,7 @@ pub fn run_quick(seed: u64) -> PerfReport {
 
     kernels.push(power_up(seed, ITERS));
     kernels.push(normal_cdf(ITERS));
+    kernels.push(json_encode(seed, ITERS));
 
     // End-to-end: decode + streaming assessment over a smoke-scale
     // campaign rendered to canonical JSON lines.
@@ -324,6 +327,65 @@ fn normal_cdf(iters: u32) -> SuiteTiming {
     SuiteTiming {
         name: "normal_cdf",
         items: args.len() as u64,
+        scalar_ns,
+        kernel_ns,
+    }
+}
+
+/// The `json_encode` suite: 64 JSON lines of paper-width (8 192-bit)
+/// records through [`Record::write_json_line`], whose `data` field is the
+/// read-out's word-wise hex, against a per-byte reference that writes each
+/// of [`BitVec::bytes`] with `{:02x}`. Both must render the same bytes.
+fn json_encode(seed: u64, iters: u32) -> SuiteTiming {
+    use std::fmt::Write as _;
+
+    const RECORDS: u64 = 64;
+    let records: Vec<Record> = (0..RECORDS)
+        .map(|seq| {
+            let data = masked_stream(8192, seed.wrapping_add(seq));
+            Record::new(
+                BoardId((seq % 16) as u8),
+                seq,
+                Timestamp(1_486_512_000 + seq as i64),
+                BitVec::from_words(data, 8192),
+            )
+        })
+        .collect();
+    let encode = |out: &mut Vec<u8>, scratch: &mut String| {
+        out.clear();
+        for r in &records {
+            r.write_json_line(out, scratch)
+                .expect("writing to a Vec cannot fail");
+        }
+    };
+    let reference = |out: &mut String| -> std::fmt::Result {
+        out.clear();
+        for r in &records {
+            write!(
+                out,
+                r#"{{"device":{},"seq":{},"timestamp":{},"bits":{},"data":""#,
+                r.device.0,
+                r.seq,
+                r.timestamp.0,
+                r.data.len()
+            )?;
+            for b in r.data.bytes() {
+                write!(out, "{b:02x}")?;
+            }
+            out.push_str("\"}\n");
+        }
+        Ok(())
+    };
+    let (mut lines, mut scratch, mut text) = (Vec::new(), String::new(), String::new());
+    encode(&mut lines, &mut scratch);
+    reference(&mut text).expect("writing to a String cannot fail");
+    assert_eq!(lines, text.as_bytes(), "json_encode: the encoders disagree");
+
+    let kernel_ns = time_best_of(iters, || encode(&mut lines, &mut scratch));
+    let scalar_ns = time_best_of(iters, || reference(&mut text));
+    SuiteTiming {
+        name: "json_encode",
+        items: RECORDS,
         scalar_ns,
         kernel_ns,
     }
@@ -447,6 +509,7 @@ mod tests {
             "window_counts_m3",
             "power_up",
             "normal_cdf",
+            "json_encode",
         ] {
             assert!(names.contains(&expected), "missing suite {expected}");
         }

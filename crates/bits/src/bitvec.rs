@@ -86,12 +86,10 @@ impl BitVec {
     /// assert!(!v.get(1).unwrap());
     /// ```
     pub fn from_bytes(bytes: &[u8]) -> Self {
-        let len = bytes.len() * 8;
-        let mut words = vec![0u64; len.div_ceil(WORD_BITS)];
-        for (i, &b) in bytes.iter().enumerate() {
-            words[i / 8] |= (b as u64) << ((i % 8) * 8);
+        Self {
+            words: pack_bytes(bytes),
+            len: bytes.len() * 8,
         }
-        Self { words, len }
     }
 
     /// Creates a bit vector from an iterator of booleans.
@@ -497,7 +495,8 @@ impl BitVec {
     /// Appends the packed bytes (the [`to_bytes`](Self::to_bytes)
     /// serialization) to `out` without allocating a fresh buffer — the
     /// zero-copy path for codecs writing one record after another into a
-    /// reused scratch vector.
+    /// reused scratch vector. Each word goes out as its eight little-endian
+    /// bytes, the last one cut to [`byte_len`](Self::byte_len).
     ///
     /// # Examples
     ///
@@ -508,7 +507,15 @@ impl BitVec {
     /// assert_eq!(out, [0xA5, 0x01]);
     /// ```
     pub fn to_bytes_into(&self, out: &mut Vec<u8>) {
-        out.extend(self.bytes());
+        let len = self.byte_len();
+        let (whole, tail) = (len / 8, len % 8);
+        out.reserve(len);
+        for word in &self.words[..whole] {
+            out.extend_from_slice(&word.to_le_bytes());
+        }
+        if tail != 0 {
+            out.extend_from_slice(&self.words[whole].to_le_bytes()[..tail]);
+        }
     }
 
     /// Iterator over the packed bytes, least-significant bit first (the
@@ -549,11 +556,10 @@ impl BitVec {
             len.div_ceil(8),
             "byte count does not cover bit length {len}"
         );
-        let mut words = vec![0u64; len.div_ceil(WORD_BITS)];
-        for (i, &b) in bytes.iter().enumerate() {
-            words[i / 8] |= (b as u64) << ((i % 8) * 8);
-        }
-        let mut v = Self { words, len };
+        let mut v = Self {
+            words: pack_bytes(bytes),
+            len,
+        };
         v.mask_tail();
         v
     }
@@ -584,6 +590,22 @@ impl BitVec {
             }
         }
     }
+}
+
+/// Packs `bytes` into little-endian words eight at a time, the last word
+/// zero-padded: the word storage of [`BitVec::from_bytes`] and
+/// [`BitVec::from_bytes_with_len`], in one allocation.
+fn pack_bytes(bytes: &[u8]) -> Vec<u64> {
+    let mut words = Vec::with_capacity(bytes.len().div_ceil(8));
+    let chunks = bytes.chunks_exact(8);
+    let tail = chunks.remainder();
+    words.extend(chunks.map(|c| u64::from_le_bytes(c.try_into().expect("an 8-byte chunk"))));
+    if !tail.is_empty() {
+        let mut last = [0u8; 8];
+        last[..tail.len()].copy_from_slice(tail);
+        words.push(u64::from_le_bytes(last));
+    }
+    words
 }
 
 /// Iterator over the packed bytes of a [`BitVec`], produced by
@@ -700,10 +722,32 @@ impl fmt::Debug for BitVec {
     }
 }
 
+/// The two lowercase hex digits of every byte value.
+const HEX_PAIRS: [[u8; 2]; 256] = {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut table = [[0; 2]; 256];
+    let mut b = 0;
+    while b < 256 {
+        table[b] = [DIGITS[b >> 4], DIGITS[b & 0xF]];
+        b += 1;
+    }
+    table
+};
+
+/// Lowercase hex of [`bytes`](BitVec::bytes), two digits per byte: the
+/// `data` field of a stored record. Each word goes out as one 16-digit
+/// `write_str`, the last one cut to [`byte_len`](BitVec::byte_len).
 impl fmt::Display for BitVec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for byte in self.bytes() {
-            write!(f, "{byte:02x}")?;
+        let mut digits_left = 2 * self.byte_len();
+        for word in &self.words {
+            let mut digits = [0u8; 16];
+            for (pair, byte) in digits.chunks_exact_mut(2).zip(word.to_le_bytes()) {
+                pair.copy_from_slice(&HEX_PAIRS[usize::from(byte)]);
+            }
+            let n = digits_left.min(digits.len());
+            f.write_str(std::str::from_utf8(&digits[..n]).expect("hex digits are ASCII"))?;
+            digits_left -= n;
         }
         Ok(())
     }
@@ -735,13 +779,20 @@ mod tests {
         assert_eq!(v.to_bytes(), bytes);
     }
 
+    /// The word-wise byte packing, unpacking and hex encoding against the
+    /// per-byte `bytes()` iterator, at every length to 200 bits and at the
+    /// paper's 8 192, over seeded random bits.
     #[test]
     fn byte_iterator_matches_to_bytes() {
-        for len in [0, 1, 7, 8, 13, 64, 65, 130] {
-            let mut v = BitVec::zeros(len);
-            for i in (0..len).step_by(3) {
-                v.set(i, true);
-            }
+        for len in (0..=200usize).chain([8192]) {
+            let mut state = len as u64;
+            let words = (0..len.div_ceil(WORD_BITS))
+                .map(|_| {
+                    state = state.wrapping_add(1);
+                    crate::splitmix64(state)
+                })
+                .collect();
+            let v = BitVec::from_words(words, len);
             let collected: Vec<u8> = v.bytes().collect();
             assert_eq!(collected, v.to_bytes(), "len {len}");
             assert_eq!(v.bytes().len(), v.byte_len());
@@ -749,6 +800,13 @@ mod tests {
             v.to_bytes_into(&mut appended);
             assert_eq!(appended[0], 0xEE, "to_bytes_into must append");
             assert_eq!(&appended[1..], &collected[..]);
+
+            assert_eq!(BitVec::from_bytes_with_len(&collected, len), v, "len {len}");
+            if len % 8 == 0 {
+                assert_eq!(BitVec::from_bytes(&collected), v, "len {len}");
+            }
+            let hex: String = v.bytes().map(|b| format!("{b:02x}")).collect();
+            assert_eq!(v.to_string(), hex, "len {len}");
         }
     }
 

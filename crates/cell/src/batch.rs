@@ -9,15 +9,16 @@
 //! `p_i = Phi(x_i)`, `x_i = mismatch_i / noise_sigma`, independently at every
 //! power-up, so a read is one Bernoulli draw per cell:
 //!
-//! * once per `(aging epoch, noise sigma)`, the kernel turns each `p_i` into
-//!   a 64-bit threshold `q_i ≈ p_i · 2⁶⁴`. Cells with `q_i = 2⁶⁴` (always 1)
+//! * once per `(aging epoch, noise sigma, read window)`, the kernel turns
+//!   the `p_i` of each cell in the window into a 64-bit threshold
+//!   `q_i ≈ p_i · 2⁶⁴`. Cells with `q_i = 2⁶⁴` (always 1)
 //!   go into a word-packed mask, cells with `q_i = 0` (always 0) are
 //!   dropped, and the rest form the **draw list**, ascending by index. The
 //!   aging simulator bumps the array's [`epoch`](SramArray::epoch) whenever
 //!   it touches cells, which invalidates the cache;
-//! * a read copies the window's mask words and sets bit `i` to
-//!   `next_u64() < q_i` for each listed cell in the window: one raw RNG word
-//!   per listed cell, with no rejection, `ln` or `sqrt`;
+//! * a read copies the mask and sets bit `i` to `next_u64() < q_i` for
+//!   each listed cell: one raw RNG word per listed cell, with no rejection,
+//!   `ln` or `sqrt`;
 //! * bits are packed 64 at a time into `u64` words and handed to
 //!   [`BitVec::from_words`], skipping per-bit pushes.
 //!
@@ -75,7 +76,7 @@ pub struct PowerUpKernel {
     listed: Vec<u32>,
     /// `thresholds[k]` is `q` of cell `listed[k]`.
     thresholds: Vec<u64>,
-    /// `(epoch, noise sigma bits, cells)` the cache was built for.
+    /// `(epoch, noise sigma bits, window bits)` the cache was built for.
     cache_key: Option<(u64, u64, usize)>,
 }
 
@@ -114,36 +115,35 @@ impl PowerUpKernel {
             "read window of {bits} bits exceeds the {}-cell array",
             sram.len()
         );
-        self.refresh(sram, env.noise_sigma(sram.profile()));
+        self.refresh(sram, env.noise_sigma(sram.profile()), bits);
 
-        // `from_words` clears the always-1 bits past the window.
-        let mut words = self.ones[..bits.div_ceil(64)].to_vec();
-        let drawn = self.listed.partition_point(|&i| (i as usize) < bits);
-        for (&i, &q) in self.listed[..drawn].iter().zip(&self.thresholds) {
+        let mut words = self.ones.clone();
+        for (&i, &q) in self.listed.iter().zip(&self.thresholds) {
             let i = i as usize;
             words[i / 64] |= u64::from(rng.next_u64() < q) << (i % 64);
         }
         BitVec::from_words(words, bits)
     }
 
-    /// Rebuilds the mask and the draw list if the cache does not match this
-    /// `(epoch, noise sigma)` — e.g. after aging or an environment change.
-    fn refresh(&mut self, sram: &SramArray, noise_sigma: f64) {
-        let key = (sram.epoch(), noise_sigma.to_bits(), sram.len());
+    /// Rebuilds the mask and the draw list of the first `bits` cells if the
+    /// cache does not match this `(epoch, noise sigma, bits)` — e.g. after
+    /// aging or an environment change.
+    fn refresh(&mut self, sram: &SramArray, noise_sigma: f64, bits: usize) {
+        let key = (sram.epoch(), noise_sigma.to_bits(), bits);
         if self.cache_key == Some(key) {
             return;
         }
         self.ones.clear();
-        self.ones.resize(sram.len().div_ceil(64), 0);
+        self.ones.resize(bits.div_ceil(64), 0);
         self.listed.clear();
         self.thresholds.clear();
-        // Room for every cell at once: grown by doubling on a campaign's
-        // worker threads, the list left freed blocks among the records,
-        // and a later key-lifetime fold in the same process peaked 5 MB
-        // higher in about a third of runs.
-        self.listed.reserve_exact(sram.len());
-        self.thresholds.reserve_exact(sram.len());
-        for (i, cell) in sram.cells().iter().enumerate() {
+        // Room for every cell of the window at once: grown by doubling on a
+        // campaign's worker threads, the list left freed blocks among the
+        // records, and a later key-lifetime fold in the same process peaked
+        // 5 MB higher in about a third of runs.
+        self.listed.reserve_exact(bits);
+        self.thresholds.reserve_exact(bits);
+        for (i, cell) in sram.cells()[..bits].iter().enumerate() {
             match Read::of(cell.mismatch() / noise_sigma) {
                 Read::Below(q) => {
                     let i = u32::try_from(i).expect("an array has fewer than 2^32 cells");
@@ -306,8 +306,10 @@ mod tests {
     /// Reads the first `bits` cells of `sram` through one kernel and the
     /// reference, at nominal and at 105 °C, before and after aging through
     /// `cells_mut`. The aging negates every mismatch, so a stale cache
-    /// would swap the always-1 and always-0 cells. Bits and the RNG state
-    /// must match after every read.
+    /// would swap the always-1 and always-0 cells. Between reads of `bits`
+    /// cells the kernel also reads the first half of them, so a cache kept
+    /// across a change of window fails too. Bits and the RNG state must
+    /// match after every read.
     fn assert_matches_reference(mut sram: SramArray, bits: usize, seed: u64) {
         let nominal = Environment::nominal(sram.profile());
         let hot = Environment {
@@ -324,11 +326,12 @@ mod tests {
                 }
             }
             for env in [nominal, hot, nominal] {
-                for read in 0..3 {
-                    let got = kernel.power_up_prefix(&sram, &env, bits, &mut rng);
-                    let want = reference_prefix(&sram, &env, bits, &mut reference_rng);
+                let half = bits.div_ceil(2);
+                for (read, width) in [bits, bits, half, bits].into_iter().enumerate() {
+                    let got = kernel.power_up_prefix(&sram, &env, width, &mut rng);
+                    let want = reference_prefix(&sram, &env, width, &mut reference_rng);
                     let at = format!(
-                        "{bits} of {} cells, {} °C, aged {aged}, read {read}",
+                        "{width} of {} cells, {} °C, aged {aged}, read {read}",
                         sram.len(),
                         env.temp_c
                     );

@@ -113,26 +113,22 @@ impl Record {
 
     /// Renders the JSON line into `out` (appends; no trailing newline).
     /// Fields are written directly — no intermediate value tree, no
-    /// per-record allocations beyond growing `out` itself.
+    /// per-record allocations beyond growing `out` itself. `data` is the
+    /// read-out's [`Display`](fmt::Display) hex.
     fn render_json_line(&self, out: &mut String) {
         use fmt::Write as _;
 
-        const HEX: &[u8; 16] = b"0123456789abcdef";
         out.reserve(70 + 2 * self.data.byte_len());
         write!(
             out,
-            r#"{{"device":{},"seq":{},"timestamp":{},"bits":{},"data":""#,
+            r#"{{"device":{},"seq":{},"timestamp":{},"bits":{},"data":"{}"}}"#,
             self.device.0,
             self.seq,
             self.timestamp.0,
-            self.data.len()
+            self.data.len(),
+            self.data
         )
         .expect("writing to a String cannot fail");
-        for b in self.data.bytes() {
-            out.push(HEX[usize::from(b >> 4)] as char);
-            out.push(HEX[usize::from(b & 0x0F)] as char);
-        }
-        out.push_str("\"}");
     }
 
     /// Parses a record from a JSON line produced by
@@ -997,6 +993,22 @@ mod tests {
             out.clear();
             r.write_json_line(&mut out, &mut scratch).unwrap();
             assert_eq!(out, (r.to_json_line() + "\n").into_bytes());
+        }
+
+        // The `data` field against a per-byte hex reference, across word
+        // boundaries, the faulted 301-bit width and the paper's 8 192 bits.
+        for bits in [1usize, 7, 8, 9, 63, 64, 65, 301, 8192] {
+            let data: BitVec = (0..bits as u64)
+                .map(|i| pufbits::splitmix64(i ^ bits as u64) & 1 == 1)
+                .collect();
+            let hex: String = data.bytes().map(|b| format!("{b:02x}")).collect();
+            let want =
+                format!(r#"{{"device":1,"seq":2,"timestamp":3,"bits":{bits},"data":"{hex}"}}"#);
+            out.clear();
+            Record::new(BoardId(1), 2, Timestamp(3), data)
+                .write_json_line(&mut out, &mut scratch)
+                .unwrap();
+            assert_eq!(out, (want + "\n").into_bytes(), "{bits} bits");
         }
     }
 
