@@ -223,3 +223,86 @@ fn convert_refuses_corrupt_input_instead_of_writing_a_prefix() {
         "an aborted conversion must delete its partial output"
     );
 }
+
+/// Runs `assess --reads 12` on `input` with `extra` flags.
+fn assess_with(input: &Path, extra: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_assess"))
+        .args(["--in", input.to_str().unwrap(), "--reads", "12"])
+        .args(extra)
+        .output()
+        .expect("assess runs")
+}
+
+/// Salvages `input` into `out` with `convert --fsck --repair`, which exits
+/// 1 when it found damage and repaired it.
+fn repair(input: &Path, out: &Path) {
+    let output = Command::new(env!("CARGO_BIN_EXE_convert"))
+        .args(["--fsck", "--repair", "--in", input.to_str().unwrap()])
+        .args(["--out", out.to_str().unwrap()])
+        .output()
+        .expect("convert runs");
+    assert_eq!(
+        output.status.code(),
+        Some(1),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+}
+
+#[test]
+fn forcing_json_matches_auto_detection() {
+    let dir = Scratch::new("forcing_json_matches_auto_detection");
+    let json = dir.join("forced.jsonl");
+    run_campaign(&json, "json");
+
+    let auto = assess_with(&json, &[]);
+    let forced = assess_with(&json, &["--format", "json"]);
+    for output in [&auto, &forced] {
+        assert!(
+            output.status.success(),
+            "{}",
+            String::from_utf8_lossy(&output.stderr)
+        );
+    }
+    assert_eq!(auto.stdout, forced.stdout);
+}
+
+#[test]
+fn resync_assesses_a_damaged_file_like_its_offline_repair() {
+    let dir = Scratch::new("resync_assesses_a_damaged_file_like_its_offline_repair");
+    let damaged = dir.join("damaged.pufrec");
+    let repaired = dir.join("repaired.pufrec");
+    run_campaign(&damaged, "binary");
+    // The same damage as CI's torture-smoke job: 16 bytes overwritten at
+    // offset 3000, inside the record region.
+    let mut bytes = std::fs::read(&damaged).unwrap();
+    bytes[3000..3016].copy_from_slice(b"XXXXXXXXXXXXXXXX");
+    std::fs::write(&damaged, bytes).unwrap();
+    repair(&damaged, &repaired);
+
+    let streamed = assess_with(&damaged, &["--resync", "1048576"]);
+    let stderr = String::from_utf8_lossy(&streamed.stderr);
+    assert!(streamed.status.success(), "{stderr}");
+    assert!(stderr.contains("resynchronised"), "{stderr}");
+    let offline = assess_with(&repaired, &[]);
+    assert!(
+        offline.status.success(),
+        "{}",
+        String::from_utf8_lossy(&offline.stderr)
+    );
+    assert_eq!(
+        streamed.stdout, offline.stdout,
+        "streaming resync and offline repair kept different records"
+    );
+}
+
+#[test]
+fn resync_with_forced_json_is_a_usage_error() {
+    let dir = Scratch::new("resync_with_forced_json_is_a_usage_error");
+    let json = dir.join("empty.jsonl");
+    std::fs::write(&json, b"").unwrap();
+    let output = assess_with(&json, &["--resync", "10", "--format", "json"]);
+    assert_eq!(output.status.code(), Some(2));
+    assert!(output.stdout.is_empty());
+    assert!(String::from_utf8_lossy(&output.stderr).contains("--resync"));
+}

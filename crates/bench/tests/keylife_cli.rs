@@ -215,6 +215,27 @@ fn output_is_byte_identical_across_threads_and_formats() {
 }
 
 #[test]
+fn forcing_the_format_flag_matches_auto_detection() {
+    let dir = Scratch::new("forcing_the_format_flag_matches_auto_detection");
+    for format in ["json", "binary"] {
+        let input = record_file(&dir, format);
+        let auto = keylife(&input, &["--threads", "2"]);
+        let forced = keylife(&input, &["--threads", "2", "--format", format]);
+        for out in [&auto, &forced] {
+            assert!(
+                out.status.success(),
+                "{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
+        assert_eq!(
+            auto.stdout, forced.stdout,
+            "--format {format} changed the table"
+        );
+    }
+}
+
+#[test]
 fn output_is_byte_identical_across_batch_sizes() {
     let dir = Scratch::new("output_is_byte_identical_across_batch_sizes");
     // `--batch-lines` only changes how many lines each decode worker takes
