@@ -35,9 +35,7 @@ use pufassess::report::{self, Series};
 use pufassess::streaming::WindowAccumulator;
 use pufbench::{cli, metrics};
 use pufobs::Instruments;
-use puftestbed::store::{
-    AnyRecordReader, BinaryRecordReader, ParallelRecordReader, RecordFormat, DEFAULT_BATCH_LINES,
-};
+use puftestbed::store::{AnyRecordReader, RecordFormat, DEFAULT_BATCH_LINES};
 use std::fs::File;
 use std::io::BufReader;
 use std::process::exit;
@@ -101,24 +99,17 @@ fn main() {
     // `--resync` implies binary: the file's own header may be part of the
     // damage, so format sniffing cannot be trusted to recognise it.
     let reader = match (resync, format) {
-        (Some(budget), _) => AnyRecordReader::Binary(BinaryRecordReader::spawn_resync(
-            file,
-            threads,
-            batch_lines,
-            budget,
-            obs.as_ref(),
-        )),
+        (Some(budget), _) => {
+            AnyRecordReader::spawn_resync(file, threads, batch_lines, budget, obs.as_ref())
+        }
+        (None, Some(format)) => {
+            AnyRecordReader::spawn(file, format, threads, batch_lines, obs.as_ref())
+        }
         (None, None) => AnyRecordReader::open(file, threads, batch_lines, obs.as_ref())
             .unwrap_or_else(|e| {
                 eprintln!("cannot read {input}: {e}");
                 exit(1);
             }),
-        (None, Some(RecordFormat::Json)) => AnyRecordReader::Json(
-            ParallelRecordReader::spawn_with(file, threads, batch_lines, obs.as_ref()),
-        ),
-        (None, Some(RecordFormat::Binary)) => AnyRecordReader::Binary(
-            BinaryRecordReader::spawn_with(file, threads, batch_lines, obs.as_ref()),
-        ),
     };
     let mut accumulator = WindowAccumulator::new(protocol);
     if let Some(ins) = &obs {

@@ -29,9 +29,7 @@ use pufassess::monthly::EvaluationProtocol;
 use pufassess::{KeyLifeAccumulator, KeyLifeConfig, KeyProfile};
 use pufbench::{cli, keylife_bench_json, metrics};
 use pufobs::Instruments;
-use puftestbed::store::{
-    AnyRecordReader, BinaryRecordReader, ParallelRecordReader, RecordFormat, DEFAULT_BATCH_LINES,
-};
+use puftestbed::store::{AnyRecordReader, RecordFormat, DEFAULT_BATCH_LINES};
 use puftestbed::Record;
 use std::fs::File;
 use std::io::BufReader;
@@ -106,24 +104,13 @@ fn main() {
     let obs = (metrics_out.is_some() || verbose).then(Instruments::new);
     let file = BufReader::new(file);
     let reader = match format {
+        Some(format) => AnyRecordReader::spawn(file, format, threads, batch_lines, obs.as_ref()),
         None => {
             AnyRecordReader::open(file, threads, batch_lines, obs.as_ref()).unwrap_or_else(|e| {
                 eprintln!("cannot read {input}: {e}");
                 exit(1);
             })
         }
-        Some(RecordFormat::Json) => AnyRecordReader::Json(ParallelRecordReader::spawn_with(
-            file,
-            threads,
-            batch_lines,
-            obs.as_ref(),
-        )),
-        Some(RecordFormat::Binary) => AnyRecordReader::Binary(BinaryRecordReader::spawn_with(
-            file,
-            threads,
-            batch_lines,
-            obs.as_ref(),
-        )),
     };
     let heartbeat = verbose.then(|| {
         let ins = obs.as_ref().expect("verbose implies instruments");

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use pufassess::monthly::EvaluationProtocol;
 use pufassess::streaming::WindowAccumulator;
 use pufassess::Assessment;
-use puftestbed::store::{JsonLinesSink, ParallelRecordReader};
+use puftestbed::store::{AnyRecordReader, JsonLinesSink, RecordFormat};
 use puftestbed::{Campaign, CampaignConfig};
 use std::io::Cursor;
 use std::sync::OnceLock;
@@ -43,7 +43,13 @@ fn campaign_bytes(threads: usize) -> Vec<u8> {
 /// Streams `bytes` through the parallel reader with the given shape and
 /// folds every record into a fresh accumulator.
 fn assess_with(bytes: &[u8], threads: usize, batch_lines: usize) -> Assessment {
-    let reader = ParallelRecordReader::spawn(Cursor::new(bytes.to_vec()), threads, batch_lines);
+    let reader = AnyRecordReader::spawn(
+        Cursor::new(bytes.to_vec()),
+        RecordFormat::Json,
+        threads,
+        batch_lines,
+        None,
+    );
     let mut accumulator = WindowAccumulator::new(protocol());
     for item in reader {
         accumulator.push(&item.expect("fixture contains no malformed lines"));

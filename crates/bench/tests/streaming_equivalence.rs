@@ -6,7 +6,7 @@
 use pufassess::monthly::EvaluationProtocol;
 use pufassess::streaming::WindowAccumulator;
 use pufassess::{report, Assessment};
-use puftestbed::store::{ParallelRecordReader, RecordSink};
+use puftestbed::store::{AnyRecordReader, RecordFormat, RecordSink};
 use puftestbed::{Campaign, CampaignConfig, Record};
 use std::io::Cursor;
 
@@ -62,7 +62,13 @@ fn streaming_matches_through_the_json_store_and_parallel_parser() {
     let bytes = sink.into_inner().unwrap();
 
     for threads in [1, 4] {
-        let reader = ParallelRecordReader::spawn(Cursor::new(bytes.clone()), threads, 64);
+        let reader = AnyRecordReader::spawn(
+            Cursor::new(bytes.clone()),
+            RecordFormat::Json,
+            threads,
+            64,
+            None,
+        );
         let mut accumulator = WindowAccumulator::new(protocol());
         for item in reader {
             accumulator.push(&item.expect("no malformed lines in a fresh store"));

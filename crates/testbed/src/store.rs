@@ -16,7 +16,6 @@
 
 use crate::{BoardId, Timestamp};
 use pufbits::BitVec;
-use pufobs::Instruments;
 use std::error::Error;
 use std::fmt;
 use std::io::{self, BufRead, Write};
@@ -31,12 +30,12 @@ pub mod json;
 pub mod reader;
 
 pub use atomic::AtomicFile;
-pub use binary::{BinaryRecordReader, BinarySink, FileHeader};
+pub use binary::{BinarySink, FileHeader};
 pub use checkpoint::{BoardState, CampaignState, CheckpointError};
 pub use fsck::{DroppedRange, FsckReport};
 pub use iofault::{IoFaultPlan, IoPolicy};
 use json::JsonValue;
-pub use reader::{ParallelRecordReader, DEFAULT_BATCH_LINES};
+pub use reader::{AnyRecordReader, DEFAULT_BATCH_LINES};
 
 /// One stored measurement: which device, which power cycle, when, and the
 /// captured pattern.
@@ -623,68 +622,6 @@ impl FromStr for RecordFormat {
             "json" => Ok(RecordFormat::Json),
             "binary" => Ok(RecordFormat::Binary),
             other => Err(format!("unknown record format `{other}` (json|binary)")),
-        }
-    }
-}
-
-/// Parallel record reader over either storage format, selected by
-/// [magic-byte detection](RecordFormat::detect) — callers read a record
-/// file without knowing how it was written.
-#[derive(Debug)]
-pub enum AnyRecordReader {
-    /// Reading JSON lines.
-    Json(ParallelRecordReader),
-    /// Reading `pufrec/1` binary.
-    Binary(BinaryRecordReader),
-}
-
-impl AnyRecordReader {
-    /// Detects the format of `reader` and spawns the matching parallel
-    /// pipeline. `batch` is records per worker batch (lines for JSON,
-    /// frames for binary); instruments, when given, get the per-format
-    /// reader counters.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error from peeking the stream head.
-    pub fn open<R: BufRead + Send + 'static>(
-        mut reader: R,
-        threads: usize,
-        batch: usize,
-        instruments: Option<&Instruments>,
-    ) -> io::Result<Self> {
-        Ok(match RecordFormat::detect(&mut reader)? {
-            RecordFormat::Json => Self::Json(ParallelRecordReader::spawn_with(
-                reader,
-                threads,
-                batch,
-                instruments,
-            )),
-            RecordFormat::Binary => Self::Binary(BinaryRecordReader::spawn_with(
-                reader,
-                threads,
-                batch,
-                instruments,
-            )),
-        })
-    }
-
-    /// Which format the stream turned out to be.
-    pub fn format(&self) -> RecordFormat {
-        match self {
-            Self::Json(_) => RecordFormat::Json,
-            Self::Binary(_) => RecordFormat::Binary,
-        }
-    }
-}
-
-impl Iterator for AnyRecordReader {
-    type Item = Result<Record, ParseRecordError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match self {
-            Self::Json(r) => r.next(),
-            Self::Binary(r) => r.next(),
         }
     }
 }

@@ -35,11 +35,10 @@
 //! damage sits, the same contract as the JSON path's `Malformed`/`Io`
 //! variants.
 
-use super::reader::{BatchFeed, ReaderInstruments, RecordPipeline};
+use super::reader::BatchFeed;
 use super::{ParseRecordError, Record, RecordSink};
 use crate::{BoardId, Timestamp};
 use pufbits::BitVec;
-use pufobs::Instruments;
 use std::io::{self, BufRead, Read, Write};
 
 /// Magic bytes opening every `pufrec` file.
@@ -229,7 +228,7 @@ fn check_payload_len(payload_len: usize) -> Result<(), ParseRecordError> {
 
 /// Decodes one frame body (payload followed by its CRC; the length prefix
 /// already stripped and validated).
-fn decode_frame(frame: &[u8]) -> Result<Record, ParseRecordError> {
+pub(super) fn decode_frame(frame: &[u8]) -> Result<Record, ParseRecordError> {
     let payload = &frame[..frame.len() - 4];
     let stored = u32::from_le_bytes(frame[frame.len() - 4..].try_into().expect("4 crc bytes"));
     let actual = crc32(payload);
@@ -334,122 +333,6 @@ impl<W: Write> RecordSink for BinarySink<W> {
     }
 }
 
-/// Iterator over records decoded from a `pufrec/1` stream by a pool of
-/// worker threads, in input order — the binary counterpart of
-/// [`ParallelRecordReader`](super::ParallelRecordReader), sharing its
-/// batch → worker-pool → in-order-merge machinery but splitting the stream
-/// on length prefixes instead of newlines.
-///
-/// Corrupt records (CRC mismatch, implausible framing) surface as in-band
-/// [`ParseRecordError::Corrupt`] items; damage to a length prefix itself
-/// desynchronises the framing, so the reader stops at it (everything after
-/// is unreadable, exactly like an I/O failure).
-///
-/// # Examples
-///
-/// ```
-/// use pufbits::BitVec;
-/// use puftestbed::store::{BinaryRecordReader, BinarySink, RecordSink};
-/// use puftestbed::{BoardId, Record, Timestamp};
-///
-/// let mut sink = BinarySink::new(Vec::new())?;
-/// for seq in 0..100 {
-///     let r = Record::new(BoardId(1), seq, Timestamp(0), BitVec::from_bytes(&[0xA5]));
-///     sink.record(&r)?;
-/// }
-/// let bytes = sink.into_inner()?;
-/// let records: Vec<Record> = BinaryRecordReader::spawn(std::io::Cursor::new(bytes), 4, 8)
-///     .collect::<Result<_, _>>()
-///     .unwrap();
-/// assert_eq!(records.len(), 100);
-/// # Ok::<(), std::io::Error>(())
-/// ```
-#[derive(Debug)]
-pub struct BinaryRecordReader {
-    inner: RecordPipeline,
-}
-
-impl BinaryRecordReader {
-    /// Spawns the reader/worker pipeline over `reader`, which must start
-    /// at the file header. `threads` is clamped to at least 1;
-    /// `batch_records` of 0 is treated as 1.
-    pub fn spawn<R: BufRead + Send + 'static>(
-        reader: R,
-        threads: usize,
-        batch_records: usize,
-    ) -> Self {
-        Self::spawn_with(reader, threads, batch_records, None)
-    }
-
-    /// [`spawn`](Self::spawn) with an optional instrument registry: the
-    /// pipeline then maintains `reader.bytes_read` (exact stream bytes),
-    /// `reader.records_decoded`, `reader.corrupt_records`,
-    /// `reader.batches`, `reader.io_errors`, the `reader.queue_depth`
-    /// gauge, and the `reader.batch_parse_ns` histogram. The yielded
-    /// record sequence is identical either way.
-    pub fn spawn_with<R: BufRead + Send + 'static>(
-        reader: R,
-        threads: usize,
-        batch_records: usize,
-        instruments: Option<&Instruments>,
-    ) -> Self {
-        let obs = instruments.map(ReaderInstruments::binary);
-        let batch_records = batch_records.max(1);
-        Self {
-            inner: RecordPipeline::spawn(
-                threads,
-                obs,
-                move |feed| read_frame_batches(reader, batch_records, feed),
-                |frame: &Vec<u8>| Some(decode_frame(frame)),
-            ),
-        }
-    }
-
-    /// [`spawn_with`](Self::spawn_with), with best-effort resync: after a
-    /// corrupt region (bad header, damaged length prefix, CRC mismatch)
-    /// the reader scans forward for the next byte offset at which a
-    /// complete, CRC-valid frame begins and continues from there, instead
-    /// of ending the stream. Each skipped region surfaces as one in-band
-    /// [`ParseRecordError::Corrupt`] item naming its exact byte range, so
-    /// a consumer that tolerates corrupt items (e.g. `assess`) degrades
-    /// gracefully and its coverage report shows the loss.
-    ///
-    /// `max_skip_bytes` bounds the total bytes skipped across the whole
-    /// stream; past it the reader gives up with a terminal error (a file
-    /// that is mostly garbage should fail loudly, not crawl). Candidate
-    /// frames during a scan are bounded to 1 MiB payloads — far above any
-    /// real read-out, far below the 64 MiB framing limit — so garbage
-    /// cannot make the scanner buffer half the file. Real I/O errors
-    /// remain terminal. The offline, exhaustive form of this scanner is
-    /// [`fsck::salvage_pufrec`](super::fsck::salvage_pufrec).
-    pub fn spawn_resync<R: BufRead + Send + 'static>(
-        reader: R,
-        threads: usize,
-        batch_records: usize,
-        max_skip_bytes: u64,
-        instruments: Option<&Instruments>,
-    ) -> Self {
-        let obs = instruments.map(ReaderInstruments::binary);
-        let batch_records = batch_records.max(1);
-        Self {
-            inner: RecordPipeline::spawn(
-                threads,
-                obs,
-                move |feed| read_frame_batches_resync(reader, batch_records, feed, max_skip_bytes),
-                |frame: &Vec<u8>| Some(decode_frame(frame)),
-            ),
-        }
-    }
-}
-
-impl Iterator for BinaryRecordReader {
-    type Item = Result<Record, ParseRecordError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.inner.next()
-    }
-}
-
 /// Reads exactly `buf.len()` bytes unless the stream ends first; returns
 /// how many bytes were read (fewer than requested only at end-of-stream).
 fn read_full<R: Read>(reader: &mut R, buf: &mut [u8]) -> io::Result<usize> {
@@ -469,7 +352,7 @@ fn read_full<R: Read>(reader: &mut R, buf: &mut [u8]) -> io::Result<usize> {
 /// split the stream into frame batches on length prefixes. Workers never
 /// see the raw stream, so a torn trailing record or a bad length prefix is
 /// reported here, in-band, at the exact record it corrupts.
-fn read_frame_batches<R: BufRead>(
+pub(super) fn read_frame_batches<R: BufRead>(
     mut reader: R,
     batch_records: usize,
     feed: &mut BatchFeed<Vec<u8>>,
@@ -583,7 +466,7 @@ const RESYNC_MAX_PAYLOAD: usize = 1 << 20;
 /// instead of ending the stream. Frames are CRC-verified here *before*
 /// dispatch (resync is for damaged files, not the hot path), so a frame a
 /// worker later rejects can only be semantically malformed, never torn.
-fn read_frame_batches_resync<R: BufRead>(
+pub(super) fn read_frame_batches_resync<R: BufRead>(
     mut reader: R,
     batch_records: usize,
     feed: &mut BatchFeed<Vec<u8>>,
@@ -744,6 +627,8 @@ fn read_frame_batches_resync<R: BufRead>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::{AnyRecordReader, RecordFormat};
+    use pufobs::Instruments;
     use std::io::Cursor;
 
     fn sample(device: u8, seq: u64) -> Record {
@@ -895,10 +780,15 @@ mod tests {
         let bytes = sink.into_inner().unwrap();
         assert_eq!(FileHeader::parse(&bytes).unwrap().declared_bits, 24);
         for threads in [1, 2, 7] {
-            let back: Vec<Record> =
-                BinaryRecordReader::spawn(Cursor::new(bytes.clone()), threads, 16)
-                    .collect::<Result<_, _>>()
-                    .unwrap();
+            let back: Vec<Record> = AnyRecordReader::spawn(
+                Cursor::new(bytes.clone()),
+                RecordFormat::Binary,
+                threads,
+                16,
+                None,
+            )
+            .collect::<Result<_, _>>()
+            .unwrap();
             assert_eq!(back, records, "threads = {threads}");
         }
     }
@@ -907,14 +797,21 @@ mod tests {
     fn empty_file_yields_no_records() {
         let bytes = corpus(0);
         assert_eq!(bytes.len(), HEADER_LEN);
-        let items: Vec<_> = BinaryRecordReader::spawn(Cursor::new(bytes), 2, 4).collect();
+        let items: Vec<_> =
+            AnyRecordReader::spawn(Cursor::new(bytes), RecordFormat::Binary, 2, 4, None).collect();
         assert!(items.is_empty());
     }
 
     #[test]
     fn garbage_file_reports_a_corrupt_header() {
-        let items: Vec<_> =
-            BinaryRecordReader::spawn(Cursor::new(b"{\"device\":0}\n".to_vec()), 2, 4).collect();
+        let items: Vec<_> = AnyRecordReader::spawn(
+            Cursor::new(b"{\"device\":0}\n".to_vec()),
+            RecordFormat::Binary,
+            2,
+            4,
+            None,
+        )
+        .collect();
         assert_eq!(items.len(), 1);
         let err = items[0].as_ref().unwrap_err();
         assert!(matches!(err, ParseRecordError::Corrupt(_)), "{err}");
@@ -928,7 +825,8 @@ mod tests {
         let frame = 4 + FIXED_PAYLOAD + 3 + 4;
         let pos = HEADER_LEN + 7 * frame + 4 + FIXED_PAYLOAD + 1;
         bytes[pos] ^= 0x80;
-        let items: Vec<_> = BinaryRecordReader::spawn(Cursor::new(bytes), 3, 4).collect();
+        let items: Vec<_> =
+            AnyRecordReader::spawn(Cursor::new(bytes), RecordFormat::Binary, 3, 4, None).collect();
         assert_eq!(items.len(), 20);
         for (i, item) in items.iter().enumerate() {
             if i == 7 {
@@ -944,8 +842,14 @@ mod tests {
     fn truncated_file_ends_with_a_corrupt_item_at_the_torn_record() {
         let bytes = corpus(10);
         let cut = bytes.len() - 5; // tear the last record
-        let items: Vec<_> =
-            BinaryRecordReader::spawn(Cursor::new(bytes[..cut].to_vec()), 3, 4).collect();
+        let items: Vec<_> = AnyRecordReader::spawn(
+            Cursor::new(bytes[..cut].to_vec()),
+            RecordFormat::Binary,
+            3,
+            4,
+            None,
+        )
+        .collect();
         assert_eq!(items.len(), 10);
         assert!(items[..9].iter().all(Result::is_ok));
         let err = items[9].as_ref().unwrap_err();
@@ -956,7 +860,8 @@ mod tests {
     #[test]
     fn early_drop_joins_cleanly() {
         let bytes = corpus(1000);
-        let mut reader = BinaryRecordReader::spawn(Cursor::new(bytes), 4, 8);
+        let mut reader =
+            AnyRecordReader::spawn(Cursor::new(bytes), RecordFormat::Binary, 4, 8, None);
         assert!(reader.next().is_some());
         drop(reader); // must not deadlock or leak threads
     }
@@ -966,9 +871,10 @@ mod tests {
         let ins = Instruments::new();
         let bytes = corpus(26);
         let total = bytes.len() as u64;
-        let records: Vec<_> = BinaryRecordReader::spawn_with(Cursor::new(bytes), 2, 4, Some(&ins))
-            .collect::<Result<Vec<_>, _>>()
-            .unwrap();
+        let records: Vec<_> =
+            AnyRecordReader::spawn(Cursor::new(bytes), RecordFormat::Binary, 2, 4, Some(&ins))
+                .collect::<Result<Vec<_>, _>>()
+                .unwrap();
         assert_eq!(records.len(), 26);
         let snap = ins.snapshot();
         // Binary byte accounting is exact: header + every frame.
@@ -984,10 +890,13 @@ mod tests {
     #[test]
     fn instrumented_reader_yields_the_same_records() {
         let bytes = corpus(57);
-        let plain: Vec<_> = BinaryRecordReader::spawn(Cursor::new(bytes.clone()), 3, 8).collect();
+        let plain: Vec<_> =
+            AnyRecordReader::spawn(Cursor::new(bytes.clone()), RecordFormat::Binary, 3, 8, None)
+                .collect();
         let ins = Instruments::new();
         let instrumented: Vec<_> =
-            BinaryRecordReader::spawn_with(Cursor::new(bytes), 3, 8, Some(&ins)).collect();
+            AnyRecordReader::spawn(Cursor::new(bytes), RecordFormat::Binary, 3, 8, Some(&ins))
+                .collect();
         assert_eq!(plain, instrumented);
     }
 }

@@ -15,7 +15,7 @@
 //! next to the salvaged file.
 //!
 //! The streaming counterpart (bounded, best-effort) lives in
-//! [`BinaryRecordReader::spawn_resync`](super::BinaryRecordReader::spawn_resync);
+//! [`AnyRecordReader::spawn_resync`](super::AnyRecordReader::spawn_resync);
 //! this module is the offline, exhaustive form the `fsck` CLI and the
 //! property tests drive.
 

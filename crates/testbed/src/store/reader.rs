@@ -2,8 +2,8 @@
 //!
 //! [`read_json_lines`](super::read_json_lines) parses sequentially on the
 //! caller's thread. At paper scale (~175 M records, ~350 GB of JSON) the
-//! parse dominates ingest, so the readers here fan fixed-size batches out to
-//! worker threads through *bounded* channels: peak memory is
+//! parse dominates ingest, so [`AnyRecordReader`] fans fixed-size batches
+//! out to worker threads through *bounded* channels: peak memory is
 //! `O(threads × batch)` regardless of file size, and the yielded record
 //! order is identical to the sequential reader's (batches are re-sequenced
 //! by index on the consumer side).
@@ -13,27 +13,24 @@
 //!        bounded sync_channel            bounded sync_channel        BTreeMap
 //! ```
 //!
-//! Each worker decodes JSON lines through [`Record::parse_json_line`]'s
+//! Only the producer (how the stream splits into items) and the per-item
+//! decode function depend on the [`RecordFormat`]. JSON lines split on
+//! newlines (`B = String`) and decode through [`Record::parse_json_line`]'s
 //! canonical-layout fast path (one allocation per record — the word
-//! storage itself; see `crates/testbed/tests/alloc_regression.rs`), falling
-//! back to the tree parser only on non-canonical input.
-//!
-//! The machinery is format-agnostic over the batch item `B`:
-//! [`ParallelRecordReader`] feeds it JSON lines (`B = String`, split on
-//! newlines), [`BinaryRecordReader`](super::BinaryRecordReader) feeds it
-//! length-prefixed `pufrec/1` frames (`B = Vec<u8>`). Only the producer
-//! (how the stream splits into items) and the per-item decode function
-//! differ.
+//! storage itself; see `crates/testbed/tests/alloc_regression.rs`),
+//! falling back to the tree parser only on non-canonical input.
+//! `pufrec/1` splits on length prefixes (`B = Vec<u8>`, see
+//! [`binary`](super::binary)) and decodes a frame with a CRC check.
 //!
 //! A mid-stream I/O failure is delivered in-band as a
 //! [`ParseRecordError::Io`] item at the exact position it occurred, then the
 //! stream ends — consumers can abort loudly instead of assessing partial
 //! data.
 
-use super::{ParseRecordError, Record};
+use super::{binary, ParseRecordError, Record, RecordFormat};
 use pufobs::{Counter, Gauge, Histogram, Instruments};
 use std::collections::{BTreeMap, VecDeque};
-use std::io::BufRead;
+use std::io::{self, BufRead};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -45,7 +42,7 @@ pub const DEFAULT_BATCH_LINES: usize = 1024;
 /// Counters update once per batch (not per item), so instrumentation adds
 /// a few atomic operations per `batch` decoded records.
 #[derive(Debug, Clone)]
-pub(crate) struct ReaderInstruments {
+struct ReaderInstruments {
     ins: Instruments,
     /// `reader.bytes_read` — bytes pulled off the input stream (exact for
     /// the binary reader; the JSON reader counts each line plus one newline
@@ -70,30 +67,21 @@ pub(crate) struct ReaderInstruments {
 }
 
 impl ReaderInstruments {
-    /// Instrument names for the JSON-lines pipeline.
-    pub(crate) fn json(ins: &Instruments) -> Self {
+    /// Registers the instruments under `format`'s names.
+    fn new(ins: &Instruments, format: RecordFormat) -> Self {
+        let json = format == RecordFormat::Json;
+        let (records, malformed) = if json {
+            ("reader.records_parsed", "reader.malformed_lines")
+        } else {
+            ("reader.records_decoded", "reader.corrupt_records")
+        };
         Self {
             ins: ins.clone(),
             bytes: ins.counter("reader.bytes_read"),
-            lines: Some(ins.counter("reader.lines_read")),
+            lines: json.then(|| ins.counter("reader.lines_read")),
             batches: ins.counter("reader.batches"),
-            records: ins.counter("reader.records_parsed"),
-            malformed: ins.counter("reader.malformed_lines"),
-            io_errors: ins.counter("reader.io_errors"),
-            queue_depth: ins.gauge("reader.queue_depth"),
-            batch_parse_ns: ins.histogram("reader.batch_parse_ns"),
-        }
-    }
-
-    /// Instrument names for the `pufrec/1` binary pipeline.
-    pub(crate) fn binary(ins: &Instruments) -> Self {
-        Self {
-            ins: ins.clone(),
-            bytes: ins.counter("reader.bytes_read"),
-            lines: None,
-            batches: ins.counter("reader.batches"),
-            records: ins.counter("reader.records_decoded"),
-            malformed: ins.counter("reader.corrupt_records"),
+            records: ins.counter(records),
+            malformed: ins.counter(malformed),
             io_errors: ins.counter("reader.io_errors"),
             queue_depth: ins.gauge("reader.queue_depth"),
             batch_parse_ns: ins.histogram("reader.batch_parse_ns"),
@@ -153,14 +141,43 @@ impl<B> BatchFeed<B> {
     }
 }
 
-/// Iterator over records decoded by a pool of worker threads, in input
-/// order — the format-agnostic core shared by [`ParallelRecordReader`] and
-/// [`BinaryRecordReader`](super::BinaryRecordReader).
+/// Iterator over the records of a JSON-lines or `pufrec/1` stream, decoded
+/// by a pool of worker threads and yielded in input order.
 ///
-/// Dropping the iterator early shuts the pipeline down and joins every
-/// thread.
+/// [`open`](Self::open) detects the format from the stream's first bytes,
+/// [`spawn`](Self::spawn) takes it from the caller, and
+/// [`spawn_resync`](Self::spawn_resync) reads damaged `pufrec/1` input.
+/// `threads` is clamped to at least 1, and a `batch` (lines or frames per
+/// worker batch) of 0 is treated as 1. In-flight memory is bounded by
+/// roughly `4 × threads × batch` items: two bounded channels plus the
+/// batches the workers hold. Dropping the iterator early shuts the
+/// pipeline down and joins every thread.
+///
+/// # Examples
+///
+/// ```
+/// use pufbits::BitVec;
+/// use puftestbed::store::{AnyRecordReader, BinarySink, JsonLinesSink, RecordSink};
+/// use puftestbed::{BoardId, Record, Timestamp};
+///
+/// let mut json = JsonLinesSink::new(Vec::new());
+/// let mut binary = BinarySink::new(Vec::new())?;
+/// for seq in 0..100 {
+///     let r = Record::new(BoardId(1), seq, Timestamp(0), BitVec::from_bytes(&[0xA5]));
+///     json.record(&r)?;
+///     binary.record(&r)?;
+/// }
+/// for bytes in [json.into_inner()?, binary.into_inner()?] {
+///     let reader = AnyRecordReader::open(std::io::Cursor::new(bytes), 4, 8, None)?;
+///     let records: Vec<Record> = reader.collect::<Result<_, _>>().unwrap();
+///     assert_eq!(records.len(), 100);
+///     assert_eq!(records[99].seq, 99);
+/// }
+/// # Ok::<(), std::io::Error>(())
+/// ```
 #[derive(Debug)]
-pub(crate) struct RecordPipeline {
+pub struct AnyRecordReader {
+    format: RecordFormat,
     /// Results ready to be yielded, in order.
     ready: VecDeque<Result<Record, ParseRecordError>>,
     /// Out-of-order batches waiting for their predecessors.
@@ -171,14 +188,109 @@ pub(crate) struct RecordPipeline {
     handles: Vec<JoinHandle<()>>,
 }
 
-impl RecordPipeline {
+impl AnyRecordReader {
+    /// Detects the format of `reader` and spawns its pipeline.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error from peeking the stream head.
+    pub fn open<R: BufRead + Send + 'static>(
+        mut reader: R,
+        threads: usize,
+        batch: usize,
+        instruments: Option<&Instruments>,
+    ) -> io::Result<Self> {
+        let format = RecordFormat::detect(&mut reader)?;
+        Ok(Self::spawn(reader, format, threads, batch, instruments))
+    }
+
+    /// Spawns the pipeline reading `reader` as `format` (a `pufrec/1`
+    /// stream starts at its file header). With an instrument registry the
+    /// pipeline maintains `reader.bytes_read`, `reader.batches`,
+    /// `reader.io_errors`, the `reader.queue_depth` gauge and the
+    /// `reader.batch_parse_ns` histogram, plus `reader.lines_read`,
+    /// `reader.records_parsed` and `reader.malformed_lines` for JSON lines
+    /// or `reader.records_decoded` and `reader.corrupt_records` for
+    /// `pufrec/1`. The yielded records are identical either way.
+    pub fn spawn<R: BufRead + Send + 'static>(
+        reader: R,
+        format: RecordFormat,
+        threads: usize,
+        batch: usize,
+        instruments: Option<&Instruments>,
+    ) -> Self {
+        let batch = batch.max(1);
+        match format {
+            RecordFormat::Json => Self::pipeline(
+                format,
+                threads,
+                instruments,
+                move |feed| read_line_batches(reader, batch, feed),
+                |line: &String| {
+                    if line.trim().is_empty() {
+                        None // blank lines are dropped, like the sequential reader
+                    } else {
+                        Some(Record::parse_json_line(line))
+                    }
+                },
+            ),
+            RecordFormat::Binary => Self::pipeline(
+                format,
+                threads,
+                instruments,
+                move |feed| binary::read_frame_batches(reader, batch, feed),
+                |frame: &Vec<u8>| Some(binary::decode_frame(frame)),
+            ),
+        }
+    }
+
+    /// [`spawn`](Self::spawn) for `pufrec/1` input, with best-effort
+    /// resync: after a corrupt region (bad header, damaged length prefix,
+    /// CRC mismatch) the reader scans forward for the next byte offset at
+    /// which a complete, CRC-valid frame begins and continues from there,
+    /// instead of ending the stream. Each skipped region surfaces as one
+    /// in-band [`ParseRecordError::Corrupt`] item naming its exact byte
+    /// range, so a consumer that tolerates corrupt items (e.g. `assess`)
+    /// degrades gracefully and its coverage report shows the loss.
+    ///
+    /// `max_skip_bytes` bounds the total bytes skipped across the whole
+    /// stream; past it the reader gives up with a terminal error (a file
+    /// that is mostly garbage should fail loudly, not crawl). Candidate
+    /// frames during a scan are bounded to 1 MiB payloads — far above any
+    /// real read-out, far below the 64 MiB framing limit — so garbage
+    /// cannot make the scanner buffer half the file. Real I/O errors
+    /// remain terminal. The offline, exhaustive form of this scanner is
+    /// [`fsck::salvage_pufrec`](super::fsck::salvage_pufrec).
+    pub fn spawn_resync<R: BufRead + Send + 'static>(
+        reader: R,
+        threads: usize,
+        batch: usize,
+        max_skip_bytes: u64,
+        instruments: Option<&Instruments>,
+    ) -> Self {
+        let batch = batch.max(1);
+        Self::pipeline(
+            RecordFormat::Binary,
+            threads,
+            instruments,
+            move |feed| binary::read_frame_batches_resync(reader, batch, feed, max_skip_bytes),
+            |frame: &Vec<u8>| Some(binary::decode_frame(frame)),
+        )
+    }
+
+    /// The format the stream is read as.
+    pub fn format(&self) -> RecordFormat {
+        self.format
+    }
+
     /// Spawns `threads` decode workers running `decode` per item and one
     /// producer thread running `produce` over a [`BatchFeed`]. `decode`
     /// returning `None` drops the item (how the JSON path skips blank
     /// lines).
-    pub(crate) fn spawn<B, P, F>(
+    fn pipeline<B, P, F>(
+        format: RecordFormat,
         threads: usize,
-        obs: Option<ReaderInstruments>,
+        instruments: Option<&Instruments>,
         produce: P,
         decode: F,
     ) -> Self
@@ -188,6 +300,7 @@ impl RecordPipeline {
         F: Fn(&B) -> Option<Result<Record, ParseRecordError>> + Send + Sync + 'static,
     {
         let threads = threads.max(1);
+        let obs = instruments.map(|ins| ReaderInstruments::new(ins, format));
         let (work_tx, work_rx) = mpsc::sync_channel::<(usize, Vec<B>)>(threads);
         let (result_tx, result_rx) = mpsc::sync_channel::<ResultBatch>(threads);
         let work_rx = Arc::new(Mutex::new(work_rx));
@@ -214,6 +327,7 @@ impl RecordPipeline {
         }));
 
         Self {
+            format,
             ready: VecDeque::new(),
             reorder: BTreeMap::new(),
             next_batch: 0,
@@ -265,7 +379,7 @@ impl RecordPipeline {
     }
 }
 
-impl Iterator for RecordPipeline {
+impl Iterator for AnyRecordReader {
     type Item = Result<Record, ParseRecordError>;
 
     fn next(&mut self) -> Option<Self::Item> {
@@ -276,7 +390,7 @@ impl Iterator for RecordPipeline {
     }
 }
 
-impl Drop for RecordPipeline {
+impl Drop for AnyRecordReader {
     fn drop(&mut self) {
         self.shutdown();
     }
@@ -314,90 +428,6 @@ fn decode_worker<B>(
         if result_tx.send((idx, parsed)).is_err() {
             return; // consumer dropped
         }
-    }
-}
-
-/// Iterator over records parsed from a JSON-lines stream by a pool of
-/// worker threads, in input order.
-///
-/// Construct with [`ParallelRecordReader::spawn`]. Dropping the iterator
-/// early shuts the pipeline down and joins every thread.
-///
-/// # Examples
-///
-/// ```
-/// use pufbits::BitVec;
-/// use puftestbed::store::{ParallelRecordReader, RecordSink, JsonLinesSink};
-/// use puftestbed::{BoardId, Record, Timestamp};
-///
-/// let mut sink = JsonLinesSink::new(Vec::new());
-/// for seq in 0..100 {
-///     let r = Record::new(BoardId(1), seq, Timestamp(0), BitVec::from_bytes(&[0xA5]));
-///     sink.record(&r).unwrap();
-/// }
-/// let bytes = sink.into_inner().unwrap();
-/// let records: Vec<Record> = ParallelRecordReader::spawn(std::io::Cursor::new(bytes), 4, 8)
-///     .collect::<Result<_, _>>()
-///     .unwrap();
-/// assert_eq!(records.len(), 100);
-/// assert_eq!(records[99].seq, 99);
-/// ```
-#[derive(Debug)]
-pub struct ParallelRecordReader {
-    inner: RecordPipeline,
-}
-
-impl ParallelRecordReader {
-    /// Spawns the reader/worker pipeline over `reader`.
-    ///
-    /// `threads` is clamped to at least 1; `batch_lines` of 0 is treated
-    /// as 1. In-flight memory is bounded by roughly
-    /// `4 × threads × batch_lines` lines (two bounded channels plus the
-    /// batches held by the workers themselves).
-    pub fn spawn<R: BufRead + Send + 'static>(
-        reader: R,
-        threads: usize,
-        batch_lines: usize,
-    ) -> Self {
-        Self::spawn_with(reader, threads, batch_lines, None)
-    }
-
-    /// [`spawn`](Self::spawn) with an optional instrument registry: when
-    /// given, the pipeline maintains `reader.*` counters (bytes and lines
-    /// read, batches, parsed/malformed/I/O-failed counts), the
-    /// `reader.queue_depth` gauge, and the `reader.batch_parse_ns`
-    /// per-batch parse-timing histogram. The yielded record sequence is
-    /// identical either way.
-    pub fn spawn_with<R: BufRead + Send + 'static>(
-        reader: R,
-        threads: usize,
-        batch_lines: usize,
-        instruments: Option<&Instruments>,
-    ) -> Self {
-        let obs = instruments.map(ReaderInstruments::json);
-        let batch_lines = batch_lines.max(1);
-        Self {
-            inner: RecordPipeline::spawn(
-                threads,
-                obs,
-                move |feed| read_line_batches(reader, batch_lines, feed),
-                |line: &String| {
-                    if line.trim().is_empty() {
-                        None // blank lines are dropped, like the sequential reader
-                    } else {
-                        Some(Record::parse_json_line(line))
-                    }
-                },
-            ),
-        }
-    }
-}
-
-impl Iterator for ParallelRecordReader {
-    type Item = Result<Record, ParseRecordError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.inner.next()
     }
 }
 
@@ -463,8 +493,14 @@ mod tests {
         let bytes = jsonl(257); // deliberately not a batch multiple
         let sequential: Vec<_> = read_json_lines(Cursor::new(bytes.clone())).collect();
         for threads in [1, 2, 7] {
-            let parallel: Vec<_> =
-                ParallelRecordReader::spawn(Cursor::new(bytes.clone()), threads, 16).collect();
+            let parallel: Vec<_> = AnyRecordReader::spawn(
+                Cursor::new(bytes.clone()),
+                RecordFormat::Json,
+                threads,
+                16,
+                None,
+            )
+            .collect();
             assert_eq!(parallel, sequential, "threads = {threads}");
         }
     }
@@ -474,7 +510,8 @@ mod tests {
         let mut bytes = jsonl(10);
         bytes.extend_from_slice(b"not json\n");
         bytes.extend_from_slice(&jsonl(3));
-        let items: Vec<_> = ParallelRecordReader::spawn(Cursor::new(bytes), 3, 4).collect();
+        let items: Vec<_> =
+            AnyRecordReader::spawn(Cursor::new(bytes), RecordFormat::Json, 3, 4, None).collect();
         assert_eq!(items.len(), 14);
         assert!(items[10].is_err());
         assert_eq!(items.iter().filter(|i| i.is_err()).count(), 1);
@@ -485,16 +522,17 @@ mod tests {
         let mut bytes = b"\n\n".to_vec();
         bytes.extend_from_slice(&jsonl(5));
         bytes.extend_from_slice(b"\n");
-        let records: Vec<_> = ParallelRecordReader::spawn(Cursor::new(bytes), 2, 2)
-            .collect::<Result<Vec<_>, _>>()
-            .unwrap();
+        let records: Vec<_> =
+            AnyRecordReader::spawn(Cursor::new(bytes), RecordFormat::Json, 2, 2, None)
+                .collect::<Result<Vec<_>, _>>()
+                .unwrap();
         assert_eq!(records.len(), 5);
     }
 
     #[test]
     fn early_drop_joins_cleanly() {
         let bytes = jsonl(1000);
-        let mut reader = ParallelRecordReader::spawn(Cursor::new(bytes), 4, 8);
+        let mut reader = AnyRecordReader::spawn(Cursor::new(bytes), RecordFormat::Json, 4, 8, None);
         assert!(reader.next().is_some());
         drop(reader); // must not deadlock or leak threads
     }
@@ -544,7 +582,8 @@ mod tests {
         bytes.extend_from_slice(&jsonl(5));
         let total_bytes = bytes.len() as u64;
         let items: Vec<_> =
-            ParallelRecordReader::spawn_with(Cursor::new(bytes), 2, 4, Some(&ins)).collect();
+            AnyRecordReader::spawn(Cursor::new(bytes), RecordFormat::Json, 2, 4, Some(&ins))
+                .collect();
         assert_eq!(items.len(), 26);
         let snap = ins.snapshot();
         assert_eq!(snap.counter("reader.lines_read"), 26);
@@ -566,10 +605,13 @@ mod tests {
     #[test]
     fn instrumented_reader_yields_the_same_records() {
         let bytes = jsonl(57);
-        let plain: Vec<_> = ParallelRecordReader::spawn(Cursor::new(bytes.clone()), 3, 8).collect();
+        let plain: Vec<_> =
+            AnyRecordReader::spawn(Cursor::new(bytes.clone()), RecordFormat::Json, 3, 8, None)
+                .collect();
         let ins = Instruments::new();
         let instrumented: Vec<_> =
-            ParallelRecordReader::spawn_with(Cursor::new(bytes), 3, 8, Some(&ins)).collect();
+            AnyRecordReader::spawn(Cursor::new(bytes), RecordFormat::Json, 3, 8, Some(&ins))
+                .collect();
         assert_eq!(plain, instrumented);
     }
 
@@ -579,7 +621,8 @@ mod tests {
             data: Cursor::new(jsonl(10)),
             failed: false,
         };
-        let items: Vec<_> = ParallelRecordReader::spawn(reader, 3, 4).collect();
+        let items: Vec<_> =
+            AnyRecordReader::spawn(reader, RecordFormat::Json, 3, 4, None).collect();
         assert_eq!(items.len(), 11);
         assert!(items[..10].iter().all(Result::is_ok));
         assert!(items[10].as_ref().unwrap_err().is_io());

@@ -8,9 +8,7 @@
 //! order of magnitude, and this test fails long before anyone profiles it.
 
 use pufbits::BitVec;
-use puftestbed::store::{
-    BinaryRecordReader, BinarySink, JsonLinesSink, ParallelRecordReader, RecordSink,
-};
+use puftestbed::store::{AnyRecordReader, BinarySink, JsonLinesSink, RecordFormat, RecordSink};
 use puftestbed::{BoardId, Record, Timestamp};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -74,7 +72,13 @@ fn steady_state_decode_allocates_a_small_constant_per_record() {
     // JSON: line String + word storage per record, plus amortized batch
     // overhead. The tree parser would spend dozens per record.
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let reader = ParallelRecordReader::spawn_with(std::io::Cursor::new(json_bytes), 2, 64, None);
+    let reader = AnyRecordReader::spawn(
+        std::io::Cursor::new(json_bytes),
+        RecordFormat::Json,
+        2,
+        64,
+        None,
+    );
     let mut decoded = 0u64;
     for item in reader {
         let record = item.unwrap();
@@ -91,7 +95,13 @@ fn steady_state_decode_allocates_a_small_constant_per_record() {
 
     // Binary: frame buffer reuse keeps it at least as lean.
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let reader = BinaryRecordReader::spawn_with(std::io::Cursor::new(binary_bytes), 2, 64, None);
+    let reader = AnyRecordReader::spawn(
+        std::io::Cursor::new(binary_bytes),
+        RecordFormat::Binary,
+        2,
+        64,
+        None,
+    );
     let mut decoded = 0u64;
     for item in reader {
         let record = item.unwrap();

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use pufbits::BitVec;
 use puftestbed::store::binary::HEADER_LEN;
 use puftestbed::store::fsck::salvage_pufrec;
-use puftestbed::store::{BinaryRecordReader, BinarySink, Record, RecordSink};
+use puftestbed::store::{AnyRecordReader, BinarySink, Record, RecordSink};
 use puftestbed::{BoardId, Timestamp};
 use std::io::Cursor;
 
@@ -154,7 +154,7 @@ proptest! {
         salvage_pufrec(&bytes, |r| offline.push(r.clone()));
 
         let streaming: Vec<Record> =
-            BinaryRecordReader::spawn_resync(Cursor::new(bytes), 2, 3, u64::MAX, None)
+            AnyRecordReader::spawn_resync(Cursor::new(bytes), 2, 3, u64::MAX, None)
                 .filter_map(Result::ok)
                 .collect();
         prop_assert_eq!(streaming, offline);

@@ -4,8 +4,7 @@
 
 use pufbits::BitVec;
 use puftestbed::store::{
-    AnyRecordReader, BinaryRecordReader, BinarySink, JsonLinesSink, ParallelRecordReader,
-    ParseRecordError, Record, RecordFormat, RecordSink,
+    AnyRecordReader, BinarySink, JsonLinesSink, ParseRecordError, Record, RecordFormat, RecordSink,
 };
 use puftestbed::{BoardId, Timestamp};
 use std::io::{BufRead, Cursor, Read};
@@ -33,17 +32,19 @@ fn jsonl(n: u64) -> Vec<u8> {
 
 #[test]
 fn batch_size_one_preserves_order() {
-    let items: Vec<_> = ParallelRecordReader::spawn(Cursor::new(jsonl(40)), 4, 1)
-        .collect::<Result<_, _>>()
-        .unwrap();
+    let items: Vec<_> =
+        AnyRecordReader::spawn(Cursor::new(jsonl(40)), RecordFormat::Json, 4, 1, None)
+            .collect::<Result<_, _>>()
+            .unwrap();
     assert_eq!(items, records(40));
 }
 
 #[test]
 fn zero_batch_size_is_clamped_not_fatal() {
-    let items: Vec<_> = ParallelRecordReader::spawn(Cursor::new(jsonl(10)), 0, 0)
-        .collect::<Result<_, _>>()
-        .unwrap();
+    let items: Vec<_> =
+        AnyRecordReader::spawn(Cursor::new(jsonl(10)), RecordFormat::Json, 0, 0, None)
+            .collect::<Result<_, _>>()
+            .unwrap();
     assert_eq!(items, records(10));
 }
 
@@ -51,7 +52,7 @@ fn zero_batch_size_is_clamped_not_fatal() {
 fn missing_trailing_newline_still_yields_the_last_record() {
     let mut bytes = jsonl(13);
     assert_eq!(bytes.pop(), Some(b'\n'));
-    let items: Vec<_> = ParallelRecordReader::spawn(Cursor::new(bytes), 3, 4)
+    let items: Vec<_> = AnyRecordReader::spawn(Cursor::new(bytes), RecordFormat::Json, 3, 4, None)
         .collect::<Result<_, _>>()
         .unwrap();
     assert_eq!(items, records(13));
@@ -71,7 +72,7 @@ fn crlf_line_endings_parse_cleanly() {
             }
         })
         .collect();
-    let items: Vec<_> = ParallelRecordReader::spawn(Cursor::new(crlf), 3, 4)
+    let items: Vec<_> = AnyRecordReader::spawn(Cursor::new(crlf), RecordFormat::Json, 3, 4, None)
         .collect::<Result<_, _>>()
         .unwrap();
     assert_eq!(items, records(17));
@@ -135,7 +136,7 @@ fn io_error_mid_file_is_delivered_at_the_exact_position_in_order() {
         failed: false,
     };
 
-    let items: Vec<_> = ParallelRecordReader::spawn(reader, 3, 4).collect();
+    let items: Vec<_> = AnyRecordReader::spawn(reader, RecordFormat::Json, 3, 4, None).collect();
 
     // The 7 complete records arrive first, in input order; the failure is
     // the very next item — the partial 8th line is reported as I/O loss,
@@ -164,21 +165,24 @@ fn pufrec(n: u64) -> Vec<u8> {
 
 #[test]
 fn binary_reader_agrees_with_json_reader() {
-    let json: Vec<_> = ParallelRecordReader::spawn(Cursor::new(jsonl(50)), 3, 4)
-        .collect::<Result<_, _>>()
-        .unwrap();
-    let binary: Vec<_> = BinaryRecordReader::spawn(Cursor::new(pufrec(50)), 3, 4)
-        .collect::<Result<_, _>>()
-        .unwrap();
+    let json: Vec<_> =
+        AnyRecordReader::spawn(Cursor::new(jsonl(50)), RecordFormat::Json, 3, 4, None)
+            .collect::<Result<_, _>>()
+            .unwrap();
+    let binary: Vec<_> =
+        AnyRecordReader::spawn(Cursor::new(pufrec(50)), RecordFormat::Binary, 3, 4, None)
+            .collect::<Result<_, _>>()
+            .unwrap();
     assert_eq!(json, binary);
     assert_eq!(json, records(50));
 }
 
 #[test]
 fn binary_zero_batch_and_thread_counts_are_clamped_not_fatal() {
-    let items: Vec<_> = BinaryRecordReader::spawn(Cursor::new(pufrec(10)), 0, 0)
-        .collect::<Result<_, _>>()
-        .unwrap();
+    let items: Vec<_> =
+        AnyRecordReader::spawn(Cursor::new(pufrec(10)), RecordFormat::Binary, 0, 0, None)
+            .collect::<Result<_, _>>()
+            .unwrap();
     assert_eq!(items, records(10));
 }
 
@@ -194,7 +198,7 @@ fn binary_io_error_mid_file_is_delivered_at_the_exact_position_in_order() {
         failed: false,
     };
 
-    let items: Vec<_> = BinaryRecordReader::spawn(reader, 3, 4).collect();
+    let items: Vec<_> = AnyRecordReader::spawn(reader, RecordFormat::Binary, 3, 4, None).collect();
 
     assert_eq!(items.len(), 8);
     let good: Vec<_> = items[..7]
@@ -212,7 +216,8 @@ fn binary_io_error_mid_file_is_delivered_at_the_exact_position_in_order() {
 
 #[test]
 fn zero_length_binary_file_is_typed_corrupt_with_position() {
-    let items: Vec<_> = BinaryRecordReader::spawn(Cursor::new(Vec::new()), 2, 4).collect();
+    let items: Vec<_> =
+        AnyRecordReader::spawn(Cursor::new(Vec::new()), RecordFormat::Binary, 2, 4, None).collect();
     assert_eq!(items.len(), 1);
     let err = items[0].as_ref().unwrap_err();
     assert!(!err.is_io(), "clean EOF is structural damage, not I/O loss");
@@ -229,7 +234,8 @@ fn zero_length_binary_file_is_typed_corrupt_with_position() {
 
 #[test]
 fn header_only_binary_file_yields_no_records_and_no_errors() {
-    let items: Vec<_> = BinaryRecordReader::spawn(Cursor::new(pufrec(0)), 2, 4).collect();
+    let items: Vec<_> =
+        AnyRecordReader::spawn(Cursor::new(pufrec(0)), RecordFormat::Binary, 2, 4, None).collect();
     assert!(
         items.is_empty(),
         "a header with no frames is a valid empty file"
@@ -242,8 +248,14 @@ fn truncation_inside_a_length_prefix_is_corrupt_with_the_exact_offset() {
     let record_len = (bytes.len() - puftestbed::store::binary::HEADER_LEN) / 5;
     // Keep 3 whole frames plus 2 bytes of the 4th frame's length prefix.
     let cut = puftestbed::store::binary::HEADER_LEN + 3 * record_len + 2;
-    let items: Vec<_> =
-        BinaryRecordReader::spawn(Cursor::new(bytes[..cut].to_vec()), 2, 4).collect();
+    let items: Vec<_> = AnyRecordReader::spawn(
+        Cursor::new(bytes[..cut].to_vec()),
+        RecordFormat::Binary,
+        2,
+        4,
+        None,
+    )
+    .collect();
     assert_eq!(items.len(), 4);
     assert_eq!(
         items[..3]
@@ -274,7 +286,7 @@ fn resync_recovers_the_frames_after_a_corrupt_region() {
     bytes[puftestbed::store::binary::HEADER_LEN + 4 * record_len + 9] ^= 0xFF;
 
     let items: Vec<_> =
-        BinaryRecordReader::spawn_resync(Cursor::new(bytes), 2, 4, 1 << 20, None).collect();
+        AnyRecordReader::spawn_resync(Cursor::new(bytes), 2, 4, 1 << 20, None).collect();
     let good: Vec<_> = items
         .iter()
         .filter_map(|r| r.as_ref().ok().cloned())
@@ -303,8 +315,7 @@ fn resync_with_an_exhausted_skip_budget_gives_up_loudly() {
     bytes[puftestbed::store::binary::HEADER_LEN + 2 * record_len + 9] ^= 0xFF;
 
     // A budget smaller than one frame cannot reach the next valid frame.
-    let items: Vec<_> =
-        BinaryRecordReader::spawn_resync(Cursor::new(bytes), 2, 4, 3, None).collect();
+    let items: Vec<_> = AnyRecordReader::spawn_resync(Cursor::new(bytes), 2, 4, 3, None).collect();
     let good = items.iter().filter(|r| r.is_ok()).count();
     assert_eq!(good, 2, "the frames before the damage still arrive");
     let last = items.last().unwrap().as_ref().unwrap_err().to_string();
@@ -317,10 +328,11 @@ fn resync_with_an_exhausted_skip_budget_gives_up_loudly() {
 #[test]
 fn resync_on_a_clean_file_is_equivalent_to_the_strict_reader() {
     let bytes = pufrec(30);
-    let strict: Vec<_> = BinaryRecordReader::spawn(Cursor::new(bytes.clone()), 3, 4)
-        .collect::<Result<_, _>>()
-        .unwrap();
-    let resync: Vec<_> = BinaryRecordReader::spawn_resync(Cursor::new(bytes), 3, 4, 1024, None)
+    let strict: Vec<_> =
+        AnyRecordReader::spawn(Cursor::new(bytes.clone()), RecordFormat::Binary, 3, 4, None)
+            .collect::<Result<_, _>>()
+            .unwrap();
+    let resync: Vec<_> = AnyRecordReader::spawn_resync(Cursor::new(bytes), 3, 4, 1024, None)
         .collect::<Result<_, _>>()
         .unwrap();
     assert_eq!(strict, resync);
