@@ -306,3 +306,39 @@ fn resync_with_forced_json_is_a_usage_error() {
     assert!(output.stdout.is_empty());
     assert!(String::from_utf8_lossy(&output.stderr).contains("--resync"));
 }
+
+#[test]
+fn a_non_utf8_byte_costs_one_record_not_the_file() {
+    let dir = Scratch::new("a_non_utf8_byte_costs_one_record_not_the_file");
+    let damaged = dir.join("damaged.jsonl");
+    let repaired = dir.join("repaired.jsonl");
+    run_campaign(&damaged, "json");
+    // One hex digit of the eleventh record becomes 0xFF.
+    let mut bytes = std::fs::read(&damaged).unwrap();
+    let start = bytes
+        .iter()
+        .enumerate()
+        .filter(|(_, &b)| b == b'\n')
+        .nth(9)
+        .map(|(i, _)| i + 1)
+        .unwrap();
+    let data = bytes[start..]
+        .windows(8)
+        .position(|w| w == b"\"data\":\"")
+        .unwrap();
+    bytes[start + data + 8] = 0xFF;
+    std::fs::write(&damaged, bytes).unwrap();
+    repair(&damaged, &repaired);
+
+    let streamed = assess_with(&damaged, &[]);
+    let stderr = String::from_utf8_lossy(&streamed.stderr);
+    assert!(streamed.status.success(), "{stderr}");
+    assert!(stderr.contains("line is not valid UTF-8"), "{stderr}");
+    let offline = assess_with(&repaired, &[]);
+    assert!(
+        offline.status.success(),
+        "{}",
+        String::from_utf8_lossy(&offline.stderr)
+    );
+    assert_eq!(streamed.stdout, offline.stdout);
+}

@@ -552,28 +552,55 @@ impl RecordSink for Vec<Record> {
 /// [`ParseRecordError::Io`] (and ends the iteration — everything after a
 /// broken read is missing, so consumers must abort rather than skip).
 pub fn read_json_lines<R: BufRead>(
-    reader: R,
+    mut reader: R,
 ) -> impl Iterator<Item = Result<Record, ParseRecordError>> {
+    let mut line = Vec::new();
     let mut failed = false;
-    reader
-        .lines()
-        .map_while(move |line| {
-            if failed {
-                return None;
-            }
-            match line {
-                Ok(l) => Some(Ok(l)),
+    std::iter::from_fn(move || {
+        while !failed {
+            match read_line_bytes(&mut reader, &mut line) {
+                Ok(0) => return None,
+                Ok(_) => {
+                    if let Some(item) = decode_json_line(&line) {
+                        return Some(item);
+                    }
+                }
                 Err(e) => {
                     failed = true;
-                    Some(Err(ParseRecordError::from_io(&e)))
+                    return Some(Err(ParseRecordError::from_io(&e)));
                 }
             }
-        })
-        .filter_map(|line| match line {
-            Ok(l) if l.trim().is_empty() => None,
-            Ok(l) => Some(Record::parse_json_line(&l)),
-            Err(e) => Some(Err(e)),
-        })
+        }
+        None
+    })
+}
+
+/// Reads one line into `buf` (cleared first) and strips its `\n`, then a
+/// `\r` before it, as [`BufRead::lines`] does, but leaves the UTF-8 check
+/// to [`decode_json_line`]. Returns the bytes consumed; 0 at end of stream.
+fn read_line_bytes<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>) -> io::Result<usize> {
+    buf.clear();
+    let n = reader.read_until(b'\n', buf)?;
+    if buf.ends_with(b"\n") {
+        buf.pop();
+        if buf.ends_with(b"\r") {
+            buf.pop();
+        }
+    }
+    Ok(n)
+}
+
+/// Decodes one JSON line, given without its line ending. A blank line
+/// yields `None` (readers skip it); a line that is not UTF-8 is one
+/// malformed record, not a failure of the stream.
+fn decode_json_line(line: &[u8]) -> Option<Result<Record, ParseRecordError>> {
+    match std::str::from_utf8(line) {
+        Ok(text) if text.trim().is_empty() => None,
+        Ok(text) => Some(Record::parse_json_line(text)),
+        Err(_) => Some(Err(ParseRecordError::Malformed(
+            "line is not valid UTF-8".into(),
+        ))),
+    }
 }
 
 /// On-disk record encoding.

@@ -355,7 +355,7 @@ fn read_full<R: Read>(reader: &mut R, buf: &mut [u8]) -> io::Result<usize> {
 pub(super) fn read_frame_batches<R: BufRead>(
     mut reader: R,
     batch_records: usize,
-    feed: &mut BatchFeed<Vec<u8>>,
+    feed: &mut BatchFeed,
 ) {
     let mut header = [0u8; HEADER_LEN];
     match read_full(&mut reader, &mut header) {
@@ -469,7 +469,7 @@ const RESYNC_MAX_PAYLOAD: usize = 1 << 20;
 pub(super) fn read_frame_batches_resync<R: BufRead>(
     mut reader: R,
     batch_records: usize,
-    feed: &mut BatchFeed<Vec<u8>>,
+    feed: &mut BatchFeed,
     max_skip_bytes: u64,
 ) {
     /// Tops `carry` up to at least `want` bytes (EOF permitting).

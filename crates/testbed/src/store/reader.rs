@@ -9,18 +9,19 @@
 //! by index on the consumer side).
 //!
 //! ```text
-//!  reader thread ──(idx, Vec<B>)──▶ workers ──(idx, Vec<Result>)──▶ reorder ──▶ iterator
-//!        bounded sync_channel            bounded sync_channel        BTreeMap
+//!  reader thread ──(idx, Vec<item>)──▶ workers ──(idx, Vec<Result>)──▶ reorder ──▶ iterator
+//!        bounded sync_channel               bounded sync_channel        BTreeMap
 //! ```
 //!
-//! Only the producer (how the stream splits into items) and the per-item
-//! decode function depend on the [`RecordFormat`]. JSON lines split on
-//! newlines (`B = String`) and decode through [`Record::parse_json_line`]'s
-//! canonical-layout fast path (one allocation per record — the word
-//! storage itself; see `crates/testbed/tests/alloc_regression.rs`),
-//! falling back to the tree parser only on non-canonical input.
-//! `pufrec/1` splits on length prefixes (`B = Vec<u8>`, see
-//! [`binary`](super::binary)) and decodes a frame with a CRC check.
+//! Only the producer (how the stream splits into byte items) and the
+//! per-item decode function depend on the [`RecordFormat`]. JSON lines
+//! split on newlines; a worker checks a line's UTF-8 and decodes it through
+//! [`Record::parse_json_line`]'s canonical-layout fast path (one allocation
+//! per record — the word storage itself; see
+//! `crates/testbed/tests/alloc_regression.rs`), falling back to the tree
+//! parser only on non-canonical input. `pufrec/1` splits on length
+//! prefixes (see [`binary`](super::binary)) and decodes a frame with a CRC
+//! check.
 //!
 //! A mid-stream I/O failure is delivered in-band as a
 //! [`ParseRecordError::Io`] item at the exact position it occurred, then the
@@ -44,9 +45,8 @@ pub const DEFAULT_BATCH_LINES: usize = 1024;
 #[derive(Debug, Clone)]
 struct ReaderInstruments {
     ins: Instruments,
-    /// `reader.bytes_read` — bytes pulled off the input stream (exact for
-    /// the binary reader; the JSON reader counts each line plus one newline
-    /// byte).
+    /// `reader.bytes_read` — bytes pulled off the input stream: each JSON
+    /// line with its line ending, or the `pufrec/1` header and frames.
     bytes: Counter,
     /// `reader.lines_read` — lines pulled off the input stream (JSON only).
     lines: Option<Counter>,
@@ -91,21 +91,24 @@ impl ReaderInstruments {
 
 type ResultBatch = (usize, Vec<Result<Record, ParseRecordError>>);
 
+/// Decodes one stream item; `None` drops it (how JSON skips blank lines).
+type Decode = fn(&[u8]) -> Option<Result<Record, ParseRecordError>>;
+
 /// The producer side of the pipeline, handed to the reader-thread body:
 /// tracks the batch sequence number and maintains the producer-side
 /// instruments so every format's producer stays a plain split loop.
-pub(crate) struct BatchFeed<B> {
-    work_tx: SyncSender<(usize, Vec<B>)>,
+pub(crate) struct BatchFeed {
+    work_tx: SyncSender<(usize, Vec<Vec<u8>>)>,
     result_tx: SyncSender<ResultBatch>,
     obs: Option<ReaderInstruments>,
     idx: usize,
 }
 
-impl<B> BatchFeed<B> {
+impl BatchFeed {
     /// Dispatches one batch covering `bytes` input bytes to the worker
     /// pool. Returns `false` if the consumer dropped the iterator (the
     /// producer should stop reading).
-    pub(crate) fn send(&mut self, batch: Vec<B>, bytes: u64) -> bool {
+    pub(crate) fn send(&mut self, batch: Vec<Vec<u8>>, bytes: u64) -> bool {
         if let Some(o) = &self.obs {
             o.bytes.add(bytes);
             if let Some(lines) = &o.lines {
@@ -226,20 +229,14 @@ impl AnyRecordReader {
                 threads,
                 instruments,
                 move |feed| read_line_batches(reader, batch, feed),
-                |line: &String| {
-                    if line.trim().is_empty() {
-                        None // blank lines are dropped, like the sequential reader
-                    } else {
-                        Some(Record::parse_json_line(line))
-                    }
-                },
+                super::decode_json_line,
             ),
             RecordFormat::Binary => Self::pipeline(
                 format,
                 threads,
                 instruments,
                 move |feed| binary::read_frame_batches(reader, batch, feed),
-                |frame: &Vec<u8>| Some(binary::decode_frame(frame)),
+                |frame| Some(binary::decode_frame(frame)),
             ),
         }
     }
@@ -274,7 +271,7 @@ impl AnyRecordReader {
             threads,
             instruments,
             move |feed| binary::read_frame_batches_resync(reader, batch, feed, max_skip_bytes),
-            |frame: &Vec<u8>| Some(binary::decode_frame(frame)),
+            |frame| Some(binary::decode_frame(frame)),
         )
     }
 
@@ -284,36 +281,27 @@ impl AnyRecordReader {
     }
 
     /// Spawns `threads` decode workers running `decode` per item and one
-    /// producer thread running `produce` over a [`BatchFeed`]. `decode`
-    /// returning `None` drops the item (how the JSON path skips blank
-    /// lines).
-    fn pipeline<B, P, F>(
+    /// producer thread running `produce` over a [`BatchFeed`].
+    fn pipeline(
         format: RecordFormat,
         threads: usize,
         instruments: Option<&Instruments>,
-        produce: P,
-        decode: F,
-    ) -> Self
-    where
-        B: Send + 'static,
-        P: FnOnce(&mut BatchFeed<B>) + Send + 'static,
-        F: Fn(&B) -> Option<Result<Record, ParseRecordError>> + Send + Sync + 'static,
-    {
+        produce: impl FnOnce(&mut BatchFeed) + Send + 'static,
+        decode: Decode,
+    ) -> Self {
         let threads = threads.max(1);
         let obs = instruments.map(|ins| ReaderInstruments::new(ins, format));
-        let (work_tx, work_rx) = mpsc::sync_channel::<(usize, Vec<B>)>(threads);
+        let (work_tx, work_rx) = mpsc::sync_channel(threads);
         let (result_tx, result_rx) = mpsc::sync_channel::<ResultBatch>(threads);
         let work_rx = Arc::new(Mutex::new(work_rx));
-        let decode = Arc::new(decode);
 
         let mut handles = Vec::with_capacity(threads + 1);
         for _ in 0..threads {
             let work_rx = Arc::clone(&work_rx);
             let result_tx = result_tx.clone();
             let obs = obs.clone();
-            let decode = Arc::clone(&decode);
             handles.push(std::thread::spawn(move || {
-                decode_worker(&work_rx, &result_tx, obs.as_ref(), decode.as_ref())
+                decode_worker(&work_rx, &result_tx, obs.as_ref(), decode)
             }));
         }
         handles.push(std::thread::spawn(move || {
@@ -398,11 +386,11 @@ impl Drop for AnyRecordReader {
 
 /// Worker-thread body: decode item batches, preserving every item's
 /// outcome.
-fn decode_worker<B>(
-    work_rx: &Mutex<Receiver<(usize, Vec<B>)>>,
+fn decode_worker(
+    work_rx: &Mutex<Receiver<(usize, Vec<Vec<u8>>)>>,
     result_tx: &SyncSender<ResultBatch>,
     obs: Option<&ReaderInstruments>,
-    decode: &(dyn Fn(&B) -> Option<Result<Record, ParseRecordError>> + Send + Sync),
+    decode: Decode,
 ) {
     loop {
         let received = {
@@ -417,7 +405,7 @@ fn decode_worker<B>(
             o.ins.now()
         });
         let parsed: Vec<Result<Record, ParseRecordError>> =
-            items.iter().filter_map(decode).collect();
+            items.iter().filter_map(|item| decode(item)).collect();
         if let (Some(o), Some(t0)) = (obs, started) {
             o.batch_parse_ns
                 .record_duration(o.ins.now().saturating_sub(t0));
@@ -434,14 +422,16 @@ fn decode_worker<B>(
 /// Reader-thread body for the JSON pipeline: slice the stream into line
 /// batches, push them to the workers, and deliver I/O failures in-band at
 /// the position they occurred.
-fn read_line_batches<R: BufRead>(reader: R, batch_lines: usize, feed: &mut BatchFeed<String>) {
-    let mut batch: Vec<String> = Vec::with_capacity(batch_lines);
+fn read_line_batches<R: BufRead>(mut reader: R, batch_lines: usize, feed: &mut BatchFeed) {
+    let mut batch = Vec::with_capacity(batch_lines);
     let mut batch_bytes = 0u64;
-    for line in reader.lines() {
-        match line {
-            Ok(l) => {
-                batch_bytes += l.len() as u64 + 1;
-                batch.push(l);
+    loop {
+        let mut line = Vec::new();
+        match super::read_line_bytes(&mut reader, &mut line) {
+            Ok(0) => break,
+            Ok(n) => {
+                batch_bytes += n as u64;
+                batch.push(line);
                 if batch.len() == batch_lines {
                     let full = std::mem::replace(&mut batch, Vec::with_capacity(batch_lines));
                     if !feed.send(full, batch_bytes) {

@@ -1,7 +1,7 @@
 //! Allocation-count regression guard for the steady-state decode paths.
 //!
 //! The JSON fast path decodes a canonical line with exactly one heap
-//! allocation (the record's own word storage); the line `String` and
+//! allocation (the record's own word storage); the line's bytes and
 //! batching overhead add a few more. If the reader regresses to the
 //! tree-parsing path — which builds a `JsonValue` object per line, with
 //! per-field key strings — the per-record allocation count jumps by an
@@ -69,7 +69,7 @@ fn steady_state_decode_allocates_a_small_constant_per_record() {
     let json_bytes = json.into_inner().unwrap();
     let binary_bytes = binary.into_inner().unwrap();
 
-    // JSON: line String + word storage per record, plus amortized batch
+    // JSON: line bytes + word storage per record, plus amortized batch
     // overhead. The tree parser would spend dozens per record.
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let reader = AnyRecordReader::spawn(

@@ -1,10 +1,13 @@
 //! Edge cases of the parallel record reader: degenerate batch sizes,
-//! files without a trailing newline, CRLF line endings, and mid-file I/O
-//! failures — all must preserve in-order delivery and exact positions.
+//! files without a trailing newline, CRLF line endings, lines that are not
+//! UTF-8, and mid-file I/O failures — all must preserve in-order delivery
+//! and exact positions.
 
 use pufbits::BitVec;
+use pufobs::Instruments;
 use puftestbed::store::{
-    AnyRecordReader, BinarySink, JsonLinesSink, ParseRecordError, Record, RecordFormat, RecordSink,
+    read_json_lines, AnyRecordReader, BinarySink, JsonLinesSink, ParseRecordError, Record,
+    RecordFormat, RecordSink,
 };
 use puftestbed::{BoardId, Timestamp};
 use std::io::{BufRead, Cursor, Read};
@@ -60,8 +63,8 @@ fn missing_trailing_newline_still_yields_the_last_record() {
 
 #[test]
 fn crlf_line_endings_parse_cleanly() {
-    // A file produced on Windows: `\r` survives `BufRead::lines` (which
-    // strips only `\n`) and must be absorbed as JSON whitespace.
+    // A file produced on Windows: the reader strips `\r\n` as
+    // `BufRead::lines` does.
     let crlf: Vec<u8> = jsonl(17)
         .into_iter()
         .flat_map(|b| {
@@ -76,6 +79,51 @@ fn crlf_line_endings_parse_cleanly() {
         .collect::<Result<_, _>>()
         .unwrap();
     assert_eq!(items, records(17));
+}
+
+#[test]
+fn a_non_utf8_line_is_one_malformed_record_in_both_json_readers() {
+    let mut bytes = jsonl(20);
+    // One hex digit of the record on line 7 (0-based) becomes 0xFF.
+    let start = bytes
+        .iter()
+        .enumerate()
+        .filter(|(_, &b)| b == b'\n')
+        .nth(6)
+        .map(|(i, _)| i + 1)
+        .unwrap();
+    let data = bytes[start..]
+        .windows(8)
+        .position(|w| w == b"\"data\":\"")
+        .unwrap();
+    bytes[start + data + 8] = 0xFF;
+
+    let ins = Instruments::new();
+    let parallel: Vec<_> = AnyRecordReader::spawn(
+        Cursor::new(bytes.clone()),
+        RecordFormat::Json,
+        3,
+        4,
+        Some(&ins),
+    )
+    .collect();
+    let sequential: Vec<_> = read_json_lines(Cursor::new(bytes)).collect();
+    let mut expected = records(20);
+    expected.remove(7);
+    for items in [&parallel, &sequential] {
+        assert_eq!(items.len(), 20);
+        let good: Vec<_> = items.iter().filter_map(|r| r.clone().ok()).collect();
+        assert_eq!(good, expected);
+        assert_eq!(
+            items[7],
+            Err(ParseRecordError::Malformed(
+                "line is not valid UTF-8".into()
+            ))
+        );
+    }
+    let snap = ins.snapshot();
+    assert_eq!(snap.counter("reader.malformed_lines"), 1);
+    assert_eq!(snap.counter("reader.io_errors"), 0);
 }
 
 /// A `BufRead` over a prefix of a record file that fails with
