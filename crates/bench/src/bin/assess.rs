@@ -117,7 +117,7 @@ fn main() {
     }
     let heartbeat = verbose.then(|| {
         let ins = obs.as_ref().expect("verbose implies instruments");
-        metrics::spawn_heartbeat(ins, metrics::assess_spec())
+        metrics::spawn_heartbeat(ins, metrics::assess_spec(reader.format()))
     });
     let mut malformed = 0u64;
     for item in reader {

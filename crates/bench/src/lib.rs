@@ -597,6 +597,7 @@ pub mod cli {
 pub mod metrics {
     use pufobs::render::progress_line;
     use pufobs::{Heartbeat, Instruments, ProgressSpec};
+    use puftestbed::store::RecordFormat;
     use std::time::Duration;
 
     /// Writes the current snapshot of `ins` to `path` as one JSON document
@@ -632,12 +633,16 @@ pub mod metrics {
 
     /// The heartbeat spec for the assessment consumer: folded records (the
     /// total is unknown when reading a file, so no ETA), with skip/malformed
-    /// columns.
-    pub fn assess_spec() -> ProgressSpec {
+    /// columns; `malformed` reads the counter of the input's `format`.
+    pub fn assess_spec(format: RecordFormat) -> ProgressSpec {
+        let malformed = match format {
+            RecordFormat::Json => "reader.malformed_lines",
+            RecordFormat::Binary => "reader.corrupt_records",
+        };
         ProgressSpec::new("assess", "assess.records_seen", "rec", None)
             .extra("folded", "assess.records_folded")
             .extra("skipped", "assess.records_skipped")
-            .extra("malformed", "reader.malformed_lines")
+            .extra("malformed", malformed)
     }
 
     /// The heartbeat spec for the key-lifetime consumer: records against an
@@ -700,6 +705,33 @@ mod tests {
         // Small and paper profiles at least construct.
         assert_eq!(Scale::Small.keylife_profiles().len(), 2);
         assert_eq!(Scale::Paper.keylife_profiles().len(), 2);
+    }
+
+    #[test]
+    fn assess_progress_counts_corrupt_pufrec_frames_as_malformed() {
+        use puftestbed::{BoardId, Timestamp};
+        let mut sink = BinarySink::new(Vec::new()).unwrap();
+        for seq in 0..3 {
+            let data = pufbits::BitVec::from_bytes(&[0xA5]);
+            sink.record(&Record::new(BoardId(0), seq, Timestamp(0), data))
+                .unwrap();
+        }
+        let mut bytes = sink.into_inner().unwrap();
+        *bytes.last_mut().unwrap() ^= 0xFF; // the last frame's CRC
+        let ins = Instruments::new();
+        let reader = AnyRecordReader::spawn(
+            std::io::Cursor::new(bytes),
+            RecordFormat::Binary,
+            1,
+            4,
+            Some(&ins),
+        );
+        assert_eq!(reader.filter(Result::is_err).count(), 1);
+        let line = pufobs::render::progress_line(
+            &ins.snapshot(),
+            &metrics::assess_spec(RecordFormat::Binary),
+        );
+        assert!(line.contains("malformed 1"), "{line}");
     }
 
     #[test]
