@@ -28,9 +28,10 @@
 //! | 26 | `len − 22` | data bytes, LSB-first (the [`BitVec`] byte order) |
 //! | 4 + `len` | 4 | CRC-32 (IEEE) over the `len` payload bytes |
 //!
-//! The length prefix lets readers split records without decoding them (the
-//! parallel reader batches frames to a worker pool exactly as the JSON
-//! reader batches lines); the per-record CRC turns torn or corrupted writes
+//! The length prefix lets readers split records without decoding them
+//! ([`AnyRecordReader`](super::AnyRecordReader) batches frames to a worker
+//! pool exactly as it batches JSON lines; this module holds the frame
+//! producers it runs); the per-record CRC turns torn or corrupted writes
 //! into in-band [`ParseRecordError::Corrupt`] items at the record where the
 //! damage sits, the same contract as the JSON path's `Malformed`/`Io`
 //! variants.

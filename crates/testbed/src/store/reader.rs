@@ -20,8 +20,7 @@
 //! per record — the word storage itself; see
 //! `crates/testbed/tests/alloc_regression.rs`), falling back to the tree
 //! parser only on non-canonical input. `pufrec/1` splits on length
-//! prefixes (see [`binary`](super::binary)) and decodes a frame with a CRC
-//! check.
+//! prefixes (see [`binary`]) and decodes a frame with a CRC check.
 //!
 //! A mid-stream I/O failure is delivered in-band as a
 //! [`ParseRecordError::Io`] item at the exact position it occurred, then the
@@ -89,6 +88,8 @@ impl ReaderInstruments {
     }
 }
 
+/// Numbered batches: stream items to the workers, decoded results back.
+type WorkBatch = (usize, Vec<Vec<u8>>);
 type ResultBatch = (usize, Vec<Result<Record, ParseRecordError>>);
 
 /// Decodes one stream item; `None` drops it (how JSON skips blank lines).
@@ -98,7 +99,7 @@ type Decode = fn(&[u8]) -> Option<Result<Record, ParseRecordError>>;
 /// tracks the batch sequence number and maintains the producer-side
 /// instruments so every format's producer stays a plain split loop.
 pub(crate) struct BatchFeed {
-    work_tx: SyncSender<(usize, Vec<Vec<u8>>)>,
+    work_tx: SyncSender<WorkBatch>,
     result_tx: SyncSender<ResultBatch>,
     obs: Option<ReaderInstruments>,
     idx: usize,
@@ -150,11 +151,14 @@ impl BatchFeed {
 /// [`open`](Self::open) detects the format from the stream's first bytes,
 /// [`spawn`](Self::spawn) takes it from the caller, and
 /// [`spawn_resync`](Self::spawn_resync) reads damaged `pufrec/1` input.
-/// `threads` is clamped to at least 1, and a `batch` (lines or frames per
-/// worker batch) of 0 is treated as 1. In-flight memory is bounded by
-/// roughly `4 × threads × batch` items: two bounded channels plus the
-/// batches the workers hold. Dropping the iterator early shuts the
-/// pipeline down and joins every thread.
+/// A bad item is one `Err` at its own position: a malformed JSON line or a
+/// corrupt frame costs only itself, while an I/O failure, or a damaged
+/// `pufrec/1` length prefix that desynchronises the framing, ends the
+/// stream. `threads` is clamped to at least 1, and a `batch` (lines or
+/// frames per worker batch) of 0 is treated as 1. In-flight memory is
+/// bounded by roughly `4 × threads × batch` items: two bounded channels
+/// plus the batches the workers hold. Dropping the iterator early shuts
+/// the pipeline down and joins every thread.
 ///
 /// # Examples
 ///
@@ -387,7 +391,7 @@ impl Drop for AnyRecordReader {
 /// Worker-thread body: decode item batches, preserving every item's
 /// outcome.
 fn decode_worker(
-    work_rx: &Mutex<Receiver<(usize, Vec<Vec<u8>>)>>,
+    work_rx: &Mutex<Receiver<WorkBatch>>,
     result_tx: &SyncSender<ResultBatch>,
     obs: Option<&ReaderInstruments>,
     decode: Decode,
