@@ -5,7 +5,8 @@
 //! merge order, statistics, or report formatting shows up as a diff here.
 //! Four SHA-256 digests of campaign records pin the raw read-out bits too,
 //! so a change that draws the RNG differently fails here even when every
-//! aggregate still rounds to the same text.
+//! aggregate still rounds to the same text. A fifth pins the bytes of the
+//! smoke campaign's `pufrec/1` file as the record file writer leaves it.
 //!
 //! When an intentional change moves the numbers, regenerate the files and
 //! review the diff like any other code change:
@@ -15,12 +16,16 @@
 //! ```
 
 use pufassess::report::{self, Series};
-use pufbench::{run_assessment_streaming_with, Scale};
+use pufbench::{run_assessment_streaming_with, FormatSink, Scale};
 use pufkeygen::sha256;
 use puftestbed::faults::{Brownout, I2cBurst, LayerSkew, StuckCluster};
+use puftestbed::store::RecordFormat;
 use puftestbed::{Campaign, CampaignConfig, FaultPlan};
 use std::path::PathBuf;
 use std::process::Command;
+
+mod common;
+use common::Scratch;
 
 fn golden_path(name: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -64,6 +69,15 @@ fn fixed_seed_smoke_pipeline_matches_the_golden_files() {
     );
 }
 
+/// SHA-256 of `bytes`, as one line of lowercase hex.
+fn digest_line(bytes: &[u8]) -> String {
+    let hex: String = sha256::digest(bytes)
+        .iter()
+        .map(|b| format!("{b:02x}"))
+        .collect();
+    hex + "\n"
+}
+
 /// SHA-256, as one line of lowercase hex, of the JSON lines a two-thread
 /// campaign writes.
 fn records_digest(config: CampaignConfig, seed: u64) -> String {
@@ -73,11 +87,33 @@ fn records_digest(config: CampaignConfig, seed: u64) -> String {
         .iter()
         .map(|r| r.to_json_line() + "\n")
         .collect();
-    let hex: String = sha256::digest(lines.as_bytes())
-        .iter()
-        .map(|b| format!("{b:02x}"))
-        .collect();
-    hex + "\n"
+    digest_line(lines.as_bytes())
+}
+
+#[test]
+fn record_files_match_the_golden_digests_in_both_formats() {
+    // The files the CLIs write, through the record file writer: the JSON
+    // file hashes like the in-memory lines above, and the `pufrec/1` file
+    // pins the header (with the declared read width) and every frame.
+    let dir = Scratch::new("record_files_match_the_golden_digests_in_both_formats");
+    let config = Scale::Smoke.campaign_config();
+    let read_bits = u32::try_from(config.read_bits).expect("width fits u32");
+    for (format, golden) in [
+        (RecordFormat::Json, "smoke_records.sha256"),
+        (RecordFormat::Binary, "smoke_records_pufrec.sha256"),
+    ] {
+        let path = dir.join(&format!("records.{format}"));
+        let mut sink = FormatSink::create(&path, format, read_bits).expect("file created");
+        Campaign::new(config.clone(), 2017)
+            .threads(2)
+            .run(&mut sink)
+            .expect("campaign runs");
+        sink.finish().expect("file published");
+        check_golden(
+            golden,
+            &digest_line(&std::fs::read(&path).expect("file read")),
+        );
+    }
 }
 
 #[test]
