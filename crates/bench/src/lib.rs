@@ -20,10 +20,9 @@ use pufobs::Instruments;
 use puftestbed::store::atomic::tmp_path;
 use puftestbed::store::iofault::FaultyReader;
 use puftestbed::store::{
-    checkpoint, AnyRecordReader, AtomicFile, BinarySink, IoPolicy, JsonLinesSink, RecordFormat,
-    RecordSink,
+    checkpoint, AnyRecordReader, AtomicFile, IoPolicy, RecordFormat, RecordSink, RecordWriter,
 };
-use puftestbed::{Campaign, CampaignConfig, Record};
+use puftestbed::{Campaign, CampaignConfig};
 use std::fs;
 use std::io::{self, BufReader, BufWriter};
 use std::path::{Path, PathBuf};
@@ -269,112 +268,9 @@ pub fn keylife_bench_json(life: &KeyLife, elapsed_seconds: f64) -> String {
     )
 }
 
-/// Write buffer of a [`FormatSink`]. A paper-width record is about 2 KiB of
-/// JSON or 1 KiB of `pufrec/1`, so std's default 8 KiB buffer issued a
-/// `write(2)` every few records: about 12 400 for a 100 MB campaign file,
-/// where 256 KiB issues about 390. Durability does not depend on it:
-/// [`finish`](FormatSink::finish) syncs the file and its directory, and a
-/// campaign flushes its sink before every checkpoint.
-const WRITE_BUFFER: usize = 256 * 1024;
-
-/// A buffered, atomically written file sink in either storage format — the
-/// shared `--format` plumbing for the CLI binaries.
-///
-/// Bytes stream into `<path>.tmp`; only [`finish`](Self::finish) renames
-/// them to the final path, so a crash mid-run never leaves a torn file
-/// under the final name (the `.tmp` is what the resume machinery salvages).
-#[derive(Debug)]
-pub enum FormatSink {
-    /// Writing JSON lines.
-    Json(JsonLinesSink<BufWriter<AtomicFile>>),
-    /// Writing `pufrec/1` binary.
-    Binary(BinarySink<BufWriter<AtomicFile>>),
-}
-
-impl FormatSink {
-    /// Starts an atomic write to `path` and wraps it in the sink for
-    /// `format`. `declared_bits` goes into the binary file header
-    /// (advisory; pass the campaign read width, or 0 when unknown or
-    /// mixed).
-    ///
-    /// # Errors
-    ///
-    /// Returns the error from creating the file or writing the header.
-    pub fn create(
-        path: impl AsRef<Path>,
-        format: RecordFormat,
-        declared_bits: u32,
-    ) -> io::Result<Self> {
-        Self::create_with(path, format, declared_bits, None)
-    }
-
-    /// [`create`](Self::create) for a campaign output under supervision:
-    /// all I/O routes through the optional [`IoPolicy`] (deterministic
-    /// fault injection), and the temporary file survives a *failed* run —
-    /// not just a killed one — so the checkpoint-resume salvage always has
-    /// its partial bytes. `None` policy still keeps the partial (that is
-    /// free, and a real disk error deserves the same resumability as an
-    /// injected one).
-    ///
-    /// # Errors
-    ///
-    /// Returns the error from creating the file or writing the header.
-    pub fn create_with(
-        path: impl AsRef<Path>,
-        format: RecordFormat,
-        declared_bits: u32,
-        policy: Option<IoPolicy>,
-    ) -> io::Result<Self> {
-        let file = BufWriter::with_capacity(
-            WRITE_BUFFER,
-            AtomicFile::create_with(path, policy)?.keep_partial_on_drop(),
-        );
-        Ok(match format {
-            RecordFormat::Json => Self::Json(JsonLinesSink::new(file)),
-            RecordFormat::Binary => {
-                Self::Binary(BinarySink::with_declared_bits(file, declared_bits)?)
-            }
-        })
-    }
-
-    /// Records written so far.
-    pub fn written(&self) -> u64 {
-        match self {
-            Self::Json(s) => s.written(),
-            Self::Binary(s) => s.written(),
-        }
-    }
-
-    /// Flushes everything and atomically publishes the file at its final
-    /// path.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first flush/sync/rename error.
-    pub fn finish(self) -> io::Result<()> {
-        match self {
-            Self::Json(s) => s.into_inner()?.into_inner().map_err(|e| e.into_error())?,
-            Self::Binary(s) => s.into_inner()?.into_inner().map_err(|e| e.into_error())?,
-        }
-        .persist()
-    }
-}
-
-impl RecordSink for FormatSink {
-    fn record(&mut self, record: &Record) -> io::Result<()> {
-        match self {
-            Self::Json(s) => s.record(record),
-            Self::Binary(s) => s.record(record),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Self::Json(s) => RecordSink::flush(s),
-            Self::Binary(s) => RecordSink::flush(s),
-        }
-    }
-}
+/// The CLIs' record file: a [`RecordWriter`] over a 256 KiB buffer on an
+/// [`AtomicFile`], published by [`finish`](RecordWriter::finish).
+pub type FormatSink = RecordWriter<BufWriter<AtomicFile>>;
 
 /// Starts the campaign of `config` and `seed`: a new one, or, with
 /// `resume_from`, the one that `pufchk/1` checkpoint left off, announced on
@@ -424,7 +320,7 @@ pub fn start_campaign(
 /// re-reads it from the start.
 ///
 /// With `expect == 0` there is nothing to salvage and this is just
-/// [`FormatSink::create_with`].
+/// [`RecordWriter::create_with`].
 ///
 /// # Errors
 ///
@@ -709,8 +605,8 @@ mod tests {
 
     #[test]
     fn assess_progress_counts_corrupt_pufrec_frames_as_malformed() {
-        use puftestbed::{BoardId, Timestamp};
-        let mut sink = BinarySink::new(Vec::new()).unwrap();
+        use puftestbed::{BoardId, Record, Timestamp};
+        let mut sink = RecordWriter::new(Vec::new(), RecordFormat::Binary, 0).unwrap();
         for seq in 0..3 {
             let data = pufbits::BitVec::from_bytes(&[0xA5]);
             sink.record(&Record::new(BoardId(0), seq, Timestamp(0), data))

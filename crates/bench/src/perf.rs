@@ -24,7 +24,7 @@ use pufassess::streaming::WindowAccumulator;
 use pufassess::Assessment;
 use pufbits::{kernel, BitVec, BlockCounter, OnesCounter, PufRng};
 use pufstats::special;
-use puftestbed::store::JsonLinesSink;
+use puftestbed::store::{RecordFormat, RecordWriter};
 use puftestbed::{BoardId, Campaign, Record, Timestamp};
 use rand::SeedableRng;
 use sramcell::{Environment, PowerUpKernel, SramArray, TechnologyProfile};
@@ -402,7 +402,7 @@ fn json_encode(seed: u64, iters: u32) -> SuiteTiming {
 ///   per-bit Hamming distance and weight).
 fn end_to_end_assess(seed: u64, iters: u32) -> SuiteTiming {
     let scale = crate::Scale::Smoke;
-    let mut sink = JsonLinesSink::new(Vec::new());
+    let mut sink = RecordWriter::new(Vec::new(), RecordFormat::Json, 0).expect("vec sink");
     Campaign::new(scale.campaign_config(), seed)
         .run(&mut sink)
         .expect("in-memory campaign cannot fail");

@@ -412,7 +412,7 @@ mod tests {
             sram_bits: 16,
             ..Default::default()
         };
-        let mut sink = puftestbed::store::JsonLinesSink::new(Vec::new());
+        let mut sink = Vec::<puftestbed::Record>::new();
         puftestbed::Campaign::new(config, 7)
             .checkpoints(1, path)
             .run(&mut sink)

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use pufassess::monthly::EvaluationProtocol;
 use pufassess::streaming::WindowAccumulator;
 use pufassess::Assessment;
-use puftestbed::store::{AnyRecordReader, JsonLinesSink, RecordFormat};
+use puftestbed::store::{AnyRecordReader, RecordFormat, RecordWriter};
 use puftestbed::{Campaign, CampaignConfig};
 use std::io::Cursor;
 use std::sync::OnceLock;
@@ -32,7 +32,7 @@ fn fixture_config() -> CampaignConfig {
 }
 
 fn campaign_bytes(threads: usize) -> Vec<u8> {
-    let mut sink = JsonLinesSink::new(Vec::new());
+    let mut sink = RecordWriter::new(Vec::new(), RecordFormat::Json, 0).unwrap();
     Campaign::new(fixture_config(), 77)
         .threads(threads)
         .run(&mut sink)

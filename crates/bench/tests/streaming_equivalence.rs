@@ -6,7 +6,7 @@
 use pufassess::monthly::EvaluationProtocol;
 use pufassess::streaming::WindowAccumulator;
 use pufassess::{report, Assessment};
-use puftestbed::store::{AnyRecordReader, RecordFormat, RecordSink};
+use puftestbed::store::{AnyRecordReader, RecordFormat, RecordSink, RecordWriter};
 use puftestbed::{Campaign, CampaignConfig, Record};
 use std::io::Cursor;
 
@@ -55,7 +55,7 @@ fn streaming_matches_through_the_json_store_and_parallel_parser() {
     let records = faulty_campaign();
     let in_memory = Assessment::from_records(&records, &protocol()).unwrap();
 
-    let mut sink = puftestbed::store::JsonLinesSink::new(Vec::new());
+    let mut sink = RecordWriter::new(Vec::new(), RecordFormat::Json, 0).unwrap();
     for r in &records {
         sink.record(r).unwrap();
     }

@@ -678,11 +678,11 @@ mod tests {
 
     #[test]
     fn round_trip_through_json_store_preserves_assessment() {
-        use puftestbed::store::{read_json_lines, JsonLinesSink, RecordSink};
+        use puftestbed::store::{read_json_lines, RecordFormat, RecordSink, RecordWriter};
         let dataset = small_campaign(2, 3, 54);
         let direct = Assessment::from_records(&dataset, &protocol()).unwrap();
 
-        let mut sink = JsonLinesSink::new(Vec::new());
+        let mut sink = RecordWriter::new(Vec::new(), RecordFormat::Json, 0).unwrap();
         for r in &dataset {
             sink.record(r).unwrap();
         }

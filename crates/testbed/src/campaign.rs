@@ -823,7 +823,9 @@ impl Campaign {
 
     /// Routes checkpoint-file I/O through `policy` (deterministic fault
     /// injection / syscall tracing). Record-sink I/O is the caller's to
-    /// wire — see `FormatSink` in the bench crate.
+    /// wire — see [`RecordWriter::create_with`].
+    ///
+    /// [`RecordWriter::create_with`]: crate::store::RecordWriter::create_with
     pub fn io_policy(mut self, policy: crate::store::IoPolicy) -> Self {
         self.io_policy = Some(policy);
         self

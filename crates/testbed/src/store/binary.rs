@@ -28,7 +28,9 @@
 //! | 26 | `len − 22` | data bytes, LSB-first (the [`BitVec`] byte order) |
 //! | 4 + `len` | 4 | CRC-32 (IEEE) over the `len` payload bytes |
 //!
-//! The length prefix lets readers split records without decoding them
+//! [`RecordWriter`](super::RecordWriter) writes the header and then one
+//! [`Record::encode_binary`] frame per record. The length prefix lets
+//! readers split records without decoding them
 //! ([`AnyRecordReader`](super::AnyRecordReader) batches frames to a worker
 //! pool exactly as it batches JSON lines; this module holds the frame
 //! producers it runs); the per-record CRC turns torn or corrupted writes
@@ -37,10 +39,10 @@
 //! variants.
 
 use super::reader::BatchFeed;
-use super::{ParseRecordError, Record, RecordSink};
+use super::{ParseRecordError, Record};
 use crate::{BoardId, Timestamp};
 use pufbits::BitVec;
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, BufRead, Read};
 
 /// Magic bytes opening every `pufrec` file.
 pub const MAGIC: [u8; 6] = *b"pufrec";
@@ -262,76 +264,6 @@ pub(super) fn decode_frame(frame: &[u8]) -> Result<Record, ParseRecordError> {
         timestamp: Timestamp(timestamp),
         data: BitVec::from_bytes_with_len(data_bytes, bits),
     })
-}
-
-/// Sink writing `pufrec/1` frames to any [`Write`] — the binary counterpart
-/// of [`JsonLinesSink`](super::JsonLinesSink). The file header is written
-/// on construction, so even an empty campaign leaves a recognisable file.
-#[derive(Debug)]
-pub struct BinarySink<W> {
-    writer: W,
-    written: u64,
-    scratch: Vec<u8>,
-}
-
-impl<W: Write> BinarySink<W> {
-    /// Creates a sink over `writer` with an unspecified declared width.
-    ///
-    /// # Errors
-    ///
-    /// Returns the error from writing the file header.
-    pub fn new(writer: W) -> io::Result<Self> {
-        Self::with_declared_bits(writer, 0)
-    }
-
-    /// Creates a sink declaring `bits` as the campaign's read-out width in
-    /// the file header (advisory metadata; readers trust the per-record
-    /// `bits` field).
-    ///
-    /// # Errors
-    ///
-    /// Returns the error from writing the file header.
-    pub fn with_declared_bits(mut writer: W, bits: u32) -> io::Result<Self> {
-        let header = FileHeader {
-            version: VERSION,
-            declared_bits: bits,
-        };
-        writer.write_all(&header.to_bytes())?;
-        Ok(Self {
-            writer,
-            written: 0,
-            scratch: Vec::new(),
-        })
-    }
-
-    /// Records written so far.
-    pub fn written(&self) -> u64 {
-        self.written
-    }
-
-    /// Flushes and returns the underlying writer.
-    ///
-    /// # Errors
-    ///
-    /// Returns the flush error, if any.
-    pub fn into_inner(mut self) -> io::Result<W> {
-        self.writer.flush()?;
-        Ok(self.writer)
-    }
-}
-
-impl<W: Write> RecordSink for BinarySink<W> {
-    fn record(&mut self, record: &Record) -> io::Result<()> {
-        self.scratch.clear();
-        record.encode_binary(&mut self.scratch);
-        self.writer.write_all(&self.scratch)?;
-        self.written += 1;
-        Ok(())
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.writer.flush()
-    }
 }
 
 /// Reads exactly `buf.len()` bytes unless the stream ends first; returns
@@ -628,7 +560,7 @@ pub(super) fn read_frame_batches_resync<R: BufRead>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{AnyRecordReader, RecordFormat};
+    use crate::store::{AnyRecordReader, RecordFormat, RecordSink, RecordWriter};
     use pufobs::Instruments;
     use std::io::Cursor;
 
@@ -642,7 +574,7 @@ mod tests {
     }
 
     fn corpus(n: u64) -> Vec<u8> {
-        let mut sink = BinarySink::new(Vec::new()).unwrap();
+        let mut sink = RecordWriter::new(Vec::new(), RecordFormat::Binary, 0).unwrap();
         for seq in 0..n {
             sink.record(&sample((seq % 5) as u8, seq)).unwrap();
         }
@@ -773,7 +705,7 @@ mod tests {
     #[test]
     fn sink_then_parallel_reader_round_trips_in_order() {
         let records: Vec<Record> = (0..257).map(|i| sample((i % 5) as u8, i)).collect();
-        let mut sink = BinarySink::with_declared_bits(Vec::new(), 24).unwrap();
+        let mut sink = RecordWriter::new(Vec::new(), RecordFormat::Binary, 24).unwrap();
         for r in &records {
             sink.record(r).unwrap();
         }

@@ -207,7 +207,7 @@ pub fn salvage_json_lines(bytes: &[u8], mut keep: impl FnMut(&Record)) -> FsckRe
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{BinarySink, JsonLinesSink, RecordSink};
+    use crate::store::{RecordFormat, RecordSink, RecordWriter};
     use crate::{BoardId, Timestamp};
     use pufbits::BitVec;
 
@@ -221,7 +221,7 @@ mod tests {
     }
 
     fn corpus(n: u64) -> Vec<u8> {
-        let mut sink = BinarySink::new(Vec::new()).unwrap();
+        let mut sink = RecordWriter::new(Vec::new(), RecordFormat::Binary, 0).unwrap();
         for seq in 0..n {
             sink.record(&sample((seq % 3) as u8, seq)).unwrap();
         }
@@ -294,12 +294,12 @@ mod tests {
 
     #[test]
     fn json_lines_salvage_drops_only_bad_lines() {
-        let mut sink = JsonLinesSink::new(Vec::new());
+        let mut sink = RecordWriter::new(Vec::new(), RecordFormat::Json, 0).unwrap();
         sink.record(&sample(0, 1)).unwrap();
         sink.record(&sample(1, 2)).unwrap();
         let mut bytes = sink.into_inner().unwrap();
         bytes.extend_from_slice(b"{ not json\n");
-        let mut sink2 = JsonLinesSink::new(bytes);
+        let mut sink2 = RecordWriter::new(bytes, RecordFormat::Json, 0).unwrap();
         sink2.record(&sample(2, 3)).unwrap();
         let bytes = sink2.into_inner().unwrap();
 

@@ -164,11 +164,11 @@ impl BatchFeed {
 ///
 /// ```
 /// use pufbits::BitVec;
-/// use puftestbed::store::{AnyRecordReader, BinarySink, JsonLinesSink, RecordSink};
+/// use puftestbed::store::{AnyRecordReader, RecordFormat, RecordSink, RecordWriter};
 /// use puftestbed::{BoardId, Record, Timestamp};
 ///
-/// let mut json = JsonLinesSink::new(Vec::new());
-/// let mut binary = BinarySink::new(Vec::new())?;
+/// let mut json = RecordWriter::new(Vec::new(), RecordFormat::Json, 0)?;
+/// let mut binary = RecordWriter::new(Vec::new(), RecordFormat::Binary, 0)?;
 /// for seq in 0..100 {
 ///     let r = Record::new(BoardId(1), seq, Timestamp(0), BitVec::from_bytes(&[0xA5]));
 ///     json.record(&r)?;
@@ -463,13 +463,13 @@ fn read_line_batches<R: BufRead>(mut reader: R, batch_lines: usize, feed: &mut B
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{read_json_lines, JsonLinesSink, RecordSink};
+    use crate::store::{read_json_lines, RecordSink, RecordWriter};
     use crate::{BoardId, Timestamp};
     use pufbits::BitVec;
     use std::io::Cursor;
 
     fn jsonl(n: u64) -> Vec<u8> {
-        let mut sink = JsonLinesSink::new(Vec::new());
+        let mut sink = RecordWriter::new(Vec::new(), RecordFormat::Json, 0).unwrap();
         for seq in 0..n {
             let r = Record::new(
                 BoardId((seq % 5) as u8),

@@ -8,7 +8,7 @@
 //! order of magnitude, and this test fails long before anyone profiles it.
 
 use pufbits::BitVec;
-use puftestbed::store::{AnyRecordReader, BinarySink, JsonLinesSink, RecordFormat, RecordSink};
+use puftestbed::store::{AnyRecordReader, RecordFormat, RecordSink, RecordWriter};
 use puftestbed::{BoardId, Record, Timestamp};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -60,8 +60,8 @@ fn steady_state_decode_allocates_a_small_constant_per_record() {
     const BITS: usize = 1024;
     let records = dataset(RECORDS, BITS);
 
-    let mut json = JsonLinesSink::new(Vec::new());
-    let mut binary = BinarySink::new(Vec::new()).unwrap();
+    let mut json = RecordWriter::new(Vec::new(), RecordFormat::Json, 0).unwrap();
+    let mut binary = RecordWriter::new(Vec::new(), RecordFormat::Binary, 0).unwrap();
     for r in &records {
         json.record(r).unwrap();
         binary.record(r).unwrap();

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use pufbits::BitVec;
 use puftestbed::store::binary::HEADER_LEN;
 use puftestbed::store::fsck::salvage_pufrec;
-use puftestbed::store::{AnyRecordReader, BinarySink, Record, RecordSink};
+use puftestbed::store::{AnyRecordReader, Record, RecordFormat, RecordSink, RecordWriter};
 use puftestbed::{BoardId, Timestamp};
 use std::io::Cursor;
 
@@ -35,7 +35,7 @@ fn sample_records(n: u64) -> Vec<Record> {
 }
 
 fn encode(records: &[Record]) -> Vec<u8> {
-    let mut sink = BinarySink::new(Vec::new()).unwrap();
+    let mut sink = RecordWriter::new(Vec::new(), RecordFormat::Binary, 0).unwrap();
     for r in records {
         sink.record(r).unwrap();
     }

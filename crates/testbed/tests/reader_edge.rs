@@ -6,8 +6,8 @@
 use pufbits::BitVec;
 use pufobs::Instruments;
 use puftestbed::store::{
-    read_json_lines, AnyRecordReader, BinarySink, JsonLinesSink, ParseRecordError, Record,
-    RecordFormat, RecordSink,
+    read_json_lines, AnyRecordReader, ParseRecordError, Record, RecordFormat, RecordSink,
+    RecordWriter,
 };
 use puftestbed::{BoardId, Timestamp};
 use std::io::{BufRead, Cursor, Read};
@@ -26,7 +26,7 @@ fn records(n: u64) -> Vec<Record> {
 }
 
 fn jsonl(n: u64) -> Vec<u8> {
-    let mut sink = JsonLinesSink::new(Vec::new());
+    let mut sink = RecordWriter::new(Vec::new(), RecordFormat::Json, 0).unwrap();
     for r in records(n) {
         sink.record(&r).unwrap();
     }
@@ -204,7 +204,7 @@ fn io_error_mid_file_is_delivered_at_the_exact_position_in_order() {
 }
 
 fn pufrec(n: u64) -> Vec<u8> {
-    let mut sink = BinarySink::new(Vec::new()).unwrap();
+    let mut sink = RecordWriter::new(Vec::new(), RecordFormat::Binary, 0).unwrap();
     for r in records(n) {
         sink.record(&r).unwrap();
     }
@@ -396,7 +396,7 @@ fn convert_round_trip_is_lossless_and_byte_identical() {
 
     let reader = AnyRecordReader::open(Cursor::new(original_json.clone()), 2, 8, None).unwrap();
     assert_eq!(reader.format(), RecordFormat::Json);
-    let mut to_binary = BinarySink::new(Vec::new()).unwrap();
+    let mut to_binary = RecordWriter::new(Vec::new(), RecordFormat::Binary, 0).unwrap();
     for item in reader {
         to_binary.record(&item.unwrap()).unwrap();
     }
@@ -404,7 +404,7 @@ fn convert_round_trip_is_lossless_and_byte_identical() {
 
     let reader = AnyRecordReader::open(Cursor::new(binary), 2, 8, None).unwrap();
     assert_eq!(reader.format(), RecordFormat::Binary);
-    let mut back_to_json = JsonLinesSink::new(Vec::new());
+    let mut back_to_json = RecordWriter::new(Vec::new(), RecordFormat::Json, 0).unwrap();
     for item in reader {
         back_to_json.record(&item.unwrap()).unwrap();
     }

@@ -3,7 +3,7 @@
 //! of the paper's Fig. 2.
 
 use sram_puf_longterm::pufassess::{Assessment, EvaluationProtocol};
-use sram_puf_longterm::puftestbed::store::{read_json_lines, JsonLinesSink};
+use sram_puf_longterm::puftestbed::store::{read_json_lines, RecordFormat, RecordWriter};
 use sram_puf_longterm::puftestbed::{Campaign, CampaignConfig};
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
@@ -42,7 +42,8 @@ fn campaign_streams_to_disk_and_replays_identically() {
     // Stream the campaign straight to disk.
     let mut campaign = Campaign::new(config.clone(), 9001);
     let file = File::create(&path).expect("create temp record file");
-    let mut sink = JsonLinesSink::new(BufWriter::new(file));
+    let mut sink =
+        RecordWriter::new(BufWriter::new(file), RecordFormat::Json, 0).expect("no header to write");
     let summary = campaign.run(&mut sink).expect("write records");
     sink.into_inner()
         .expect("flush")
