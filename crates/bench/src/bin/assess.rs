@@ -15,10 +15,12 @@
 //! ```
 //!
 //! The storage format is detected from the file's first bytes; `--format`
-//! forces it instead. The assessment output is byte-identical across
-//! formats. `--metrics-out` dumps the `pufobs` reader and accumulator
-//! counters as JSON after the run; `--verbose` prints a once-per-second
-//! progress heartbeat to stderr. Neither changes the assessment by a byte.
+//! forces it instead, except that `--format json` on a file opening with
+//! the `pufrec/1` magic is a usage error (exit 2). The assessment output is
+//! byte-identical across formats. `--metrics-out` dumps the `pufobs` reader
+//! and accumulator counters as JSON after the run; `--verbose` prints a
+//! once-per-second progress heartbeat to stderr. Neither changes the
+//! assessment by a byte.
 //!
 //! `--resync BYTES` turns on bounded best-effort resynchronisation for
 //! `pufrec/1` input (it implies `--format binary`): after a corrupt
@@ -35,9 +37,7 @@ use pufassess::report::{self, Series};
 use pufassess::streaming::WindowAccumulator;
 use pufbench::{cli, metrics};
 use pufobs::Instruments;
-use puftestbed::store::{AnyRecordReader, RecordFormat, DEFAULT_BATCH_LINES};
-use std::fs::File;
-use std::io::BufReader;
+use puftestbed::store::{RecordFormat, DEFAULT_BATCH_LINES};
 use std::process::exit;
 
 fn main() {
@@ -82,35 +82,11 @@ fn main() {
         eprintln!("--in FILE is required (try --help)");
         exit(2);
     };
-    if resync.is_some() && format == Some(RecordFormat::Json) {
-        eprintln!("--resync re-locks on pufrec/1 frame CRCs; it cannot apply to --format json");
-        exit(2);
-    }
-
-    let file = File::open(&input).unwrap_or_else(|e| {
-        eprintln!("cannot open {input}: {e}");
-        exit(1);
-    });
 
     // Stream: reader thread → parser pool → accumulator. The file is never
     // held in memory; only per-(device, month) window state is.
     let obs = (metrics_out.is_some() || verbose).then(Instruments::new);
-    let file = BufReader::new(file);
-    // `--resync` implies binary: the file's own header may be part of the
-    // damage, so format sniffing cannot be trusted to recognise it.
-    let reader = match (resync, format) {
-        (Some(budget), _) => {
-            AnyRecordReader::spawn_resync(file, threads, batch_lines, budget, obs.as_ref())
-        }
-        (None, Some(format)) => {
-            AnyRecordReader::spawn(file, format, threads, batch_lines, obs.as_ref())
-        }
-        (None, None) => AnyRecordReader::open(file, threads, batch_lines, obs.as_ref())
-            .unwrap_or_else(|e| {
-                eprintln!("cannot read {input}: {e}");
-                exit(1);
-            }),
-    };
+    let reader = pufbench::open_input(&input, format, resync, threads, batch_lines, obs.as_ref());
     let mut accumulator = WindowAccumulator::new(protocol);
     if let Some(ins) = &obs {
         accumulator.attach_instruments(ins);

@@ -17,7 +17,9 @@
 //! at the end — the output is byte-identical for every `--threads` value
 //! and across the two storage formats. Unlike `assess`, a malformed record
 //! aborts the run: key-failure statistics over a silently truncated stream
-//! would claim reliability that was never measured.
+//! would claim reliability that was never measured. As in `assess`, the
+//! format is detected unless `--format` forces it, and `--format json` on a
+//! `pufrec/1` file is a usage error (exit 2).
 //!
 //! `--csv` writes the machine-readable table, `--bench-out` the
 //! `bench-keylife/1` JSON throughput/failure summary (`BENCH_keylife.json`
@@ -29,10 +31,8 @@ use pufassess::monthly::EvaluationProtocol;
 use pufassess::{KeyLifeAccumulator, KeyLifeConfig, KeyProfile};
 use pufbench::{cli, keylife_bench_json, metrics};
 use pufobs::Instruments;
-use puftestbed::store::{AnyRecordReader, RecordFormat, DEFAULT_BATCH_LINES};
+use puftestbed::store::{RecordFormat, DEFAULT_BATCH_LINES};
 use puftestbed::Record;
-use std::fs::File;
-use std::io::BufReader;
 use std::process::exit;
 use std::sync::mpsc;
 use std::time::Instant;
@@ -97,21 +97,8 @@ fn main() {
         enroll_seed,
     };
 
-    let file = File::open(&input).unwrap_or_else(|e| {
-        eprintln!("cannot open {input}: {e}");
-        exit(1);
-    });
     let obs = (metrics_out.is_some() || verbose).then(Instruments::new);
-    let file = BufReader::new(file);
-    let reader = match format {
-        Some(format) => AnyRecordReader::spawn(file, format, threads, batch_lines, obs.as_ref()),
-        None => {
-            AnyRecordReader::open(file, threads, batch_lines, obs.as_ref()).unwrap_or_else(|e| {
-                eprintln!("cannot read {input}: {e}");
-                exit(1);
-            })
-        }
-    };
+    let reader = pufbench::open_input(&input, format, None, threads, batch_lines, obs.as_ref());
     let heartbeat = verbose.then(|| {
         let ins = obs.as_ref().expect("verbose implies instruments");
         metrics::spawn_heartbeat(ins, metrics::keylife_spec())

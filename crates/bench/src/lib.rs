@@ -272,6 +272,56 @@ pub fn keylife_bench_json(life: &KeyLife, elapsed_seconds: f64) -> String {
 /// [`AtomicFile`], published by [`finish`](RecordWriter::finish).
 pub type FormatSink = RecordWriter<BufWriter<AtomicFile>>;
 
+/// Opens the record file `input` for `assess` and `keylife`: `--resync`
+/// (`resync`) reads it as damaged `pufrec/1`, `--format` (`format`) forces
+/// a format, and otherwise the format is detected from its first bytes.
+///
+/// Exits 1 when the file cannot be opened or read. Exits 2, a usage error,
+/// before any record is read when `resync` meets a forced JSON format, or
+/// when a forced JSON format meets a file that starts like `pufrec/1`: the
+/// JSON reader would split its frames at newline bytes and report each
+/// piece as a malformed record.
+pub fn open_input(
+    input: &str,
+    format: Option<RecordFormat>,
+    resync: Option<u64>,
+    threads: usize,
+    batch: usize,
+    instruments: Option<&Instruments>,
+) -> AnyRecordReader {
+    if resync.is_some() && format == Some(RecordFormat::Json) {
+        eprintln!("--resync re-locks on pufrec/1 frame CRCs; it cannot apply to --format json");
+        std::process::exit(2);
+    }
+    let cannot = |verb: &str, e: io::Error| -> ! {
+        eprintln!("cannot {verb} {input}: {e}");
+        std::process::exit(1);
+    };
+    let mut file = BufReader::new(fs::File::open(input).unwrap_or_else(|e| cannot("open", e)));
+    match (resync, format) {
+        // `--resync` implies binary: the file's own header may be part of
+        // the damage, so format sniffing cannot be trusted to recognise it.
+        (Some(budget), _) => {
+            AnyRecordReader::spawn_resync(file, threads, batch, budget, instruments)
+        }
+        (None, Some(format)) => {
+            if format == RecordFormat::Json
+                && RecordFormat::detect(&mut file).unwrap_or_else(|e| cannot("read", e))
+                    == RecordFormat::Binary
+            {
+                eprintln!(
+                    "{input} holds pufrec/1 records; --format json cannot read them \
+                     (drop --format or pass --format binary)"
+                );
+                std::process::exit(2);
+            }
+            AnyRecordReader::spawn(file, format, threads, batch, instruments)
+        }
+        (None, None) => AnyRecordReader::open(file, threads, batch, instruments)
+            .unwrap_or_else(|e| cannot("read", e)),
+    }
+}
+
 /// Starts the campaign of `config` and `seed`: a new one, or, with
 /// `resume_from`, the one that `pufchk/1` checkpoint left off, announced on
 /// stderr. Returns it with the number of records the checkpoint says are

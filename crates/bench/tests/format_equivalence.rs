@@ -342,3 +342,28 @@ fn a_non_utf8_byte_costs_one_record_not_the_file() {
     );
     assert_eq!(streamed.stdout, offline.stdout);
 }
+
+#[test]
+fn forcing_json_on_a_pufrec_file_is_a_usage_error() {
+    let dir = Scratch::new("forcing_json_on_a_pufrec_file_is_a_usage_error");
+    let binary = dir.join("records.pufrec");
+    run_campaign(&binary, "binary");
+    // The JSON reader would split the frames at every 0x0A byte and skip
+    // each piece as a malformed record; both readers refuse the flag first.
+    for binary_under_test in [env!("CARGO_BIN_EXE_assess"), env!("CARGO_BIN_EXE_keylife")] {
+        let output = Command::new(binary_under_test)
+            .args(["--in", binary.to_str().unwrap(), "--reads", "12"])
+            .args(["--format", "json"])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(
+            output.status.code(),
+            Some(2),
+            "{binary_under_test}: {stderr}"
+        );
+        assert!(output.stdout.is_empty(), "{binary_under_test}: {stderr}");
+        assert!(!stderr.contains("skipping malformed record"), "{stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{binary_under_test}: {stderr}");
+    }
+}
