@@ -11,6 +11,7 @@
 //! nanoseconds are machine-specific — only the kernel-vs-scalar ratios are
 //! compared across machines.
 
+use pufbench::cli;
 use pufbench::perf::{perf_report_json, run_quick};
 use std::process::exit;
 
@@ -18,29 +19,17 @@ fn main() {
     let mut out: Option<String> = None;
     let mut seed = 2017u64;
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = || {
-            iter.next().unwrap_or_else(|| {
-                eprintln!("error: {arg} needs a value");
-                exit(2);
-            })
-        };
+    let mut args = cli::Args::from_env();
+    while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--out" => out = Some(value().clone()),
-            "--seed" => {
-                seed = value().parse().unwrap_or_else(|e| {
-                    eprintln!("error: bad --seed: {e}");
-                    exit(2);
-                });
-            }
+            "--out" => out = Some(args.value(&arg)),
+            "--seed" => seed = args.parse(&arg),
             "--help" | "-h" => {
                 eprintln!("usage: benchperf [--out FILE] [--seed N]");
-                exit(0);
+                return;
             }
             other => {
-                eprintln!("error: unknown argument {other}");
+                eprintln!("unknown argument `{other}` (try --help)");
                 exit(2);
             }
         }

@@ -2,8 +2,9 @@
 //!
 //! The `repro` binary regenerates the paper's tables and figures from the
 //! scenarios here; `campaign`, `assess`, `keylife`, `convert` and
-//! `supervise` share its record-file sink, campaign start and resume
-//! salvage, metrics and flag parsing ([`cli`]). Performance is measured in
+//! `supervise` share its record-file sink, record-file input, campaign
+//! start and resume salvage, metrics and, with `benchperf`, flag parsing
+//! ([`cli`]). Performance is measured in
 //! two places: [`perf`] (the `benchperf` binary) times each hot kernel
 //! against its reference, and the `pipebench` package (`BENCHMARK.json`)
 //! times the whole pipeline end to end, layer by layer. Scales:
