@@ -160,16 +160,20 @@ enum Store {
     Json,
 }
 
-/// Detects the store from the file's leading magic. A `pufrec/1` file with
-/// a destroyed header has no magic left, so as a fallback the pufrec
-/// salvage scanner probes for frames — if it locks onto any, the file is
-/// treated as (headerless) pufrec rather than JSON.
+/// Detects the store from the file's leading magic: `pufchk` for a
+/// checkpoint, else the rule [`RecordFormat::detect`] applies for `assess`
+/// and `keylife`, so a file that is a proper prefix of the `pufrec` magic
+/// is a truncated `pufrec/1` header here too. A `pufrec/1` file with a
+/// destroyed header has no magic left, so as a fallback the pufrec salvage
+/// scanner probes for frames — if it locks onto any, the file is treated
+/// as (headerless) pufrec rather than JSON.
 fn detect(bytes: &[u8]) -> Store {
-    if bytes.starts_with(b"pufrec") {
-        Store::Pufrec
-    } else if bytes.starts_with(b"pufchk") {
+    if bytes.starts_with(b"pufchk") {
         Store::Pufchk
-    } else if fsck::salvage_pufrec(bytes, |_| {}).frames_ok > 0 {
+    } else if RecordFormat::detect(&mut &bytes[..]).expect("a byte slice reads without error")
+        == RecordFormat::Binary
+        || fsck::salvage_pufrec(bytes, |_| {}).frames_ok > 0
+    {
         Store::Pufrec
     } else {
         Store::Json

@@ -105,30 +105,36 @@ fn main() {
     });
 
     // Shard by device: each worker owns the full per-device state, so the
-    // merged result is byte-identical to a single-threaded fold.
+    // merged result is byte-identical to a single-threaded fold. Records
+    // travel in batches of the reader's `--batch-lines`, one send each.
     let started = Instant::now();
     let merged = std::thread::scope(|scope| {
         let mut senders = Vec::with_capacity(threads);
         let mut workers = Vec::with_capacity(threads);
         for _ in 0..threads {
-            let (tx, rx) = mpsc::sync_channel::<Record>(1024);
+            let (tx, rx) = mpsc::sync_channel::<Vec<Record>>(1);
             let mut accumulator = KeyLifeAccumulator::new(config.clone());
             if let Some(ins) = &obs {
                 accumulator.attach_instruments(ins);
             }
             senders.push(tx);
             workers.push(scope.spawn(move || {
-                for record in rx {
+                for record in rx.iter().flatten() {
                     accumulator.push(&record);
                 }
                 accumulator
             }));
         }
+        let mut batches: Vec<Vec<Record>> = vec![Vec::new(); threads];
         for item in reader {
             match item {
                 Ok(record) => {
                     let shard = record.device.0 as usize % threads;
-                    senders[shard].send(record).expect("worker outlives stream");
+                    batches[shard].push(record);
+                    if batches[shard].len() == batch_lines {
+                        let batch = std::mem::take(&mut batches[shard]);
+                        senders[shard].send(batch).expect("worker outlives stream");
+                    }
                 }
                 Err(e) => {
                     // Key-reliability numbers over a corrupt or truncated
@@ -138,7 +144,9 @@ fn main() {
                 }
             }
         }
-        drop(senders);
+        for (tx, batch) in senders.into_iter().zip(batches) {
+            tx.send(batch).expect("worker outlives stream");
+        }
         let mut merged: Option<KeyLifeAccumulator> = None;
         for worker in workers {
             let shard = worker.join().expect("worker panics propagate");

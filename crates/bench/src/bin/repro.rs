@@ -51,7 +51,7 @@ use pufbench::{
     Scale,
 };
 use pufobs::Instruments;
-use puftestbed::store::{IoFaultPlan, IoPolicy, RecordFormat, TeeSink};
+use puftestbed::store::{IoFaultPlan, IoPolicy, RecordFormat, RecordSink, TeeSink};
 use puftestbed::PowerWaveform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -210,9 +210,10 @@ fn main() {
         if let Some(n) = halt_after {
             campaign = campaign.halt_after_windows(n);
         }
-        // One pass, streamed: records fold into the selected accumulators
-        // as the campaign emits them, so even paper scale never holds the
-        // dataset in memory.
+        // One pass, streamed: each campaign worker folds its boards'
+        // records into its part of the selected accumulators as it measures
+        // them, so even paper scale never holds the dataset in memory. Only
+        // the records file takes the merged stream.
         let mut assessment = assesses.then(|| WindowAccumulator::new(scale.protocol()));
         let mut life = keylife.then(|| KeyLifeAccumulator::new(scale.keylife_config(seed)));
         if let (Some(ins), Some(accumulator)) = (&obs, &mut assessment) {
@@ -221,9 +222,11 @@ fn main() {
         if let (Some(ins), Some(accumulator)) = (&obs, &mut life) {
             accumulator.attach_instruments(ins);
         }
-        let mut folds = TeeSink::new(&mut assessment, &mut life);
+        let mut folds = TeeSink::new(assessment, life);
         // On resume, the salvage replays the head of the stream into the
-        // folds, so they see the complete campaign despite the interruption.
+        // folds, so they see the complete campaign despite the interruption;
+        // each device's salvaged state then goes to the worker that
+        // measures it.
         let mut records = records_out.as_deref().map(|path| {
             let declared = u32::try_from(scale.campaign_config().read_bits).unwrap_or(0);
             let policy = io_policy.clone();
@@ -233,7 +236,8 @@ fn main() {
                     std::process::exit(1);
                 })
         });
-        if let Err(e) = campaign.run(&mut TeeSink::new(&mut folds, &mut records)) {
+        let ordered = records.as_mut().map(|sink| sink as &mut dyn RecordSink);
+        if let Err(e) = campaign.run_sharded(&mut folds, ordered) {
             // Only the records file can fail; the accumulators take any record.
             let path = records_out.as_deref().unwrap_or_default();
             eprintln!("recording records to {path} failed: {e}");
@@ -265,6 +269,7 @@ fn main() {
             }
             return;
         }
+        let (assessment, life) = folds.into_inner();
         if let Some(accumulator) = assessment {
             let assessment = accumulator
                 .finish()

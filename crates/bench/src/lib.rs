@@ -134,13 +134,14 @@ pub fn run_assessment(scale: Scale, seed: u64) -> Assessment {
         .expect("built-in scales produce assessable datasets")
 }
 
-/// Runs the campaign across `threads` workers, piping records straight into
-/// the streaming [`WindowAccumulator`] — no dataset is materialised, so
-/// peak memory is bounded by the per-window state regardless of how many
-/// records the campaign emits. The result is identical to
-/// [`run_assessment`] at the same scale and seed. With `instruments`, the
-/// campaign maintains `campaign.*` metrics and the accumulator `assess.*`
-/// metrics; the assessment is identical with or without them.
+/// Runs the campaign across `threads` workers, each folding its own boards'
+/// records into its part of the streaming [`WindowAccumulator`]
+/// ([`Campaign::run_sharded`]) — no dataset is materialised, so peak memory
+/// is bounded by the per-window state regardless of how many records the
+/// campaign emits. The result is identical to [`run_assessment`] at the
+/// same scale and seed. With `instruments`, the campaign maintains
+/// `campaign.*` metrics and the accumulator `assess.*` metrics; the
+/// assessment is identical with or without them.
 ///
 /// Pipebench's `repro` workload and the golden test call this; the `repro`
 /// binary feeds this accumulator and the key-lifetime one from a single
@@ -162,18 +163,19 @@ pub fn run_assessment_streaming_with(
         campaign = campaign.instruments(ins);
     }
     campaign
-        .run(&mut accumulator)
-        .expect("accumulator sink cannot fail");
+        .run_sharded(&mut accumulator, None)
+        .expect("accumulators cannot fail");
     accumulator
         .finish()
         .expect("built-in scales produce assessable datasets")
 }
 
-/// Runs the campaign at `scale` across `threads` workers, piping records
-/// straight into the key-lifetime workload: every device enrolls a key per
-/// profile from its first eligible read and every later device-month
-/// replays through reconstruction. The report is identical for every
-/// thread count, and identical with or without `instruments`.
+/// Runs the campaign at `scale` across `threads` workers, each folding its
+/// own boards' records into its part of the key-lifetime workload: every
+/// device enrolls a key per profile from its first eligible read and every
+/// later device-month replays through reconstruction. The report is
+/// identical for every thread count, and identical with or without
+/// `instruments`.
 ///
 /// Like [`run_assessment_streaming_with`], pipebench's `repro` workload
 /// calls this; the `repro` binary folds keys in its one campaign pass.
@@ -195,8 +197,8 @@ pub fn run_keylife_streaming_with(
         campaign = campaign.instruments(ins);
     }
     campaign
-        .run(&mut accumulator)
-        .expect("accumulator sink cannot fail");
+        .run_sharded(&mut accumulator, None)
+        .expect("accumulators cannot fail");
     accumulator
         .finish()
         .expect("built-in scales produce evaluable datasets")

@@ -367,3 +367,28 @@ fn forcing_json_on_a_pufrec_file_is_a_usage_error() {
         assert_eq!(stderr.lines().count(), 1, "{binary_under_test}: {stderr}");
     }
 }
+
+#[test]
+fn fsck_names_the_format_assess_reads_for_a_prefix_of_the_magic() {
+    // A file that is a proper prefix of `pufrec` is a truncated `pufrec/1`
+    // header to `assess`; `convert --fsck` must judge it by the same rule,
+    // not salvage it as JSON lines.
+    let dir = Scratch::new("fsck_names_the_format_assess_reads_for_a_prefix_of_the_magic");
+    for head in ["p", "pu", "pufre"] {
+        let input = dir.join(&format!("{head}.bin"));
+        std::fs::write(&input, head).unwrap();
+        let assessed = assess_with(&input, &[]);
+        let assess_err = String::from_utf8_lossy(&assessed.stderr);
+        assert!(
+            assess_err.contains("file header truncated"),
+            "{head}: {assess_err}"
+        );
+        let fsck = Command::new(env!("CARGO_BIN_EXE_convert"))
+            .args(["--fsck", "--in", input.to_str().unwrap()])
+            .output()
+            .expect("convert runs");
+        let fsck_err = String::from_utf8_lossy(&fsck.stderr);
+        assert!(fsck_err.contains("(pufrec)"), "{head}: {fsck_err}");
+        assert_eq!(fsck.status.code(), Some(4), "{head}: {fsck_err}");
+    }
+}

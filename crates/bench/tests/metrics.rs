@@ -107,6 +107,10 @@ fn repro_metrics_satisfy_the_conservation_invariants() {
         snap.counter("assess.records_seen"),
         snap.counter("assess.records_folded") + snap.counter("assess.records_skipped")
     );
+    // The three workers' parts of the assessment each add the windows they
+    // open to the gauge: 4 devices × 7 months in total, none overwritten.
+    assert_eq!(snap.counter("assess.windows_opened"), 4 * 7);
+    assert_eq!(snap.gauges["assess.windows_open"], 4 * 7);
 
     // Per-board power-cycle counters partition the campaign total, which is
     // exactly boards × windows × reads at smoke scale (4 × 7 × 50).

@@ -51,7 +51,7 @@ use pufbits::{splitmix64, BitVec, PufRng};
 use pufkeygen::analysis::spec_failure_bound;
 use pufkeygen::{CodeSpec, Enrollment, KeyGenerator};
 use pufobs::{Counter, Instruments};
-use puftestbed::store::RecordSink;
+use puftestbed::store::{RecordSink, ShardedFold};
 use puftestbed::{BoardId, Record};
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -371,6 +371,25 @@ impl RecordSink for KeyLifeAccumulator {
     fn record(&mut self, record: &Record) -> io::Result<()> {
         self.push(record);
         Ok(())
+    }
+}
+
+impl ShardedFold for KeyLifeAccumulator {
+    fn split_off(&mut self, devices: &[BoardId]) -> Self {
+        Self {
+            config: self.config.clone(),
+            generators: self.generators.clone(),
+            fold: self.fold.split_off(devices),
+            reconstructions: 0,
+            reconstruct_failures: 0,
+            wrong_keys: 0,
+            enroll_failures: 0,
+            obs: self.obs.clone(),
+        }
+    }
+
+    fn merge(&mut self, part: Self) {
+        KeyLifeAccumulator::merge(self, part);
     }
 }
 

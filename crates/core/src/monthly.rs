@@ -410,6 +410,22 @@ impl<W, D> WindowFold<W, D> {
         Some((window, device, fhd, opened))
     }
 
+    /// Moves the windows and device state of `devices` into a new fold with
+    /// no records counted, sharing this fold's instruments.
+    pub(crate) fn split_off(&mut self, devices: &[BoardId]) -> Self {
+        let owned = |device: u8| devices.iter().any(|d| d.0 == device);
+        Self {
+            protocol: self.protocol,
+            windows: self.windows.extract_if(.., |k, _| owned(k.0)).collect(),
+            devices: self.devices.extract_if(.., |k, _| owned(*k)).collect(),
+            records_seen: 0,
+            records_folded: 0,
+            skipped_width_mismatch: 0,
+            out_of_order: None,
+            obs: self.obs.clone(),
+        }
+    }
+
     /// Merges a device-disjoint shard; the merged maps stay key-sorted.
     ///
     /// # Panics

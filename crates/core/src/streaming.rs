@@ -41,7 +41,7 @@ use crate::metrics::{between_class_hds, InitialQuality};
 use crate::monthly::{EvaluationProtocol, WindowFold};
 use pufbits::{BitMatrix, BitVec, BlockCounter, OnesCounter};
 use pufobs::{Counter, Gauge, Instruments};
-use puftestbed::store::RecordSink;
+use puftestbed::store::{RecordSink, ShardedFold};
 use puftestbed::{BoardId, Record};
 use std::io;
 
@@ -105,7 +105,8 @@ pub struct WindowAccumulator {
 struct AccumulatorInstruments {
     /// `assess.windows_opened` — (device, month) windows opened.
     windows_opened: Counter,
-    /// `assess.windows_open` — windows currently held in memory.
+    /// `assess.windows_open` — windows held in memory, summed over the
+    /// parts of a sharded fold.
     windows_open: Gauge,
 }
 
@@ -214,7 +215,7 @@ impl WindowAccumulator {
         if opened {
             if let Some(o) = &self.obs {
                 o.windows_opened.inc();
-                o.windows_open.set(self.fold.windows().len() as i64);
+                o.windows_open.add(1);
             }
         }
     }
@@ -301,6 +302,33 @@ impl RecordSink for WindowAccumulator {
     fn record(&mut self, record: &Record) -> io::Result<()> {
         self.push(record);
         Ok(())
+    }
+}
+
+/// The month-zero rule holds across parts: a part starts from the earliest
+/// month seen so far, so a window it opens keeps per-read samples exactly
+/// when it would in one accumulator, and a merge drops the samples of every
+/// window outside the merged earliest month.
+impl ShardedFold for WindowAccumulator {
+    fn split_off(&mut self, devices: &[BoardId]) -> Self {
+        Self {
+            fold: self.fold.split_off(devices),
+            min_month: self.min_month,
+            obs: self.obs.clone(),
+        }
+    }
+
+    /// # Panics
+    ///
+    /// Panics if both saw a device (a harness bug, not a data condition).
+    fn merge(&mut self, part: Self) {
+        self.fold.merge(part.fold);
+        self.min_month = self.min_month.into_iter().chain(part.min_month).min();
+        for window in self.fold.windows_mut() {
+            if Some(window.year_month) != self.min_month {
+                window.state.samples = None;
+            }
+        }
     }
 }
 

@@ -10,11 +10,15 @@
 //! measured trajectory is a pure function of `(config, campaign seed,
 //! board id)` — independent of how many worker threads execute the campaign
 //! and of what every other board does. Workers measure each evaluation
-//! window in batches of reads and hand every batch to the calling thread,
-//! which merges it deterministically by `(seq, board)` into the
-//! [`RecordSink`] while the workers measure the next one. Sink output is
-//! byte-identical across thread counts, and the engine holds a few batches
-//! of records, never a whole window.
+//! window in batches of reads and fold every batch into their own
+//! device-disjoint part of the caller's [`ShardedFold`]s, so each board's
+//! records are folded on the worker that measures it; the parts merge back
+//! in board order when the run returns. Only an ordered [`RecordSink`] (a
+//! record file) needs the stream itself: then the workers also hand every
+//! batch to the calling thread, which merges it deterministically by
+//! `(seq, board)` into the sink while the workers measure the next one.
+//! Sink output and merged folds are byte-identical across thread counts,
+//! and the engine holds a few batches of records, never a whole window.
 //!
 //! # Checkpointable state
 //!
@@ -35,7 +39,7 @@ use crate::faults::{self, FaultChannel, FaultPlan, FaultTally, GapCause, GapReco
 use crate::i2c::{Address, I2cBus};
 use crate::schedule::READOUT_DELAY_S;
 use crate::store::checkpoint::{self, BoardState, CampaignState, CheckpointError};
-use crate::store::{Record, RecordSink};
+use crate::store::{Record, RecordSink, ShardedFold};
 use crate::time::{CalendarDate, Timestamp};
 use crate::waveform::PowerWaveform;
 use pufbits::{BitVec, PufRng};
@@ -43,6 +47,7 @@ use pufobs::{Counter, Histogram, Instruments};
 use rand::SeedableRng;
 use sramcell::{Environment, PowerUpKernel, TechnologyProfile};
 use std::io;
+use std::mem;
 use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::mpsc;
@@ -140,7 +145,8 @@ impl Default for CampaignConfig {
 pub struct CampaignSummary {
     /// Evaluation windows executed (months + 1 for windowed plans).
     pub windows: u32,
-    /// Records delivered to the sink.
+    /// Records delivered to the sink (to the folds of a
+    /// [`run_sharded`](Campaign::run_sharded) without an ordered sink).
     pub records: u64,
     /// Read-outs dropped after exhausting transport retries.
     pub dropped: u64,
@@ -209,7 +215,8 @@ pub struct Campaign {
 #[derive(Debug, Clone)]
 struct CampaignInstruments {
     ins: Instruments,
-    /// `campaign.records` — records the sink accepted, a failed run's too.
+    /// `campaign.records` — records the sink accepted, a failed run's too,
+    /// or the folds took when there is no ordered sink.
     records: Counter,
     /// `campaign.dropped` — read-outs dropped after exhausting retries.
     dropped: Counter,
@@ -332,6 +339,8 @@ struct BoardShard {
 /// What one shard contributes to one evaluation window besides its records.
 #[derive(Debug, Default)]
 struct ShardOutput {
+    /// Records delivered.
+    records: u64,
     dropped: u64,
     retries: u64,
     /// The whole window was lost to a brownout.
@@ -463,6 +472,7 @@ impl BoardShard {
                     Some(received) => {
                         let bits = BitVec::from_bytes_with_len(&received, readout.len());
                         records.push(Record::new(id, seq, timestamp, bits));
+                        out.records += 1;
                         break;
                     }
                     None if attempt < ctx.retry_budget => {
@@ -480,15 +490,19 @@ impl BoardShard {
     }
 }
 
-/// Runs one window on `shards` in batches of [`BATCH_READS`] reads, handing
-/// each batch's records to `deliver` until it returns `false`. With a
-/// `clock`, each board's time in the window adds up in its `busy`.
-fn measure_batches(
+/// The worker body: runs one window on `shards` in batches of
+/// [`BATCH_READS`] reads, folds each batch's records into `fold`, then hands
+/// the batch to `deliver` until it returns `false`. A batch `deliver` leaves
+/// in place is reused for the next one. With a `clock`, each board's
+/// measuring time in the window adds up in its `busy`. A fold error stops
+/// the window and comes back beside the outputs.
+fn measure_batches<F: RecordSink>(
     shards: &mut [BoardShard],
     ctx: &WindowCtx,
     clock: Option<&Instruments>,
-    mut deliver: impl FnMut(Vec<Record>) -> bool,
-) -> Vec<ShardOutput> {
+    fold: &mut F,
+    mut deliver: impl FnMut(&mut Vec<Record>) -> bool,
+) -> (Vec<ShardOutput>, io::Result<()>) {
     let elapsed = |started: Option<Duration>| {
         clock
             .zip(started)
@@ -504,26 +518,30 @@ fn measure_batches(
         })
         .collect();
     let mut start = 0;
+    let mut batch = Vec::new();
+    let mut folded = Ok(());
     while start < ctx.reads {
         let reads = start..ctx.reads.min(start + BATCH_READS);
         start = reads.end;
-        let mut batch = Vec::with_capacity(shards.len() * reads.len());
+        batch.clear();
+        batch.reserve(shards.len() * reads.len());
         for (shard, out) in shards.iter_mut().zip(&mut outputs) {
             let started = clock.map(Instruments::now);
             shard.measure(ctx, reads.clone(), out, &mut batch);
             out.busy += elapsed(started);
         }
-        if !deliver(batch) {
+        folded = batch.iter().try_for_each(|record| fold.record(record));
+        if folded.is_err() || !deliver(&mut batch) {
             break;
         }
     }
-    outputs
+    (outputs, folded)
 }
 
 /// Feeds one batch of every shard's records to the sink in the stream's
 /// order, counting the records the sink accepts.
-fn sink_batch<S: RecordSink>(
-    sink: &mut S,
+fn sink_batch(
+    sink: &mut dyn RecordSink,
     mut batch: Vec<Record>,
     accepted: &mut u64,
 ) -> io::Result<()> {
@@ -540,6 +558,23 @@ fn sink_batch<S: RecordSink>(
         *accepted += 1;
     }
     Ok(())
+}
+
+/// The folds of [`Campaign::run`], whose ordered sink takes every record.
+struct NoFold;
+
+impl RecordSink for NoFold {
+    fn record(&mut self, _: &Record) -> io::Result<()> {
+        Ok(())
+    }
+}
+
+impl ShardedFold for NoFold {
+    fn split_off(&mut self, _: &[BoardId]) -> Self {
+        NoFold
+    }
+
+    fn merge(&mut self, _: Self) {}
 }
 
 impl Campaign {
@@ -856,15 +891,50 @@ impl Campaign {
     /// continues only from the last checkpoint, through
     /// [`resume`](Self::resume).
     pub fn run<S: RecordSink>(&mut self, sink: &mut S) -> io::Result<CampaignSummary> {
+        self.run_sharded(&mut NoFold, Some(sink))
+    }
+
+    /// Runs the campaign, folding each board's records on the worker that
+    /// measures it and, with an `ordered` sink, streaming every record into
+    /// that sink as [`run`](Self::run) does.
+    ///
+    /// `folds` splits into one device-disjoint part per worker
+    /// ([`ShardedFold::split_off`]). Each worker folds its batches into its
+    /// part, in campaign order per device, and the parts merge back in
+    /// board order when the call returns, after an error too. The channels,
+    /// the `(seq, board)` sort and the calling thread's sink loop run only
+    /// for an `ordered` sink; without one, `campaign.records` and the
+    /// summary count the records handed to the folds.
+    ///
+    /// # Errors
+    ///
+    /// As for [`run`](Self::run). A fold's error stops the run as the
+    /// sink's does, and the sink's error comes first.
+    pub fn run_sharded<F: ShardedFold + Send>(
+        &mut self,
+        folds: &mut F,
+        ordered: Option<&mut (dyn RecordSink + '_)>,
+    ) -> io::Result<CampaignSummary> {
         if self.failed {
             return Err(io::Error::other(
                 "the campaign stopped at an earlier error; resume it from its last checkpoint",
             ));
         }
+        let mut parts: Vec<F> = self
+            .shards
+            .chunks(self.chunk_len())
+            .map(|chunk| {
+                let devices: Vec<BoardId> = chunk.iter().map(|s| s.board.id()).collect();
+                folds.split_off(&devices)
+            })
+            .collect();
         let result = match self.config.plan {
-            MeasurementPlan::Windowed => self.run_windowed(sink),
-            MeasurementPlan::Continuous => self.run_continuous(sink),
+            MeasurementPlan::Windowed => self.run_windowed(&mut parts, ordered),
+            MeasurementPlan::Continuous => self.run_continuous(&mut parts, ordered),
         };
+        for part in parts {
+            folds.merge(part);
+        }
         self.failed = result.is_err();
         result
     }
@@ -875,6 +945,13 @@ impl Campaign {
         let mut records = Vec::new();
         self.run(&mut records).expect("a Vec sink cannot fail");
         records
+    }
+
+    /// Boards per worker: the contiguous chunk each part of the folds
+    /// covers.
+    fn chunk_len(&self) -> usize {
+        let threads = self.threads.min(self.shards.len()).max(1);
+        self.shards.len().div_ceil(threads).max(1)
     }
 
     fn campaign_epoch(&self) -> Timestamp {
@@ -889,8 +966,11 @@ impl Campaign {
         date
     }
 
-    fn run_windowed<S: RecordSink>(&mut self, sink: &mut S) -> io::Result<CampaignSummary> {
-        let epoch = self.campaign_epoch();
+    fn run_windowed<F: ShardedFold + Send>(
+        &mut self,
+        parts: &mut [F],
+        mut sink: Option<&mut (dyn RecordSink + '_)>,
+    ) -> io::Result<CampaignSummary> {
         let start_days = self.config.start.days_since_epoch();
         let mut ran = 0u32;
         while self.next_window <= self.config.months {
@@ -910,7 +990,14 @@ impl Campaign {
             let wall_years = (window_days - previous_days) as f64 / 365.25;
             let window_start = Timestamp::from_date(window_date);
             let mut summary = self.summary;
-            self.run_window(sink, epoch, window_start, month, wall_years, &mut summary)?;
+            self.run_window(
+                parts,
+                sink.as_deref_mut(),
+                window_start,
+                month,
+                wall_years,
+                &mut summary,
+            )?;
             summary.windows += 1;
             self.summary = summary;
             self.next_window = month + 1;
@@ -920,7 +1007,7 @@ impl Campaign {
             if self.checkpoint_out.is_some()
                 && (done || halt || ran.is_multiple_of(self.checkpoint_every))
             {
-                self.write_checkpoint(sink)?;
+                self.write_checkpoint(sink.as_deref_mut())?;
             }
             if halt {
                 break;
@@ -929,16 +1016,26 @@ impl Campaign {
         Ok(self.summary)
     }
 
-    fn run_continuous<S: RecordSink>(&mut self, sink: &mut S) -> io::Result<CampaignSummary> {
+    fn run_continuous<F: ShardedFold + Send>(
+        &mut self,
+        parts: &mut [F],
+        mut sink: Option<&mut (dyn RecordSink + '_)>,
+    ) -> io::Result<CampaignSummary> {
         // Continuous: one "window" spanning the whole campaign, aged in one
         // sweep before measuring (per-month boundaries would be overkill
         // for the short spans this plan is meant for). A completed (or
         // resumed-as-completed) campaign has nothing left to run.
         if self.next_window == 0 {
-            let epoch = self.campaign_epoch();
             let wall_years = f64::from(self.config.months) / 12.0;
             let mut summary = self.summary;
-            self.run_window(sink, epoch, epoch, 0, wall_years, &mut summary)?;
+            self.run_window(
+                parts,
+                sink.as_deref_mut(),
+                self.campaign_epoch(),
+                0,
+                wall_years,
+                &mut summary,
+            )?;
             summary.windows += 1;
             self.summary = summary;
             self.next_window = 1;
@@ -953,11 +1050,13 @@ impl Campaign {
     /// checkpoint path atomically. The ordering is the durability contract:
     /// a checkpoint on disk never claims records the output file does not
     /// yet hold.
-    fn write_checkpoint<S: RecordSink>(&mut self, sink: &mut S) -> io::Result<()> {
+    fn write_checkpoint(&mut self, sink: Option<&mut (dyn RecordSink + '_)>) -> io::Result<()> {
         let Some(path) = self.checkpoint_out.clone() else {
             return Ok(());
         };
-        sink.flush()?;
+        if let Some(sink) = sink {
+            sink.flush()?;
+        }
         let state = self.export_state();
         let started = self.obs.as_ref().map(|o| o.ins.now());
         checkpoint::rotate_generations(&path, self.checkpoint_keep);
@@ -974,17 +1073,19 @@ impl Campaign {
     }
 
     /// Executes one evaluation window across all shards — in parallel when
-    /// [`threads`](Self::threads) allows — in batches of [`BATCH_READS`]
-    /// reads: the calling thread merges batch k of every shard by
-    /// `(seq, board)` into the sink while the workers measure batch k + 1.
+    /// [`threads`](Self::threads) allows, one worker per part of the folds —
+    /// in batches of [`BATCH_READS`] reads. Each worker folds its batches
+    /// into its part. With a `sink`, the calling thread also merges batch k
+    /// of every worker by `(seq, board)` into it while the workers measure
+    /// batch k + 1.
     ///
-    /// A sink error stops the window. The sink then holds a prefix of the
-    /// uninterrupted stream, `campaign.records` counts it, and the shard
-    /// counters cover the reads measured so far.
-    fn run_window<S: RecordSink>(
+    /// A sink or fold error stops the window. The sink then holds a prefix
+    /// of the uninterrupted stream, `campaign.records` counts it, and the
+    /// shard counters cover the reads measured so far.
+    fn run_window<F: ShardedFold + Send>(
         &mut self,
-        sink: &mut S,
-        epoch: Timestamp,
+        parts: &mut [F],
+        mut sink: Option<&mut (dyn RecordSink + '_)>,
         window_start: Timestamp,
         window: u32,
         wall_years: f64,
@@ -999,7 +1100,7 @@ impl Campaign {
         let ctx = WindowCtx {
             wall_years,
             substeps,
-            epoch,
+            epoch: self.campaign_epoch(),
             window_start,
             window,
             reads: self.config.reads_per_window,
@@ -1010,51 +1111,75 @@ impl Campaign {
         let clock = self.obs.as_ref().map(|o| &o.ins);
         let mut accepted = 0u64;
         let mut sunk = Ok(());
-        let threads = self.threads.min(self.shards.len()).max(1);
-        let outputs = if threads == 1 {
-            measure_batches(&mut self.shards, &ctx, clock, |batch| {
-                sunk = sink_batch(sink, batch, &mut accepted);
-                sunk.is_ok()
-            })
+        let ordered = sink.is_some();
+        let workers: Vec<(Vec<ShardOutput>, io::Result<()>)> = if let [part] = parts {
+            vec![measure_batches(
+                &mut self.shards,
+                &ctx,
+                clock,
+                part,
+                |batch| {
+                    if let Some(sink) = sink.as_deref_mut() {
+                        sunk = sink_batch(sink, mem::take(batch), &mut accepted);
+                    }
+                    sunk.is_ok()
+                },
+            )]
         } else {
-            // Shard boards across scoped workers in contiguous chunks; the
-            // per-board RNG streams make the outputs identical to the
-            // sequential path, so only wall-clock time depends on `threads`.
-            // Each worker runs at most one batch ahead of the merge.
-            let chunk_len = self.shards.len().div_ceil(threads);
+            // Shard boards across scoped workers in contiguous chunks, one
+            // per part; the per-board RNG streams make the outputs
+            // identical to the sequential path, so only wall-clock time
+            // depends on `threads`. For a sink, each worker runs at most
+            // one batch ahead of the merge.
+            let chunk_len = self.chunk_len();
             std::thread::scope(|scope| {
                 let (handles, receivers): (Vec<_>, Vec<_>) = self
                     .shards
                     .chunks_mut(chunk_len)
-                    .map(|chunk| {
-                        let (tx, rx) = mpsc::sync_channel(1);
+                    .zip(parts.iter_mut())
+                    .map(|(chunk, part)| {
+                        let (tx, rx) = ordered.then(|| mpsc::sync_channel(1)).unzip();
                         let ctx = &ctx;
                         let handle = scope.spawn(move || {
-                            measure_batches(chunk, ctx, clock, |batch| tx.send(batch).is_ok())
+                            measure_batches(chunk, ctx, clock, part, |batch| {
+                                tx.as_ref()
+                                    .is_none_or(|tx| tx.send(mem::take(batch)).is_ok())
+                            })
                         });
                         (handle, rx)
                     })
-                    .collect();
+                    .unzip();
                 // Every worker sends the same number of batches, then hangs up.
-                'merge: while sunk.is_ok() {
-                    let mut batch = Vec::new();
-                    for rx in &receivers {
-                        match rx.recv() {
-                            Ok(mut part) => batch.append(&mut part),
-                            Err(mpsc::RecvError) => break 'merge,
+                if let Some(sink) = sink {
+                    'merge: while sunk.is_ok() {
+                        let mut batch = Vec::new();
+                        for rx in receivers.iter().flatten() {
+                            match rx.recv() {
+                                Ok(mut part) => batch.append(&mut part),
+                                Err(mpsc::RecvError) => break 'merge,
+                            }
                         }
+                        sunk = sink_batch(sink, batch, &mut accepted);
                     }
-                    sunk = sink_batch(sink, batch, &mut accepted);
                 }
                 // After a sink error, hanging up fails the `send` a worker
                 // may be blocked in, so it returns and the join cannot hang.
                 drop(receivers);
                 handles
                     .into_iter()
-                    .flat_map(|handle| handle.join().expect("campaign worker panicked"))
+                    .map(|handle| handle.join().expect("campaign worker panicked"))
                     .collect()
             })
         };
+        let mut folded = Ok(());
+        let mut outputs = Vec::with_capacity(self.shards.len());
+        for (worker, result) in workers {
+            outputs.extend(worker);
+            folded = folded.and(result);
+        }
+        if !ordered {
+            accepted = outputs.iter().map(|o| o.records).sum();
+        }
 
         summary.records += accepted;
         let window_date = window_start.datetime().date;
@@ -1110,7 +1235,7 @@ impl Campaign {
         if let Some(o) = &self.obs {
             o.records.add(accepted);
         }
-        sunk?;
+        sunk.and(folded)?;
         if let Some(o) = &self.obs {
             o.windows.inc();
         }

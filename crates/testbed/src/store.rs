@@ -456,6 +456,35 @@ impl<S: RecordSink> RecordSink for Option<S> {
     }
 }
 
+/// A sink whose state is kept per device, so it can fold a record stream in
+/// device-disjoint parts: each part sees its devices' records in their
+/// campaign order, and the parts merge back into what one sink fed the
+/// whole stream would hold. The campaign engine folds each board's records
+/// on the worker that measures it this way
+/// ([`Campaign::run_sharded`](crate::Campaign::run_sharded)).
+pub trait ShardedFold: RecordSink + Sized {
+    /// Moves the state of `devices` into a new part, which starts with no
+    /// records counted. On resume the head of the stream already folded
+    /// for those devices goes with them.
+    fn split_off(&mut self, devices: &[BoardId]) -> Self;
+
+    /// Merges back a part that holds none of this sink's devices.
+    fn merge(&mut self, part: Self);
+}
+
+/// An absent fold stays absent in every part.
+impl<S: ShardedFold> ShardedFold for Option<S> {
+    fn split_off(&mut self, devices: &[BoardId]) -> Self {
+        self.as_mut().map(|sink| sink.split_off(devices))
+    }
+
+    fn merge(&mut self, part: Self) {
+        if let (Some(sink), Some(part)) = (self.as_mut(), part) {
+            sink.merge(part);
+        }
+    }
+}
+
 /// Sink duplicating every record to two sinks, in order (e.g. feed the
 /// streaming assessor while also persisting the raw records to disk).
 #[derive(Debug)]
@@ -485,6 +514,20 @@ impl<A: RecordSink, B: RecordSink> RecordSink for TeeSink<A, B> {
     fn flush(&mut self) -> io::Result<()> {
         self.first.flush()?;
         self.second.flush()
+    }
+}
+
+impl<A: ShardedFold, B: ShardedFold> ShardedFold for TeeSink<A, B> {
+    fn split_off(&mut self, devices: &[BoardId]) -> Self {
+        Self::new(
+            self.first.split_off(devices),
+            self.second.split_off(devices),
+        )
+    }
+
+    fn merge(&mut self, part: Self) {
+        self.first.merge(part.first);
+        self.second.merge(part.second);
     }
 }
 
